@@ -13,19 +13,14 @@ Three exact-identity utilities that sit on top of the word/matrix layer:
   alpha(a^N X) = beta(a^N X).
 """
 
-from .matrices import SquareMatrix, is_alternating
+from .matrices import SquareMatrix, is_alternating, perp
 from .rings import PolyRing, RingError, ideal_contains, substitute
 from .words import GeneratorWord, bass_symplectic_transvection, mu_matrix, rho_matrix
 
 
 def _embed(mat, total):
     """Place mat in the lower-right corner of a total x total identity."""
-    out = SquareMatrix.identity(mat.ring, total)
-    off = total - mat.n
-    for r in range(mat.n):
-        for c in range(mat.n):
-            out = out.with_entry(off + r, off + c, mat[r, c])
-    return out
+    return perp(SquareMatrix.identity(mat.ring, total - mat.n), mat)
 
 
 def _row_times(ring, q, mat):

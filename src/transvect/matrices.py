@@ -35,6 +35,15 @@ class SquareMatrix:
         return cls(ring, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @classmethod
+    def from_rows(cls, ring, rows):
+        """Wrap square rows of elements of ``ring``, without coercion."""
+        mat = object.__new__(cls)
+        object.__setattr__(mat, "ring", ring)
+        object.__setattr__(mat, "n", len(rows))
+        object.__setattr__(mat, "rows", tuple(tuple(r) for r in rows))
+        return mat
+
+    @classmethod
     def zero(cls, ring, n):
         z = ring.zero()
         return cls(ring, [[z] * n for _ in range(n)])
@@ -42,11 +51,6 @@ class SquareMatrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]
-
-    def with_entry(self, i, j, value):
-        rows = [list(r) for r in self.rows]
-        rows[i][j] = self.ring.element(value)
-        return SquareMatrix(self.ring, rows)
 
     def __eq__(self, other):
         return (isinstance(other, SquareMatrix) and self.ring == other.ring
@@ -124,7 +128,6 @@ def determinant(mat, size_bound=8):
             return got
         acc = ring.zero()
         sign = 1
-        pos = 0
         for j in range(n):
             if not rows_mask & (1 << j):
                 continue
@@ -134,7 +137,6 @@ def determinant(mat, size_bound=8):
                 term = entry * sub
                 acc = acc + (term if sign > 0 else -term)
             sign = -sign
-            pos += 1
         cache[(rows_mask, depth)] = acc
         return acc
 
@@ -195,12 +197,11 @@ def sigma(i):
 
 def standard_form(ring, n):
     """psi_n: sum of e(2i-1,2i) - e(2i,2i-1), size 2n."""
-    mat = SquareMatrix.zero(ring, 2 * n)
-    one = ring.one()
+    one, zero = ring.one(), ring.zero()
+    rows = [[zero] * (2 * n) for _ in range(2 * n)]
     for k in range(n):
-        mat = mat.with_entry(2 * k, 2 * k + 1, one)
-        mat = mat.with_entry(2 * k + 1, 2 * k, -one)
-    return mat
+        rows[2 * k][2 * k + 1], rows[2 * k + 1][2 * k] = one, -one
+    return SquareMatrix.from_rows(ring, rows)
 
 
 def is_symplectic(mat, form):

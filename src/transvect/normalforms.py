@@ -12,7 +12,8 @@ Two reductions, both certified by their defining postconditions:
   local factor of Z/m via CRT projection.
 """
 
-from .matrices import SquareMatrix, is_alternating, pfaffian, standard_form
+from .matrices import (SquareMatrix, is_alternating, perp, pfaffian,
+                       standard_form)
 from .rings import (GF, Ideal, RingError, Zmod, ideal_contains,
                     localize_at_prime, prime_factors)
 from .words import GeneratorAtom, GeneratorWord, lin
@@ -206,11 +207,7 @@ def reduce_alternating_local(phi, L, I=None):
 
 
 def _embed_one_perp(mat):
-    out = SquareMatrix.identity(mat.ring, mat.n + 1)
-    for r in range(mat.n):
-        for c in range(mat.n):
-            out = out.with_entry(r + 1, c + 1, mat[r, c])
-    return out
+    return perp(SquareMatrix.identity(mat.ring, 1), mat)
 
 
 def _reduce_atoms(phi, L, I):
@@ -243,8 +240,7 @@ def _reduce_atoms(phi, L, I):
             step2.extend(_triple(1, c - 1, ring.zero(), yc))
         else:
             step2.append(lin(c - 1, 1, yc))
-    big2 = _embed_one_perp(
-        GeneratorWord(ring, m - 1, step2).eval())
+    big2 = _embed_one_perp(GeneratorWord(ring, m - 1, step2).eval())
     phi2 = big2.transpose() * phi1 * big2
 
     # Step 3: split off the leading psi_1 block and recurse.

@@ -115,12 +115,7 @@ def enumerate_unimodular(ring, n, ideal=None, budget=10 ** 7):
     return rows
 
 
-def _symplectic_pairs(size):
-    return [(i, j) for i in range(1, size + 1)
-            for j in range(1, size + 1) if i != j]
-
-
-def _linear_pairs(size):
+def _index_pairs(size):
     return [(i, j) for i in range(1, size + 1)
             for j in range(1, size + 1) if i != j]
 
@@ -137,8 +132,7 @@ def generators_for(spec):
     """
     ring, size, ideal = spec.ring, spec.size, spec.ideal
     atom = {"lin": lin, "se": se}["se" if "ESp" in spec.family else "lin"]
-    pairs = (_symplectic_pairs(size) if "ESp" in spec.family
-             else _linear_pairs(size))
+    pairs = _index_pairs(size)
     out = []
     seen = set()
 
@@ -383,11 +377,6 @@ def subgroup_closure(generators, ring, conjugators=None, cap=10 ** 6):
     return elements
 
 
-def _mod_ideal_rep(value, m, g):
-    """Representative of value mod the ideal (g): reduce mod gcd(g, m)."""
-    return value % g if g > 1 else 0
-
-
 def _random_first_rowcol_word(ring, size, ideal, rng, length=6):
     """A random word of first-row atoms (free args) and first-column
     atoms (args in I), composed with its mod-I mirror so that the
@@ -403,7 +392,7 @@ def _random_first_rowcol_word(ring, size, ideal, rng, length=6):
             atoms.append(se(1, j, ring.element(rng.randrange(m))))
     mirror = []
     for a in reversed(atoms):
-        rep = _mod_ideal_rep(a.arg.value, m, g if g > 1 else m)
+        rep = a.arg.value % (g if g > 1 else m)
         mirror.append(se(a.i, a.j, ring.element(-rep)))
     return GeneratorWord(ring, size, atoms + mirror)
 
@@ -438,7 +427,7 @@ def kernel_membership_test(ring, size, ideal, samples=1000, seed=0,
         "closure_size": len(closure),
         "samples": samples,
         "members": hits,
-        "ok": hits == samples,
+        "ok": 0 < hits == samples,
     }
 
 
@@ -448,7 +437,7 @@ def square_ideal_inclusion_test(ring, size, ideal, samples=200, seed=0,
     with a, b in I land in the closure of the I-argument atoms, and the
     explicit factorization agrees."""
     g = _ideal_gen(ring, ideal)
-    spec_pairs = _symplectic_pairs(size)
+    spec_pairs = _index_pairs(size)
     gens = []
     for i, j in spec_pairs:
         gens.append(GeneratorWord(ring, size, [se(i, j, ring.element(g))]).eval())
@@ -486,5 +475,5 @@ def square_ideal_inclusion_test(ring, size, ideal, samples=200, seed=0,
         "members": hits,
         "factored": factored,
         "factored_members": factor_hits,
-        "ok": hits == samples and factor_hits == factored,
+        "ok": 0 < hits == samples and factor_hits == factored,
     }

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .matrices import SquareMatrix, sigma
+from .matrices import sigma
 from .rings import (PolyRing, RingError, divide_by_unit, divide_by_var,
                     ideal_contains, var_multiplicity)
-from .words import GeneratorAtom, GeneratorWord, SYMPLECTIC, se
+from .words import (GeneratorAtom, GeneratorWord, act_on_rows, identity_rows,
+                    se)
 
 
 class RewriteError(RingError):
@@ -79,8 +80,15 @@ def _prefer(positions):
     return positions[0]
 
 
-def _atoms_word(ring, size, atoms):
-    return GeneratorWord(ring, size, atoms)
+def _inverse_atoms(atoms):
+    return [x.inverse() for x in reversed(atoms)]
+
+
+def _quad(p, q, u, y, ideal_side):
+    """[se_p1(u), se_1q(y)], with u and y swapped on the "row" side."""
+    if ideal_side != "col":
+        u, y = y, u
+    return [se(p, 1, u), se(1, q, y), se(p, 1, -u), se(1, q, -y)]
 
 
 def _peel(ring, size, matrix, roots):
@@ -98,17 +106,18 @@ def _peel(ring, size, matrix, roots):
             pq = _prefer(ps)
             if pq not in spots:
                 spots.append(pq)
+    identity = identity_rows(ring, size)
     for order in permutations(spots):
-        resid = matrix
+        resid = [list(row) for row in matrix.rows]
         atoms = []
         for (p, q) in order:
-            z = resid[p - 1, q - 1]
+            z = resid[p - 1][q - 1]
             if z.is_zero():
                 continue
             atom = se(p, q, z)
-            resid = atom.inverse().matrix(ring, size) * resid
+            act_on_rows(resid, atom.inverse().entries(ring, size))
             atoms.append(atom)
-        if resid.is_identity():
+        if resid == identity:
             return atoms
     raise RewriteError("matrix does not peel on roots %r" % (roots,))
 
@@ -120,7 +129,7 @@ def comm_word(ring, size, g, h):
     rb = atom_root(h.i, h.j, n)
     if ra == _neg(rb):
         raise RewriteError("opposite roots: no commutator expansion")
-    word = _atoms_word(ring, size, [g, h, g.inverse(), h.inverse()])
+    word = GeneratorWord(ring, size, [g, h, g.inverse(), h.inverse()])
     mat = word.eval()
     if mat.is_identity():
         return []
@@ -171,11 +180,8 @@ def rewrite_to_first(ring, size, atom, ideal, yname, ideal_side="col"):
     if q == sigma(p):
         # long root: se_p,sigma(p)(w) = [se_p1(u), se_1,sigma(p)(Y)], w = 2uY
         u = _divide(w, 2, yname, 1)
-        if ideal_side == "col":
-            quad = [se(p, 1, u), se(1, q, y), se(p, 1, -u), se(1, q, -y)]
-        else:
-            quad = [se(p, 1, y), se(1, q, u), se(p, 1, -y), se(1, q, -u)]
-        assert _atoms_word(ring, size, quad).eval() == atom.matrix(ring, size)
+        quad = _quad(p, q, u, y, ideal_side)
+        assert GeneratorWord(ring, size, quad).eval() == atom.matrix(ring, size)
         return quad
     # short root: peel the defect of [se_p1(u), se_1q(Y)] against the target
     test = comm_word(ring, size, se(p, 1, ring.one()), se(1, q, ring.one()))
@@ -186,13 +192,9 @@ def rewrite_to_first(ring, size, atom, ideal, yname, ideal_side="col"):
     if coeff is None:
         raise RewriteError("no (p, q) component in the probe commutator")
     u = _divide(w, coeff, yname, 1)
-    if ideal_side == "col":
-        quad = [se(p, 1, u), se(1, q, y), se(p, 1, -u), se(1, q, -y)]
-    else:
-        quad = [se(p, 1, y), se(1, q, u), se(p, 1, -y), se(1, q, -u)]
-    mat = _atoms_word(ring, size, quad).eval()
+    quad = _quad(p, q, u, y, ideal_side)
     # target = quad * corr, with corr supported on long roots
-    corr_mat = _atoms_word(ring, size, quad).inverse().eval() * atom.matrix(ring, size)
+    corr_mat = GeneratorWord(ring, size, _inverse_atoms(quad) + [atom]).eval()
     n = size // 2
     longs = [r for k in range(n) for r in
              (tuple(2 if i == k else 0 for i in range(n)),
@@ -200,7 +202,7 @@ def rewrite_to_first(ring, size, atom, ideal, yname, ideal_side="col"):
     out = list(quad)
     for extra in _peel(ring, size, corr_mat, longs):
         out.extend(rewrite_to_first(ring, size, extra, ideal, yname, ideal_side))
-    assert _atoms_word(ring, size, out).eval() == atom.matrix(ring, size)
+    assert GeneratorWord(ring, size, out).eval() == atom.matrix(ring, size)
     return out
 
 
@@ -248,17 +250,14 @@ def _expand_avoiding(ring, size, atom, avoid, ideal, yname, ideal_side, process)
     if coeff is None:
         raise RewriteError("no quad route for the opposite piece")
     v = _divide(w, coeff, yname, 1)
-    if ideal_side == "col":
-        quad = [se(p, 1, v), se(1, q, y), se(p, 1, -v), se(1, q, -y)]
-    else:
-        quad = [se(p, 1, y), se(1, q, v), se(p, 1, -y), se(1, q, -v)]
+    quad = _quad(p, q, v, y, ideal_side)
     if any(atom_root(x.i, x.j, n) == _neg(avoid) for x in quad):
         raise RewriteError("quad route still clashes")
     n_longs = [tuple(2 if c == m else 0 for c in range(n)) for m in range(n)]
     n_longs += [_neg(r) for r in n_longs]
     resid = _peel(ring, size,
-                  _atoms_word(ring, size, quad).inverse().eval()
-                  * atom.matrix(ring, size), n_longs)
+                  GeneratorWord(ring, size, _inverse_atoms(quad) + [atom]).eval(),
+                  n_longs)
     out = list(quad)
     for extra in resid:
         out.extend(process(extra))
@@ -305,11 +304,13 @@ def _monster(ring, size, g, t, ideal, yname, ideal_side):
     u = _divide(m, coeff, yname, 2)
     a0 = se(1, r, u)
     b0 = se(r, j, y2)
-    comm = _atoms_word(ring, size, [a0, b0, a0.inverse(), b0.inverse()])
+    comm = [a0, b0, a0.inverse(), b0.inverse()]
     n = size // 2
     longs = [tuple(2 if i == k else 0 for i in range(n)) for k in range(n)]
     longs += [_neg(root) for root in longs]
-    corr = _peel(ring, size, comm.inverse().eval() * t.matrix(ring, size), longs)
+    corr = _peel(ring, size,
+                 GeneratorWord(ring, size, _inverse_atoms(comm) + [t]).eval(),
+                 longs)
 
     rb0 = atom_root(b0.i, b0.j, n)
 
@@ -385,10 +386,9 @@ def _monster_long_row(ring, size, g, t, ideal, yname):
     tv = se(3, 4, w)
     stages = (se(2, 3, b), se(1, 3, one), se(4, 3, b))
     wword = list(reversed(stages))
-    tuv_inv = _atoms_word(ring, size, wword + [l0.inverse()]
-                          + [x.inverse() for x in reversed(wword)]).eval()
-    lhs = _atoms_word(ring, size, [g, t, g.inverse()]).eval()
-    ginv = tuv_inv * lhs * tv.matrix(ring, size)
+    # G^{-1} = T(u+v, w')^{-1} · ^g t · T(v, w'), evaluated as one word
+    ginv = GeneratorWord(ring, size, wword + [l0.inverse()] + _inverse_atoms(wword)
+                       + [g, t, g.inverse(), tv]).eval()
     shorts = [(1, 1), (-1, 1)]
     longs = [(0, 2), (-2, 0)]
     cand = [r + (0,) * (n - 2) for r in shorts + longs]
@@ -517,7 +517,7 @@ def conjugate_first_rowcol(ring, size, conjugator, target, ideal, yname="Y"):
         atoms = [x.transpose() for x in reversed(inner)]
     else:
         raise RewriteError("target %r is not first-row/column" % (target,))
-    lhs = _atoms_word(ring, size, [conjugator, target, conjugator.inverse()])
+    lhs = GeneratorWord(ring, size, [conjugator, target, conjugator.inverse()])
     rhs = GeneratorWord(ring, size, atoms, tag="first-rowcol")
     return RewriteResult(lhs, rhs, ideal=ideal, yname=yname)
 
@@ -548,7 +548,7 @@ def dilate_word(eps, target, ideal, xname="X", yname="Y"):
                 raise RewriteError("uncertified step: %r" % (step,))
             nxt.extend(step.rhs.atoms)
         current = nxt
-    lhs = eps * _atoms_word(ring, size, [seeded]) * eps.inverse()
+    lhs = eps * GeneratorWord(ring, size, [seeded]) * eps.inverse()
     rhs = GeneratorWord(ring, size, current, tag="first-rowcol")
     return RewriteResult(lhs, rhs, ideal=ideal, yname=yname)
 
@@ -573,14 +573,14 @@ def conjugate_square_ideal(ring, size, i, j, z, a, b, ideal, kl=None):
         longs = [tuple(2 if c == m else 0 for c in range(n)) for m in range(n)]
         longs += [_neg(root) for root in longs]
         corr = _peel(ring, size,
-                     _atoms_word(ring, size, quad).inverse().eval()
-                     * target.matrix(ring, size), longs)
+                     GeneratorWord(ring, size, _inverse_atoms(quad) + [target]).eval(),
+                     longs)
         factors = quad + corr
     out = []
     for x in factors:
         out.extend(comm_word(ring, size, alpha, x))
         out.append(x)
-    lhs = _atoms_word(ring, size, [alpha, target, alpha.inverse()])
+    lhs = GeneratorWord(ring, size, [alpha, target, alpha.inverse()])
     rhs = GeneratorWord(ring, size, out)
     return RewriteResult(lhs, rhs, ideal=ideal, yname=None,
                          require_shape=False, membership="all")

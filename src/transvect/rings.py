@@ -24,6 +24,10 @@ class RingError(ValueError):
     pass
 
 
+class DescriptorError(RingError):
+    """Malformed ring or ideal descriptor text."""
+
+
 def _is_prime(n):
     if n < 2:
         return False
@@ -379,7 +383,7 @@ class Ideal:
     @classmethod
     def principal(cls, ring, gen):
         g = ring.element(gen)
-        if isinstance(ring, Zmod) and gcd(g.value, ring.m) == 1:
+        if isinstance(ring, (Zmod, Dyadic)) and ring.is_unit(g):
             return cls(ring, "full")
         if g.is_zero():
             return cls(ring, "zero")
@@ -402,11 +406,8 @@ class Ideal:
             ring = self.ring
             if isinstance(ring, Zmod):
                 return r.value % gcd(self.data.value, ring.m) == 0
-            # Dyadic: (d) = (odd part of d)
-            if r.is_zero():
-                return True
-            dn = abs(self.data.value[0])
-            return abs(r.value[0]) % dn == 0
+            # Dyadic: 2 is a unit, so (d) = (odd part of d)
+            return _odd_part(r.value[0]) % _odd_part(self.data.value[0]) == 0
         gen_idx = [self.ring.names.index(v) for v in self.data]
         return all(any(mono[i] for i in gen_idx) for mono, _ in r.value)
 
@@ -443,6 +444,12 @@ class Ideal:
                 and self.shape == other.shape and self.data == other.data)
 
 
+def _odd_part(n):
+    """n with every factor 2 removed (0 stays 0)."""
+    n = abs(n)
+    return n // (n & -n) if n else 0
+
+
 def ideal_contains(ideal, r):
     """Membership test; errors on ring mismatch."""
     if isinstance(r, RingElement) and r.ring != ideal.ring:
@@ -453,19 +460,29 @@ def ideal_contains(ideal, r):
 # -- parsing ---------------------------------------------------------
 
 
+def _parse_int(digits, message):
+    try:
+        return int(digits)
+    except ValueError:
+        raise DescriptorError(message) from None
+
+
 def parse_ring(text):
-    """Parse ``zmod:9``, ``gf:5``, ``dyadic``, ``poly:dyadic:a,b,x``."""
+    """Parse ``zmod:9``, ``gf:5``, ``dyadic``, ``poly:dyadic:a,b,x``.
+
+    Malformed text raises DescriptorError; a well-formed ring outside
+    the supported domain (``zmod:8``) raises plain RingError.
+    """
     parts = text.split(":")
-    if parts[0] == "zmod":
-        return Zmod(int(parts[1]))
-    if parts[0] == "gf":
-        return GF(int(parts[1]))
-    if parts[0] == "dyadic":
+    if parts[0] in ("zmod", "gf") and len(parts) == 2:
+        m = _parse_int(parts[1], "cannot parse ring descriptor %r" % (text,))
+        return Zmod(m) if parts[0] == "zmod" else GF(m)
+    if parts == ["dyadic"]:
         return Dyadic()
-    if parts[0] == "poly":
+    if parts[0] == "poly" and len(parts) >= 3:
         base = parse_ring(":".join(parts[1:-1]))
         return PolyRing(base, parts[-1].split(","))
-    raise RingError("cannot parse ring descriptor %r" % (text,))
+    raise DescriptorError("cannot parse ring descriptor %r" % (text,))
 
 
 def parse_ideal(ring, text):
@@ -474,7 +491,7 @@ def parse_ideal(ring, text):
         return Ideal.full(ring)
     if text.startswith("vars:"):
         return Ideal.vars(ring, text[5:].split(","))
-    gen = int(text)
+    gen = _parse_int(text, "cannot parse ideal descriptor %r" % (text,))
     if gen == 0:
         return Ideal.zero(ring)
     return Ideal.principal(ring, gen)
@@ -498,9 +515,7 @@ def localize_at_prime(ring, p):
     pk = 1
     while m % (pk * p) == 0:
         pk *= p
-    local = Zmod(pk) if pk > 3 or pk == 3 else Zmod(pk)
-    if _is_prime(pk):
-        local = GF(pk)
+    local = GF(pk) if _is_prime(pk) else Zmod(pk)
 
     def project(elt):
         elt = ring.element(elt)
@@ -561,9 +576,7 @@ def divide_by_unit(elt, unit):
 
 
 def _scalar_inverse(ring, u):
-    if isinstance(ring, Zmod):
-        return ring.invert(u)
-    if isinstance(ring, Dyadic):
+    if isinstance(ring, (Zmod, Dyadic)):
         return ring.invert(u)
     raise RingError("no inverse in %s" % (ring,))
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 
-from .matrices import SquareMatrix, sigma, standard_form
+from .matrices import SquareMatrix, _entry_from_json, _entry_to_json, sigma
 from .rings import RingError, ideal_contains
 
 
@@ -40,19 +40,32 @@ class GeneratorAtom:
         """Formal transpose: ge_ij(z)^t = ge_ji(z) in both families."""
         return GeneratorAtom(self.family, self.j, self.i, self.arg)
 
-    def matrix(self, ring, size):
+    def entries(self, ring, size):
+        """[(a, b, z), ...], 0-based, with the atom = I + sum z*e_ab; a
+        short symplectic root adds the mirror entry to its own."""
         if max(self.i, self.j) > size:
             raise RingError("atom indices exceed size %d" % size)
         z = ring.element(self.arg)
-        mat = SquareMatrix.identity(ring, size).with_entry(self.i - 1, self.j - 1, z)
-        if self.family == LINEAR:
-            return mat
-        if size % 2 == 1:
-            raise RingError("symplectic atoms need even size")
-        if self.i != sigma(self.j):
-            s = -z if (self.i + self.j) % 2 == 0 else z
-            mat = mat.with_entry(sigma(self.j) - 1, sigma(self.i) - 1, s)
-        return mat
+        out = [(self.i - 1, self.j - 1, z)]
+        if self.family == SYMPLECTIC:
+            if size % 2 == 1:
+                raise RingError("symplectic atoms need even size")
+            if self.i != sigma(self.j):
+                s = -z if (self.i + self.j) % 2 == 0 else z
+                out.append((sigma(self.j) - 1, sigma(self.i) - 1, s))
+        return out
+
+    def matrix(self, ring, size):
+        """The atom as a dense matrix.
+
+        Words never multiply these: ``GeneratorWord.eval`` applies each
+        atom as a column operation.  This is the dense reference that
+        tests compare the row/column operations against.
+        """
+        rows = identity_rows(ring, size)
+        for a, b, z in self.entries(ring, size):
+            rows[a][b] = z
+        return SquareMatrix.from_rows(ring, rows)
 
     def __eq__(self, other):
         return (isinstance(other, GeneratorAtom) and self.family == other.family
@@ -69,6 +82,40 @@ def lin(i, j, arg):
 
 def se(i, j, arg):
     return GeneratorAtom(SYMPLECTIC, i, j, arg)
+
+
+# -- the evaluation kernel: atoms as row and column operations --------
+# Right-multiplying by I + z*e_ab adds z * column a to column b, left-
+# multiplying adds z * row b to row a: O(n) ring operations, not O(n^3).
+# No entry of an atom reads the line another writes, so they apply in turn.
+
+
+def identity_rows(ring, size):
+    """A mutable identity matrix: a list of row lists."""
+    one, zero = ring.one(), ring.zero()
+    return [[one if r == c else zero for c in range(size)] for r in range(size)]
+
+
+def act_on_columns(rows, entries):
+    """rows <- rows * (I + sum z*e_ab), in place."""
+    for a, b, z in entries:
+        if z.is_zero():
+            continue
+        for row in rows:
+            x = row[a]
+            if not x.is_zero():
+                row[b] = row[b] + x * z
+
+
+def act_on_rows(rows, entries):
+    """rows <- (I + sum z*e_ab) * rows, in place."""
+    for a, b, z in entries:
+        if z.is_zero():
+            continue
+        src, dst = rows[b], rows[a]
+        for c, x in enumerate(src):
+            if not x.is_zero():
+                dst[c] = dst[c] + z * x
 
 
 class GeneratorWord:
@@ -90,10 +137,11 @@ class GeneratorWord:
         raise AttributeError("GeneratorWord is immutable")
 
     def eval(self):
-        out = SquareMatrix.identity(self.ring, self.size)
+        """The product of the atoms, left to right, by column operations."""
+        rows = identity_rows(self.ring, self.size)
         for atom in self.atoms:
-            out = out * atom.matrix(self.ring, self.size)
-        return out
+            act_on_columns(rows, atom.entries(self.ring, self.size))
+        return SquareMatrix.from_rows(self.ring, rows)
 
     def inverse(self):
         return GeneratorWord(self.ring, self.size,
@@ -136,18 +184,6 @@ class GeneratorWord:
         return "Word[%s]" % "; ".join(repr(a) for a in self.atoms)
 
 
-def elem_linear(ring, n, i, j, lam):
-    return lin(i, j, ring.element(lam)).matrix(ring, n)
-
-
-def elem_symplectic(ring, n, i, j, z):
-    return se(i, j, ring.element(z)).matrix(ring, 2 * n)
-
-
-def eval_word(word):
-    return word.eval()
-
-
 def commutator_word(w1, w2):
     """The word for [w1, w2] = w1 w2 w1^-1 w2^-1."""
     return w1 * w2 * w1.inverse() * w2.inverse()
@@ -177,34 +213,30 @@ def _as_row(ring, q):
     return [ring.element(x) for x in q]
 
 
-def rho_matrix(ring, q, alpha, phi):
-    """Block matrix [[1,0,0],[alpha,1,-q*phi],[q^t,0,I]] of size 2n+2."""
+def _rho_mu(ring, q, phi, r, corner):
+    """Identity of size 2n+2 with corner entry (r, 1-r), row r tail
+    -+q*phi and column 1-r tail q^t: rho for r = 1, mu for r = 0."""
     q = _as_row(ring, q)
     m = phi.n
     if len(q) != m:
         raise RingError("q must have length %d" % m)
-    out = SquareMatrix.identity(ring, m + 2)
-    out = out.with_entry(1, 0, ring.element(alpha))
-    qphi = [_rowdot(q, [phi[k, c] for k in range(m)], ring) for c in range(m)]
+    rows = identity_rows(ring, m + 2)
+    rows[r][1 - r] = corner
     for c in range(m):
-        out = out.with_entry(1, c + 2, -qphi[c])
-        out = out.with_entry(c + 2, 0, q[c])
-    return out
+        qphi = _rowdot(q, [phi[k, c] for k in range(m)], ring)
+        rows[r][c + 2] = -qphi if r else qphi
+        rows[c + 2][1 - r] = q[c]
+    return SquareMatrix.from_rows(ring, rows)
+
+
+def rho_matrix(ring, q, alpha, phi):
+    """Block matrix [[1,0,0],[alpha,1,-q*phi],[q^t,0,I]] of size 2n+2."""
+    return _rho_mu(ring, q, phi, 1, ring.element(alpha))
 
 
 def mu_matrix(ring, q, beta, phi):
     """Block matrix [[1,-beta,q*phi],[0,1,0],[0,q^t,I]] of size 2n+2."""
-    q = _as_row(ring, q)
-    m = phi.n
-    if len(q) != m:
-        raise RingError("q must have length %d" % m)
-    out = SquareMatrix.identity(ring, m + 2)
-    out = out.with_entry(0, 1, -ring.element(beta))
-    qphi = [_rowdot(q, [phi[k, c] for k in range(m)], ring) for c in range(m)]
-    for c in range(m):
-        out = out.with_entry(0, c + 2, qphi[c])
-        out = out.with_entry(c + 2, 1, q[c])
-    return out
+    return _rho_mu(ring, q, phi, 0, -ring.element(beta))
 
 
 def _rowdot(u, v, ring):
@@ -284,12 +316,6 @@ def bass_symplectic_transvection(ring, u, v, alpha, phi):
     return first * second
 
 
-def bass_inverse(ring, u, v, alpha, phi):
-    """Inverse of the Bass transvection: negate (v, alpha)."""
-    return bass_symplectic_transvection(ring, u, [-ring.element(x) for x in v],
-                                        -ring.element(alpha), phi)
-
-
 def transvection_action_rho(ring, q, alpha, phi, point):
     """Def-style map (a, b, p) -> (a, b - <p,q> + alpha a, p + a q)
     with the pairing convention <p, q> = q phi p^t."""
@@ -316,41 +342,17 @@ def transvection_action_mu(ring, q, beta, phi, point):
             tuple(pc + b * qc for pc, qc in zip(p, q)))
 
 
-# -- linear transvections E_x / E*_tau -------------------------------
-
-
-def elementary_linear_transvection(ring, kind, vec):
-    """E_x = [[1, x],[0, I]] or E*_tau = [[1, 0],[y^t, I]], size n+1."""
-    vec = _as_row(ring, vec)
-    n = len(vec)
-    out = SquareMatrix.identity(ring, n + 1)
-    for k, entry in enumerate(vec):
-        if kind == "E_x":
-            out = out.with_entry(0, k + 1, entry)
-        elif kind == "E*_tau":
-            out = out.with_entry(k + 1, 0, entry)
-        else:
-            raise RingError("kind must be E_x or E*_tau")
-    return out
-
-
 # -- serialization ----------------------------------------------------
 
 
 def word_to_json(word):
     return json.dumps([
         {"fam": "L" if a.family == LINEAR else "S", "i": a.i, "j": a.j,
-         "arg": _arg_to_json(a.arg)}
+         "arg": _entry_to_json(a.arg)}
         for a in word.atoms])
 
 
-def _arg_to_json(arg):
-    from .matrices import _entry_to_json
-    return _entry_to_json(arg)
-
-
 def word_from_json(ring, size, text):
-    from .matrices import _entry_from_json
     atoms = []
     for rec in json.loads(text):
         fam = LINEAR if rec["fam"] == "L" else SYMPLECTIC
@@ -370,7 +372,3 @@ def parse_word_inline(ring, size, text):
         i_s, j_s = ij.split(",")
         atoms.append(GeneratorAtom(fam, int(i_s), int(j_s), ring.element(int(arg_s))))
     return GeneratorWord(ring, size, atoms)
-
-
-def word_psi(ring, n):
-    return standard_form(ring, n)

@@ -87,3 +87,25 @@ def test_fixture_comparison(tmp_path, monkeypatch):
     code, rep = _run(["orbits", "--ring", "zmod:3", "--size", "4",
                       "--group", "esp"], tmp_path, "c.json")
     assert code == 1
+
+
+def test_malformed_ring_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    for argv in (["verify-relations", "--ring", "zmod:abc", "--symbolic"],
+                 ["decompose", "--ring", "zmod"],
+                 ["orbits", "--ring", "zmod:9", "--size", "4",
+                  "--ideal", "x"]):
+        assert run(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_zero_checks_are_not_ok(tmp_path):
+    for argv in (["verify-relations", "--n", "0", "--symbolic"],
+                 ["decompose", "--samples", "0"],
+                 ["reduce-form", "--samples", "0"],
+                 ["kernel-test", "--ring", "zmod:9", "--size", "4",
+                  "--ideal", "3", "--samples", "0"]):
+        code, rep = _run(argv, tmp_path)
+        assert code == 1 and not rep["ok"]

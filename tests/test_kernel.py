@@ -1,0 +1,81 @@
+"""Differential tests: the row/column-operation kernel against dense
+products of ``GeneratorAtom.matrix()`` factors."""
+
+import random
+import zlib
+
+import pytest
+
+from transvect.matrices import SquareMatrix
+from transvect.rewrite import _neg, atom_root, comm_word
+from transvect.rings import parse_ring, sample_element
+from transvect.words import GeneratorWord, act_on_rows, lin, se
+
+RINGS = ["zmod:9", "gf:5", "dyadic", "poly:dyadic:a,b", "poly:zmod:9:X"]
+CASES = [(desc, fam, size) for desc in RINGS for fam in ("linear", "symplectic")
+         for size in range(2, 9) if fam == "linear" or size % 2 == 0]
+
+
+def _random_atoms(ring, family, size, rng, length):
+    atom = lin if family == "linear" else se
+    out = []
+    for _ in range(length):
+        i, j = rng.sample(range(1, size + 1), 2)
+        # zero arguments exercise the kernel's skip path
+        arg = ring.zero() if rng.randrange(5) == 0 else sample_element(ring, rng)
+        out.append(atom(i, j, arg))
+    return out
+
+
+def _dense_product(ring, size, atoms):
+    out = SquareMatrix.identity(ring, size)
+    for a in atoms:
+        out = out * a.matrix(ring, size)
+    return out
+
+
+def _seed(*parts):
+    return zlib.crc32(repr(parts).encode())
+
+
+@pytest.mark.parametrize("desc,family,size", CASES)
+def test_eval_matches_dense_product(desc, family, size):
+    ring = parse_ring(desc)
+    rng = random.Random(_seed(desc, family, size))
+    for length in (0, 1, 2, 5, 9):
+        atoms = _random_atoms(ring, family, size, rng, length)
+        word = GeneratorWord(ring, size, atoms)
+        assert word.eval() == _dense_product(ring, size, atoms)
+
+
+@pytest.mark.parametrize("desc,family,size", CASES)
+def test_row_operation_matches_dense_left_product(desc, family, size):
+    ring = parse_ring(desc)
+    rng = random.Random(_seed("rows", desc, family, size))
+    for _ in range(4):
+        mat = _dense_product(ring, size,
+                             _random_atoms(ring, family, size, rng, 4))
+        atom = _random_atoms(ring, family, size, rng, 1)[0]
+        rows = [list(r) for r in mat.rows]
+        act_on_rows(rows, atom.inverse().entries(ring, size))
+        assert SquareMatrix(ring, rows) == atom.inverse().matrix(ring, size) * mat
+
+
+@pytest.mark.parametrize("desc", RINGS)
+@pytest.mark.parametrize("size", [4, 6])
+def test_peeled_commutator_matches_dense_product(desc, size):
+    """comm_word evaluates [g, h] by the kernel and peels it by row
+    operations; the atoms it returns must multiply out, densely, to the
+    dense commutator."""
+    ring = parse_ring(desc)
+    rng = random.Random(_seed("peel", desc, size))
+    n = size // 2
+    done = 0
+    while done < 6:
+        g, h = _random_atoms(ring, "symplectic", size, rng, 2)
+        if atom_root(g.i, g.j, n) == _neg(atom_root(h.i, h.j, n)):
+            continue
+        dense = _dense_product(ring, size, [g, h, g.inverse(), h.inverse()])
+        peeled = comm_word(ring, size, g, h)
+        assert _dense_product(ring, size, peeled) == dense
+        done += 1

@@ -118,3 +118,56 @@ def test_sampling_is_seed_deterministic(seed):
     a = sample_element(R, random.Random(seed))
     b = sample_element(R, random.Random(seed))
     assert a == b
+
+
+# -- principal ideal laws: Z/m and Z[1/2] ------------------------------
+
+_dyadics = st.tuples(st.integers(-200, 200), st.integers(0, 6))
+
+
+@given(st.integers(0, 80), st.integers(0, 80))
+def test_zmod_principal_contains_multiples(g, x):
+    R = Zmod(81)
+    I = Ideal.principal(R, g)
+    assert I.contains(R.element(x) * R.element(g))
+
+
+@given(_dyadics, _dyadics)
+def test_dyadic_principal_contains_multiples(g, x):
+    D = Dyadic()
+    I = Ideal.principal(D, g)
+    assert I.contains(D.element(x) * D.element(g))
+
+
+@given(st.integers(1, 80))
+def test_zmod_unit_generates_full_ideal(u):
+    R = Zmod(81)
+    if R.is_unit(R.element(u)):
+        assert Ideal.principal(R, u).is_full()
+
+
+@given(st.sampled_from([1, -1]), st.integers(0, 40), st.integers(0, 6))
+def test_dyadic_unit_generates_full_ideal(sign, e, k):
+    D = Dyadic()
+    assert Ideal.principal(D, (sign * 2 ** e, k)).is_full()
+
+
+def test_dyadic_principal_ignores_powers_of_two():
+    D = Dyadic()
+    assert Ideal.principal(D, 6).contains(3)
+    assert Ideal.principal(D, 2).is_full()
+    assert Ideal.principal(D, 12).contains(D.element((3, 5)))
+    assert not Ideal.principal(D, 6).contains(5)
+
+
+def test_malformed_descriptors_raise_descriptor_error():
+    from transvect.rings import DescriptorError
+    for text in ("zmod:abc", "zmod", "gf:", "poly:dyadic", "nonsense"):
+        with pytest.raises(DescriptorError):
+            parse_ring(text)
+    with pytest.raises(DescriptorError):
+        parse_ideal(Zmod(9), "x")
+    # well-formed but outside the domain stays a plain RingError
+    with pytest.raises(RingError) as err:
+        parse_ring("zmod:8")
+    assert not isinstance(err.value, DescriptorError)
