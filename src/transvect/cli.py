@@ -108,7 +108,7 @@ def _cmd_dilate(args, report, _ring, _ideal):
     a, x_ = ring.var("a"), ring.var("x1")
     x, y = ring.var("X"), ring.var("Y")
     m = y * y * y * y * x * (ring.one() + x)
-    sizes = [int(s) for s in args.sizes.split(",")]
+    sizes = [int(s) for s in args.sizes.split(",")]  # checked by _sizes
     for size in sizes:
         for k in range(2, size + 1):
             for conj in (se(1, k, a), se(k, 1, x_)):
@@ -281,6 +281,30 @@ class _UsageError(Exception):
     pass
 
 
+def _at_least(low):
+    """An argparse type: an integer >= low."""
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be >= %d, got %d"
+                                             % (low, value))
+        return value
+    return integer
+
+
+def _sizes(text):
+    """An argparse type: comma-separated dilation sizes, each >= 2 (a
+    smaller size has no case to certify); the text itself is kept."""
+    try:
+        ok = all(int(part) >= 2 for part in text.split(","))
+    except ValueError:
+        ok = False
+    if not ok:
+        raise argparse.ArgumentTypeError(
+            "expected comma-separated sizes >= 2, got %r" % (text,))
+    return text
+
+
 def _build_parser():
     top = _Parser(prog="transvect")
     sub = top.add_subparsers(dest="command")
@@ -301,7 +325,7 @@ def _build_parser():
     p.add_argument("--samples", type=int)
 
     p = add("dilate", _cmd_dilate)
-    p.add_argument("--sizes", default="4")
+    p.add_argument("--sizes", type=_sizes, default="4")
 
     p = add("decompose", _cmd_decompose)
     p.add_argument("--ring", default="zmod:9")
@@ -318,36 +342,36 @@ def _build_parser():
 
     p = add("orbits", _cmd_orbits)
     p.add_argument("--ring", required=True)
-    p.add_argument("--size", type=int, required=True)
+    p.add_argument("--size", type=_at_least(1), required=True)
     p.add_argument("--group", choices=sorted(_GROUPS), default="e")
     p.add_argument("--ideal")
 
     p = add("orbit-equality", _cmd_orbit_equality)
     p.add_argument("--ring", required=True)
-    p.add_argument("--size", type=int, required=True)
+    p.add_argument("--size", type=_at_least(1), required=True)
     p.add_argument("--ideal")
 
     p = add("transitivity", _cmd_transitivity)
     p.add_argument("--ring", required=True)
-    p.add_argument("--size", type=int, required=True)
+    p.add_argument("--size", type=_at_least(1), required=True)
     p.add_argument("--ideal")
     p.add_argument("--full-universe", action="store_true")
 
     p = add("kernel-test", _cmd_kernel_test)
     p.add_argument("--ring", required=True)
-    p.add_argument("--size", type=int, required=True)
+    p.add_argument("--size", type=_at_least(1), required=True)
     p.add_argument("--ideal", required=True)
     p.add_argument("--samples", type=int, default=1000)
 
     p = add("square-ideal-test", _cmd_square_ideal_test)
     p.add_argument("--ring", required=True)
-    p.add_argument("--size", type=int, required=True)
+    p.add_argument("--size", type=_at_least(1), required=True)
     p.add_argument("--ideal", required=True)
     p.add_argument("--samples", type=int, default=200)
 
     p = add("splice-demo", _cmd_splice_demo)
     p.add_argument("--ring", default="zmod:9")
-    p.add_argument("--k", type=int, default=3)
+    p.add_argument("--k", type=_at_least(1), default=3)
     p.add_argument("--length", type=int, default=4)
 
     return top

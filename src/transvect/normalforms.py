@@ -186,8 +186,8 @@ def reduce_alternating_local(phi, L, I=None):
     if pfaffian(phi) != ring.one():
         raise RingError("phi must have Pfaffian 1")
     relative = I is not None and not I.is_full()
-    psi = standard_form(ring, m // 2)
     if relative:
+        psi = standard_form(ring, m // 2)
         for r in range(m):
             for c in range(m):
                 if not ideal_contains(I, phi[r, c] - psi[r, c]):
@@ -200,10 +200,15 @@ def reduce_alternating_local(phi, L, I=None):
                         tag="relative" if relative else "plain")
     if relative:
         eps.validate_tag(I)
-    big = _embed_one_perp(eps.eval())
-    if big.transpose() * psi * big != phi:
+    if not _postcondition_holds(phi, eps):
         raise RingError("postcondition congruence failed")
     return eps
+
+
+def _postcondition_holds(phi, eps):
+    """(1 perp eval(eps))^t psi_n (1 perp eval(eps)) == phi."""
+    big = _embed_one_perp(eps.eval())
+    return big.transpose() * standard_form(phi.ring, phi.n // 2) * big == phi
 
 
 def _embed_one_perp(mat):
@@ -265,8 +270,8 @@ def reduce_alternating_semilocal(phi, I=None):
                                      for row in phi.rows])
         I_p = _project_ideal(I, local, project)
         eps = reduce_alternating_local(phi_p, witness, I_p)
-        table[p] = {"ring": local, "witness": witness,
-                    "epsilon": eps, "verified": True}
+        table[p] = {"ring": local, "witness": witness, "epsilon": eps,
+                    "verified": _postcondition_holds(phi_p, eps)}
     return table
 
 

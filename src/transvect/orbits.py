@@ -91,6 +91,8 @@ def enumerate_unimodular(ring, n, ideal=None, budget=10 ** 7):
     """
     if not isinstance(ring, Zmod):
         raise RingError("enumeration requires a finite Z/m ring")
+    if n < 1:
+        raise RingError("row length must be >= 1, got %d" % (n,))
     m = ring.m
     g = _ideal_gen(ring, ideal)
     if g == 0:
@@ -207,60 +209,91 @@ class OrbitPartition:
         return True
 
 
+def _neighbours(rows, keys, powers, g, m, chunk):
+    """Index of ``row @ g`` for every row, ``chunk`` rows per matmul.
+
+    Raises unless every image is a row and g permutes the rows.
+    """
+    n_rows = len(keys)
+    nbr = np.empty(n_rows, dtype=np.int64)
+    for lo in range(0, n_rows, chunk):
+        img = ((rows[lo:lo + chunk] @ g) % m) @ powers
+        pos = np.minimum(np.searchsorted(keys, img), n_rows - 1)
+        miss = np.flatnonzero(keys[pos] != img)
+        if miss.size:
+            row = (rows[lo + miss[0]] @ g) % m
+            raise RingError("generator left the universe at %r"
+                            % (tuple(int(x) for x in row),))
+        nbr[lo:lo + chunk] = pos
+    hit = np.zeros(n_rows, dtype=bool)
+    hit[nbr] = True
+    if not hit.all():
+        raise RingError("generator is not a permutation of the universe")
+    return nbr
+
+
+def _compress(parent):
+    """Pointer jumping until every index points at its root."""
+    while True:
+        up = parent[parent]
+        if np.array_equal(up, parent):
+            return parent
+        parent = up
+
+
 def orbit_partition(universe, generators, ring=None, chunk=4096):
-    """BFS closure of each row under the generators and their inverses.
+    """Orbits of a sorted row universe under the generated group.
 
     ``generators`` are numpy matrices (or SquareMatrix) over Z/m; m is
-    read from ``ring`` or inferred as a required argument.  The chunk
-    size only affects scheduling, never the resulting partition.
+    read from ``ring``.  Rows are encoded as base-m int64 keys, most
+    significant digit first, so key order is row order.  Each
+    generator's neighbour array comes from one matmul and
+    ``np.searchsorted`` per block of ``chunk`` rows and must be a
+    permutation of the universe, so the orbits are the connected
+    components of the neighbour graph and inverses are not needed.
+    Components are found by min-label hooking with pointer jumping
+    (Shiloach-Vishkin): each root is hooked to the smaller root, so the
+    final root of an orbit is its least index, which is its least row.
+    The chunk size only affects scheduling, never the partition.
+    ``stats["frontier_sizes"]`` holds the live edge count of each
+    hooking round, generator by generator.
     """
     if ring is None:
         raise RingError("orbit_partition needs the ring for the modulus")
+    if chunk < 1:
+        raise RingError("chunk must be >= 1")
     m = ring.m
-    gens = []
-    for g in generators:
-        a = _np_matrix(g) if isinstance(g, SquareMatrix) else np.asarray(g)
-        a = a % m
-        gens.append(a)
-        inv = _inverse_mod(a, m)
-        if not (inv == a).all():
-            gens.append(inv)
-    index = {row: k for k, row in enumerate(universe)}
-    label = [-1] * len(universe)
-    mults = 0
+    gens = [(_np_matrix(g) if isinstance(g, SquareMatrix) else np.asarray(g))
+            % m for g in generators]
+    n_rows = len(universe)
+    width = len(universe[0]) if universe else 0
+    if m ** width >= 2 ** 63 or width * (m - 1) ** 2 >= 2 ** 63:
+        raise RingError("rows of length %d over Z/%d overflow int64 keys"
+                        % (width, m))
+    rows = np.array(universe, dtype=np.int64).reshape(n_rows, width)
+    powers = m ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    keys = rows @ powers
+    if (rows < 0).any() or (rows >= m).any() or (np.diff(keys) <= 0).any():
+        raise RingError("universe must be sorted distinct rows mod %d" % m)
+    parent = np.arange(n_rows, dtype=np.int64)
     frontier_sizes = []
-    for start in range(len(universe)):
-        if label[start] != -1:
-            continue
-        members = [start]
-        label[start] = start
-        frontier = [start]
-        while frontier:
-            frontier_sizes.append(len(frontier))
-            nxt = []
-            for lo in range(0, len(frontier), chunk):
-                block = np.array([universe[k] for k in frontier[lo:lo + chunk]],
-                                 dtype=np.int64)
-                for g in gens:
-                    imgs = (block @ g) % m
-                    mults += block.shape[0]
-                    for img in imgs:
-                        key = tuple(int(x) for x in img)
-                        k = index.get(key)
-                        if k is None:
-                            raise RingError("generator left the universe at %r"
-                                            % (key,))
-                        if label[k] == -1:
-                            label[k] = start
-                            members.append(k)
-                            nxt.append(k)
-            frontier = nxt
-        rep = min(universe[k] for k in members)
-        for k in members:
-            label[k] = rep
-    label_of = {row: label[k] for row, k in index.items()}
-    stats = {"multiplications": mults, "frontier_sizes": frontier_sizes,
-             "generators": len(gens)}
+    for g in gens:
+        a = np.arange(n_rows, dtype=np.int64)
+        b = _neighbours(rows, keys, powers, g, m, chunk)
+        # Edges stay live while their ends have different roots.
+        while True:
+            ra, rb = parent[a], parent[b]
+            live = ra != rb
+            if not live.any():
+                break
+            a, b, ra, rb = a[live], b[live], ra[live], rb[live]
+            frontier_sizes.append(len(a))
+            np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+            parent = _compress(parent)
+    roots = parent.tolist()
+    label_of = {row: universe[r] for row, r in zip(universe, roots)}
+    stats = {"multiplications": n_rows * len(gens),
+             "frontier_sizes": frontier_sizes, "generators": len(gens)}
     return OrbitPartition(universe, label_of, stats)
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from transvect.cli import run
 
 
@@ -109,3 +111,34 @@ def test_zero_checks_are_not_ok(tmp_path):
                   "--ideal", "3", "--samples", "0"]):
         code, rep = _run(argv, tmp_path)
         assert code == 1 and not rep["ok"]
+
+
+def _assert_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "u.json"
+    assert run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbits", "--ring", "zmod:3"],
+    ["orbit-equality", "--ring", "zmod:3"],
+    ["transitivity", "--ring", "zmod:3"],
+    ["kernel-test", "--ring", "zmod:9", "--ideal", "3"],
+    ["square-ideal-test", "--ring", "zmod:9", "--ideal", "3"],
+])
+@pytest.mark.parametrize("size", ["0", "-2", "x"])
+def test_bad_size_is_usage_error(argv, size, tmp_path, capsys):
+    _assert_usage_error(argv + ["--size", size], tmp_path, capsys)
+
+
+@pytest.mark.parametrize("sizes", ["x", "4,", "4,1", ""])
+def test_bad_dilate_sizes_is_usage_error(sizes, tmp_path, capsys):
+    _assert_usage_error(["dilate", "--sizes", sizes], tmp_path, capsys)
+
+
+def test_splice_demo_needs_a_factor(tmp_path, capsys):
+    _assert_usage_error(["splice-demo", "--k", "0"], tmp_path, capsys)
+    code, rep = _run(["splice-demo", "--k", "1"], tmp_path)
+    assert code == 0 and rep["results"][0]["factor_count"] == 1

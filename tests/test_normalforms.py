@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from transvect import normalforms
 from transvect.matrices import standard_form
 from transvect.normalforms import (LocalRingWitness, _embed_one_perp,
                                    complete_unimodular_local,
@@ -147,3 +148,18 @@ def test_semilocal_table():
 def test_semilocal_prime_case_defers_to_local():
     table = reduce_alternating_semilocal(standard_form(Zmod(7), 2))
     assert sorted(table) == [7]
+
+
+def test_semilocal_verified_flag_is_computed(monkeypatch):
+    """A local reduction that returns a wrong word is flagged, not
+    trusted: the table recomputes each prime's postcondition."""
+    rng = random.Random(3)
+    phi = random_form(Zmod(45), 2, rng)
+    while phi == standard_form(Zmod(45), 2):
+        phi = random_form(Zmod(45), 2, rng)
+
+    def empty_word(phi_p, witness, ideal):
+        return GeneratorWord(phi_p.ring, phi_p.n - 1, [])
+    monkeypatch.setattr(normalforms, "reduce_alternating_local", empty_word)
+    table = reduce_alternating_semilocal(phi)
+    assert not all(rec["verified"] for rec in table.values())

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from transvect.orbits import (GroupSpec, check_dim0_transitivity,
@@ -127,3 +128,165 @@ def test_spot_check_closed():
     gens = generators_for(GroupSpec("symplectic-ESp-relative", 4, R, I))
     part = orbit_partition(universe, gens, ring=R)
     assert part.spot_check_closed(gens, R.m, trials=500, seed=3)
+
+
+# -- the array engine against the former per-row BFS -------------------
+
+
+def _inverse_by_powers(g, m):
+    eye = np.eye(len(g), dtype=np.int64)
+    prev, cur = eye, g
+    for _ in range(10 ** 5):
+        if (cur == eye).all():
+            return prev
+        prev, cur = cur, (cur @ g) % m
+    raise AssertionError("oracle: generator is not invertible")
+
+
+def _bfs_labels(universe, generators, m):
+    """The slow oracle: BFS from each unlabelled row under the
+    generators and their inverses, one dict lookup per image; every
+    row is labelled by the least row of its orbit."""
+    gens = []
+    for g in generators:
+        g = np.asarray(g) % m
+        gens += [g, _inverse_by_powers(g, m)]
+    index = set(universe)
+    label = {}
+    for start in universe:
+        if start in label:
+            continue
+        members = [start]
+        frontier = [start]
+        label[start] = start
+        while frontier:
+            block = np.array(frontier, dtype=np.int64)
+            frontier = []
+            for g in gens:
+                for img in (block @ g) % m:
+                    key = tuple(int(x) for x in img)
+                    assert key in index, "oracle: left the universe"
+                    if key not in label:
+                        label[key] = start
+                        frontier.append(key)
+            members.extend(frontier)
+        rep = min(members)
+        for row in members:
+            label[row] = rep
+    return label
+
+
+def _assert_matches_oracle(universe, gens, ring):
+    want = _bfs_labels(universe, gens, ring.m)
+    for chunk in (1, 7, 4096):
+        part = orbit_partition(universe, gens, ring=ring, chunk=chunk)
+        assert part.label_of == want
+        assert part.stats["multiplications"] == len(universe) * len(gens)
+        assert part.stats["generators"] == len(gens)
+
+
+# (m, size, family, ideal generator or None, universe restricted to I)
+STRUCTURED = [
+    (3, 3, "linear-E", None, False),
+    (9, 3, "linear-E", None, False),
+    (5, 4, "symplectic-ESp", None, False),
+    (15, 2, "symplectic-ESp", None, False),
+    (9, 4, "linear-E-relative", 3, True),
+    (9, 3, "linear-E-relative", 3, False),
+    (15, 3, "linear-E-relative", 5, False),
+    (5, 3, "linear-E-relative", 1, True),
+    (9, 3, "linear-E-relative", 0, True),
+    (9, 4, "symplectic-ESp-relative", 3, True),
+    (25, 4, "symplectic-ESp-relative", 5, True),
+    (9, 4, "symplectic-ESp-relative", 3, False),
+    (9, 3, "first-rowcol-E1", 3, False),
+    (9, 4, "first-rowcol-ESp1", 3, False),
+    (9, 4, "first-rowcol-ESp1", 0, False),
+]
+
+
+@pytest.mark.parametrize("m,size,family,gen,relative", STRUCTURED)
+def test_partition_matches_bfs_oracle(m, size, family, gen, relative):
+    ring = Zmod(m)
+    ideal = None if gen is None else Ideal.principal(ring, gen)
+    universe = enumerate_unimodular(ring, size, ideal if relative else None)
+    gens = generators_for(GroupSpec(family, size, ring, ideal))
+    _assert_matches_oracle(universe, gens, ring)
+
+
+def _random_invertible(ring, size, rng):
+    """A random unit diagonal times a random product of transvections."""
+    m = ring.m
+    units = [u for u in range(1, m) if np.gcd(u, m) == 1]
+    g = np.diag([rng.choice(units) for _ in range(size)]).astype(np.int64)
+    for _ in range(rng.randrange(4) if size > 1 else 0):
+        i, j = rng.sample(range(size), 2)
+        g[:, j] = (g[:, j] + rng.randrange(m) * g[:, i]) % m
+    return g
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_random_generators_match_bfs_oracle(seed):
+    rng = random.Random(seed)
+    ring = Zmod(rng.choice([3, 5, 7, 9, 15, 25]))
+    size = rng.choice([1, 2, 3] if ring.m < 15 else [1, 2])
+    universe = enumerate_unimodular(ring, size)
+    gens = [_random_invertible(ring, size, rng)
+            for _ in range(rng.randrange(1, 4))]
+    _assert_matches_oracle(universe, gens, ring)
+
+
+def test_generator_leaving_relative_universe_raises():
+    R = Zmod(9)
+    universe = enumerate_unimodular(R, 4, Ideal.principal(R, 3))
+    gens = generators_for(GroupSpec("linear-E", 4, R))
+    with pytest.raises(RingError, match="left the universe"):
+        orbit_partition(universe, gens, ring=R)
+
+
+def test_singular_generator_raises():
+    R = Zmod(9)
+    singular = np.diag([1, 0, 0, 0])
+    # Rows = e_1 mod (3) map into the universe, but not one-to-one.
+    relative = enumerate_unimodular(R, 4, Ideal.principal(R, 3))
+    with pytest.raises(RingError, match="not a permutation"):
+        orbit_partition(relative, [singular], ring=R)
+    with pytest.raises(RingError, match="left the universe"):
+        orbit_partition(enumerate_unimodular(R, 4), [singular], ring=R)
+
+
+def test_malformed_universe_raises():
+    R = Zmod(3)
+    universe = enumerate_unimodular(R, 2)
+    with pytest.raises(RingError):
+        orbit_partition(universe[::-1], [], ring=R)
+    with pytest.raises(RingError):
+        orbit_partition(universe, [], ring=R, chunk=0)
+    with pytest.raises(RingError, match="overflow"):
+        orbit_partition([(0, 1)], [], ring=Zmod(3 ** 20))
+
+
+def test_empty_universe_and_generators():
+    R = Zmod(3)
+    gens = generators_for(GroupSpec("linear-E", 2, R))
+    for g in (gens, []):
+        part = orbit_partition([], g, ring=R)
+        assert part.label_of == {} and part.orbit_count() == 0
+        assert part.stats["multiplications"] == 0
+    part = orbit_partition(enumerate_unimodular(R, 2), [], ring=R)
+    assert all(lab == row for row, lab in part.label_of.items())
+    assert part.stats["frontier_sizes"] == []
+
+
+def test_row_length_must_be_positive():
+    with pytest.raises(RingError):
+        enumerate_unimodular(Zmod(3), 0)
+
+
+def test_orbit_equality_z7_size6():
+    """Z/7 is a field, so E_6 and ESp_6 are both transitive on the
+    7^6 - 1 nonzero rows."""
+    rep = check_orbit_equality(Zmod(7), 6)
+    assert rep["universe_size"] == 117648
+    assert rep["linear_orbits"] == rep["symplectic_orbits"] == 1
+    assert rep["equal"] and rep["closed"]
