@@ -17,9 +17,10 @@ import sys
 import time
 
 from .identities import splice_telescoping
-from .matrices import SquareMatrix, matrix_from_json, pfaffian, standard_form
-from .normalforms import (LocalRingWitness, reduce_alternating_local,
-                          reduce_alternating_semilocal, _embed_one_perp)
+from .matrices import matrix_from_json, standard_form
+from .normalforms import (LocalRingWitness, random_form,
+                          reduce_alternating_local,
+                          reduce_alternating_semilocal)
 from .orbits import (GroupSpec, check_dim0_transitivity, check_orbit_equality,
                      enumerate_unimodular, generators_for,
                      kernel_membership_test, orbit_partition,
@@ -152,14 +153,25 @@ def _cmd_decompose(args, report, ring, ideal):
                passed=mu_ok, total=len(alphas))
 
 
+def _read_form(path, ring):
+    """The --input form: a usage error if unreadable or not over --ring."""
+    try:
+        with open(path) as fh:
+            phi = matrix_from_json(fh.read())
+    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise _UsageError("cannot read --input %s: %r" % (path, exc)) from None
+    if phi.ring is not ring:
+        raise _UsageError("--input form is over %s but --ring is %s"
+                          % (phi.ring, ring))
+    return phi
+
+
 def _cmd_reduce_form(args, report, ring, ideal):
     if args.input:
-        with open(args.input) as fh:
-            phi = matrix_from_json(fh.read())
-        forms = [phi]
+        forms = [_read_form(args.input, ring)]
     else:
         rng = random.Random(args.seed)
-        forms = [_random_form(ring, args.n, rng, ideal)
+        forms = [random_form(ring, args.n, rng, ideal)
                  for _ in range(args.samples)]
     semilocal = not _is_local(ring)
     passed = 0
@@ -184,23 +196,6 @@ def _is_local(ring):
         return True
     except RingError:
         return False
-
-
-def _random_form(ring, n, rng, ideal=None):
-    m = 2 * n
-    atoms = []
-    if m > 2:
-        for _ in range(rng.randrange(1, 6)):
-            i, j = rng.sample(range(1, m), 2)
-            a = sample_element(ring, rng)
-            if ideal is not None and not ideal.is_full():
-                g = ideal.additive_generators()[0]
-                atoms += [lin(i, j, a), lin(j, i, g * sample_element(ring, rng)),
-                          lin(i, j, -a)]
-            else:
-                atoms.append(lin(i, j, a))
-    big = _embed_one_perp(GeneratorWord(ring, m - 1, atoms).eval())
-    return big.transpose() * standard_form(ring, n) * big
 
 
 _GROUPS = {"e": "linear-E", "esp": "symplectic-ESp",
@@ -407,7 +402,7 @@ def run(argv):
     report = RunReport(args.command, params)
     try:
         args.func(args, report, *_parse_descriptors(args))
-    except DescriptorError as exc:
+    except (DescriptorError, _UsageError) as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 2
     except RingError as exc:

@@ -14,7 +14,7 @@ Three exact-identity utilities that sit on top of the word/matrix layer:
 """
 
 from .matrices import SquareMatrix, is_alternating, perp
-from .rings import PolyRing, RingError, ideal_contains, substitute
+from .rings import PolyRing, RingError, substitute
 from .words import GeneratorWord, bass_symplectic_transvection, mu_matrix, rho_matrix
 
 
@@ -91,7 +91,7 @@ def form_change_conjugate(ring, eps, phi_star, q, alpha, beta,
     if ideal is not None and not ideal.is_full():
         eps.validate_tag(ideal)
         report["relative"] = all(
-            ideal_contains(ideal, a - ring.element(b)) for a, b in zip(q_new, q))
+            ideal.contains(a - ring.element(b)) for a, b in zip(q_new, q))
     else:
         report["relative"] = None
 
@@ -168,7 +168,7 @@ def find_dilation_exponent(alpha, beta, a, bound, xname="X"):
     ring = alpha.ring
     if not isinstance(ring, PolyRing) or xname not in ring.names:
         raise RingError("matrices must live over a polynomial ring in %s" % xname)
-    if alpha.n != beta.n or alpha.ring != beta.ring:
+    if alpha.n != beta.n or alpha.ring is not beta.ring:
         raise RingError("matrix shape/ring mismatch")
     zero = ring.zero()
     if _subst_matrix(alpha, xname, zero) != _subst_matrix(beta, xname, zero):

@@ -53,7 +53,7 @@ class SquareMatrix:
         return self.rows[i][j]
 
     def __eq__(self, other):
-        return (isinstance(other, SquareMatrix) and self.ring == other.ring
+        return (isinstance(other, SquareMatrix) and self.ring is other.ring
                 and self.rows == other.rows)
 
     def __hash__(self):
@@ -85,7 +85,7 @@ class SquareMatrix:
         return self * other
 
     def _check(self, other):
-        if not isinstance(other, SquareMatrix) or other.ring != self.ring or other.n != self.n:
+        if not isinstance(other, SquareMatrix) or other.ring is not self.ring or other.n != self.n:
             raise RingError("matrix shape/ring mismatch")
 
     def transpose(self):
@@ -211,7 +211,7 @@ def is_symplectic(mat, form):
 
 def perp(a, b):
     """Block-diagonal sum of two square matrices over the same ring."""
-    if a.ring != b.ring:
+    if a.ring is not b.ring:
         raise RingError("ring mismatch in perp")
     n, m = a.n, b.n
     z = a.ring.zero()

@@ -14,8 +14,8 @@ Two reductions, both certified by their defining postconditions:
 
 from .matrices import (SquareMatrix, is_alternating, perp, pfaffian,
                        standard_form)
-from .rings import (GF, Ideal, RingError, Zmod, ideal_contains,
-                    localize_at_prime, prime_factors)
+from .rings import (GF, Ideal, RingError, Zmod, localize_at_prime,
+                    prime_factors, sample_element)
 from .words import GeneratorAtom, GeneratorWord, lin
 
 
@@ -96,8 +96,8 @@ def complete_unimodular_local(v, L, I=None):
             w = _apply_right(w, i, j, lam)
 
     if relative:
-        if not ideal_contains(I, w[0] - ring.one()) or \
-                any(not ideal_contains(I, x) for x in w[1:]):
+        if not I.contains(w[0] - ring.one()) or \
+                any(not I.contains(x) for x in w[1:]):
             raise RingError("row is not congruent to e_1 mod %s" % (I,))
         # w_1 = 1 + i0 is a unit (I is proper in a local ring).
         inv1 = L.invert(w[0])
@@ -190,7 +190,7 @@ def reduce_alternating_local(phi, L, I=None):
         psi = standard_form(ring, m // 2)
         for r in range(m):
             for c in range(m):
-                if not ideal_contains(I, phi[r, c] - psi[r, c]):
+                if not I.contains(phi[r, c] - psi[r, c]):
                     raise RingError("phi is not congruent to psi_n mod %s" % (I,))
 
     atoms = _reduce_atoms(phi, L, I if relative else None)
@@ -213,6 +213,25 @@ def _postcondition_holds(phi, eps):
 
 def _embed_one_perp(mat):
     return perp(SquareMatrix.identity(mat.ring, 1), mat)
+
+
+def random_form(ring, n, rng, ideal=None):
+    """A random eps-generated alternating 2n x 2n form of Pfaffian 1;
+    with a proper ideal, eps is a product of conjugation triples."""
+    m = 2 * n
+    atoms = []
+    if m > 2:
+        for _ in range(rng.randrange(1, 6)):
+            i, j = rng.sample(range(1, m), 2)
+            a = sample_element(ring, rng)
+            if ideal is not None and not ideal.is_full():
+                g = ideal.additive_generators()[0]
+                atoms += [lin(i, j, a), lin(j, i, g * sample_element(ring, rng)),
+                          lin(i, j, -a)]
+            else:
+                atoms.append(lin(i, j, a))
+    big = _embed_one_perp(GeneratorWord(ring, m - 1, atoms).eval())
+    return big.transpose() * standard_form(ring, n) * big
 
 
 def _reduce_atoms(phi, L, I):
@@ -239,7 +258,7 @@ def _reduce_atoms(phi, L, I):
     for c, yc in enumerate(y, start=3):
         if yc.is_zero() and not relative:
             continue
-        if relative and not ideal_contains(I, yc):
+        if relative and not I.contains(yc):
             raise RingError("clearing coefficient %r escaped %s" % (yc, I))
         if relative:
             step2.extend(_triple(1, c - 1, ring.zero(), yc))

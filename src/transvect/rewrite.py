@@ -20,7 +20,7 @@ from itertools import permutations
 
 from .matrices import sigma
 from .rings import (PolyRing, RingError, divide_by_unit, divide_by_var,
-                    ideal_contains, var_multiplicity)
+                    var_multiplicity)
 from .words import (GeneratorAtom, GeneratorWord, act_on_rows, identity_rows,
                     se)
 
@@ -91,6 +91,12 @@ def _quad(p, q, u, y, ideal_side):
     return [se(p, 1, u), se(1, q, y), se(p, 1, -u), se(1, q, -y)]
 
 
+def _long_roots(n):
+    """The long roots: every +2e_k, then every -2e_k."""
+    plus = [tuple(2 if c == k else 0 for c in range(n)) for k in range(n)]
+    return plus + [_neg(r) for r in plus]
+
+
 def _peel(ring, size, matrix, roots):
     """Write `matrix` as a product of atoms on the candidate roots.
 
@@ -154,6 +160,21 @@ def _const_of(elt):
     return elt.value[0][1]
 
 
+def _probe_coeff(ring, size, g, h, p, q):
+    """The constant argument of the piece of [g, h] on the root of
+    se_pq, read at position (p, q); None if [g, h] has no such piece."""
+    n = size // 2
+    root = atom_root(p, q, n)
+    coeff = None
+    for c in comm_word(ring, size, g, h):
+        if atom_root(c.i, c.j, n) == root:
+            arg = c.arg
+            if (c.i, c.j) != (p, q):
+                arg = -arg if (c.i + c.j) % 2 == 0 else arg
+            coeff = _const_of(arg)
+    return coeff
+
+
 def _divide(arg, const, yname, ypow):
     out = divide_by_unit(arg, const)
     return divide_by_var(out, yname, ypow)
@@ -184,23 +205,16 @@ def rewrite_to_first(ring, size, atom, ideal, yname, ideal_side="col"):
         assert GeneratorWord(ring, size, quad).eval() == atom.matrix(ring, size)
         return quad
     # short root: peel the defect of [se_p1(u), se_1q(Y)] against the target
-    test = comm_word(ring, size, se(p, 1, ring.one()), se(1, q, ring.one()))
-    coeff = None
-    for t in test:
-        if (t.i, t.j) == (p, q):
-            coeff = _const_of(t.arg)
+    coeff = _probe_coeff(ring, size, se(p, 1, ring.one()),
+                         se(1, q, ring.one()), p, q)
     if coeff is None:
         raise RewriteError("no (p, q) component in the probe commutator")
     u = _divide(w, coeff, yname, 1)
     quad = _quad(p, q, u, y, ideal_side)
     # target = quad * corr, with corr supported on long roots
     corr_mat = GeneratorWord(ring, size, _inverse_atoms(quad) + [atom]).eval()
-    n = size // 2
-    longs = [r for k in range(n) for r in
-             (tuple(2 if i == k else 0 for i in range(n)),
-              tuple(-2 if i == k else 0 for i in range(n)))]
     out = list(quad)
-    for extra in _peel(ring, size, corr_mat, longs):
+    for extra in _peel(ring, size, corr_mat, _long_roots(size // 2)):
         out.extend(rewrite_to_first(ring, size, extra, ideal, yname, ideal_side))
     assert GeneratorWord(ring, size, out).eval() == atom.matrix(ring, size)
     return out
@@ -219,8 +233,8 @@ def _emittable(ring, size, atom, ideal, yname, ideal_side):
     except RingError:
         return False
     if ideal_side == "col":
-        return all(a.i == 1 or ideal_contains(ideal, a.arg) for a in word)
-    return all(a.j == 1 or ideal_contains(ideal, a.arg) for a in word)
+        return all(a.i == 1 or ideal.contains(a.arg) for a in word)
+    return all(a.j == 1 or ideal.contains(a.arg) for a in word)
 
 
 def _expand_avoiding(ring, size, atom, avoid, ideal, yname, ideal_side, process):
@@ -239,25 +253,17 @@ def _expand_avoiding(ring, size, atom, avoid, ideal, yname, ideal_side, process)
     w = atom.arg
     if (atom.i, atom.j) != (p, q):
         w = -w if (atom.i + atom.j) % 2 == 0 else w
-    probe = comm_word(ring, size, se(p, 1, ring.one()), se(1, q, ring.one()))
-    coeff = None
-    for c in probe:
-        if atom_root(c.i, c.j, n) == root:
-            arg = c.arg
-            if (c.i, c.j) != (p, q):
-                arg = -arg if (c.i + c.j) % 2 == 0 else arg
-            coeff = _const_of(arg)
+    coeff = _probe_coeff(ring, size, se(p, 1, ring.one()),
+                         se(1, q, ring.one()), p, q)
     if coeff is None:
         raise RewriteError("no quad route for the opposite piece")
     v = _divide(w, coeff, yname, 1)
     quad = _quad(p, q, v, y, ideal_side)
     if any(atom_root(x.i, x.j, n) == _neg(avoid) for x in quad):
         raise RewriteError("quad route still clashes")
-    n_longs = [tuple(2 if c == m else 0 for c in range(n)) for m in range(n)]
-    n_longs += [_neg(r) for r in n_longs]
     resid = _peel(ring, size,
                   GeneratorWord(ring, size, _inverse_atoms(quad) + [atom]).eval(),
-                  n_longs)
+                  _long_roots(n))
     out = list(quad)
     for extra in resid:
         out.extend(process(extra))
@@ -294,11 +300,8 @@ def _monster(ring, size, g, t, ideal, yname, ideal_side):
         raise RewriteError("schedule needs size >= 4")
     y = ring.var(yname)
     y2 = y * y
-    probe = comm_word(ring, size, se(1, r, ring.one()), se(r, j, ring.one()))
-    coeff = None
-    for p in probe:
-        if (p.i, p.j) == (1, j):
-            coeff = _const_of(p.arg)
+    coeff = _probe_coeff(ring, size, se(1, r, ring.one()),
+                         se(r, j, ring.one()), 1, j)
     if coeff is None:
         raise RewriteError("route %d does not reach the target root" % r)
     u = _divide(m, coeff, yname, 2)
@@ -306,11 +309,9 @@ def _monster(ring, size, g, t, ideal, yname, ideal_side):
     b0 = se(r, j, y2)
     comm = [a0, b0, a0.inverse(), b0.inverse()]
     n = size // 2
-    longs = [tuple(2 if i == k else 0 for i in range(n)) for k in range(n)]
-    longs += [_neg(root) for root in longs]
     corr = _peel(ring, size,
                  GeneratorWord(ring, size, _inverse_atoms(comm) + [t]).eval(),
-                 longs)
+                 _long_roots(n))
 
     rb0 = atom_root(b0.i, b0.j, n)
 
@@ -483,11 +484,11 @@ class RewriteResult:
         if ideal is not None:
             if membership == "col":
                 checks["ideal-membership"] = all(
-                    ideal_contains(ideal, a.arg)
+                    ideal.contains(a.arg)
                     for a in rhs.atoms if a.j == 1)
             else:
                 checks["ideal-membership"] = all(
-                    ideal_contains(ideal, a.arg) for a in rhs.atoms)
+                    ideal.contains(a.arg) for a in rhs.atoms)
         if yname is not None:
             checks["y-divisible"] = all(
                 var_multiplicity(a.arg, yname) >= 1 for a in rhs.atoms)
@@ -570,11 +571,9 @@ def conjugate_square_ideal(ring, size, i, j, z, a, b, ideal, kl=None):
         p1 = se(sigma(i), j, b)
         p2 = se(i, sigma(i), -a)
         quad = [p1, p2, p1.inverse(), p2.inverse()]
-        longs = [tuple(2 if c == m else 0 for c in range(n)) for m in range(n)]
-        longs += [_neg(root) for root in longs]
         corr = _peel(ring, size,
                      GeneratorWord(ring, size, _inverse_atoms(quad) + [target]).eval(),
-                     longs)
+                     _long_roots(n))
         factors = quad + corr
     out = []
     for x in factors:

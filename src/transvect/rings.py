@@ -8,15 +8,15 @@ Supported rings (2 is a unit in all of them):
 * ``PolyRing(base, vars)`` -- sparse multivariate polynomials over one of
   the above, graded-lex canonical order
 
-Elements are immutable and canonical: two elements are equal iff their
-representations are equal.  All arithmetic is exact.
+Rings are canonical: constructing or parsing the same ring twice gives
+the same object, so rings compare and hash by identity.  Elements are
+immutable and canonical: two elements are equal iff they lie in the same
+ring and their representations are equal; an element never equals an
+int.  All arithmetic is exact.
 """
 
 from __future__ import annotations
 
-import random
-from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 
@@ -39,10 +39,21 @@ def _is_prime(n):
     return True
 
 
-class RingDescriptor:
-    """Base class for ring descriptors.  Instances are immutable."""
+_RINGS = {}
 
-    kind = None
+
+class _Canonical(type):
+    """One object per ring: a constructor call validates its arguments,
+    then returns the ring already built for the same descriptor, if any."""
+
+    def __call__(cls, *args):
+        ring = super().__call__(*args)
+        return _RINGS.setdefault(ring.descriptor(), ring)
+
+
+class RingDescriptor(metaclass=_Canonical):
+    """Base class for ring descriptors.  Instances are immutable and
+    canonical, and compare by identity."""
 
     def element(self, raw):
         """Coerce ``raw`` (int, RingElement, ...) into this ring."""
@@ -58,21 +69,12 @@ class RingDescriptor:
         """The inverse of 2; exists in every constructible ring."""
         raise NotImplementedError
 
-    def is_finite(self):
-        return False
-
     def descriptor(self):
         """Serialized form, e.g. ``zmod:9`` or ``poly:dyadic:a,b``."""
         raise NotImplementedError
 
     def __repr__(self):
         return self.descriptor()
-
-    def __eq__(self, other):
-        return isinstance(other, RingDescriptor) and self.descriptor() == other.descriptor()
-
-    def __hash__(self):
-        return hash(self.descriptor())
 
 
 class Zmod(RingDescriptor):
@@ -85,22 +87,13 @@ class Zmod(RingDescriptor):
 
     def element(self, raw):
         if isinstance(raw, RingElement):
-            if raw.ring != self:
+            if raw.ring is not self:
                 raise RingError("element of %s used in %s" % (raw.ring, self))
             return raw
         return RingElement(self, int(raw) % self.m)
 
     def half(self):
         return self.element((self.m + 1) // 2)
-
-    def is_finite(self):
-        return True
-
-    def size(self):
-        return self.m
-
-    def elements(self):
-        return [self.element(i) for i in range(self.m)]
 
     def is_unit(self, elt):
         return gcd(elt.value, self.m) == 1
@@ -111,7 +104,7 @@ class Zmod(RingDescriptor):
         return self.element(pow(elt.value, -1, self.m))
 
     def descriptor(self):
-        return "zmod:%d" % self.m
+        return "%s:%d" % (self.kind, self.m)
 
 
 class GF(Zmod):
@@ -121,10 +114,6 @@ class GF(Zmod):
         if not _is_prime(p) or p == 2:
             raise RingError("GF(p) requires an odd prime; got %r" % (p,))
         super().__init__(p)
-        self.p = p
-
-    def descriptor(self):
-        return "gf:%d" % self.p
 
 
 class Dyadic(RingDescriptor):
@@ -134,17 +123,11 @@ class Dyadic(RingDescriptor):
 
     def element(self, raw):
         if isinstance(raw, RingElement):
-            if raw.ring != self:
+            if raw.ring is not self:
                 raise RingError("element of %s used in %s" % (raw.ring, self))
             return raw
         if isinstance(raw, tuple):
             num, k = raw
-        elif isinstance(raw, Fraction):
-            den = raw.denominator
-            k = den.bit_length() - 1
-            if den != 1 << k:
-                raise RingError("%r is not dyadic" % (raw,))
-            num, k = raw.numerator, k
         else:
             num, k = int(raw), 0
         if num == 0:
@@ -188,16 +171,18 @@ class PolyRing(RingDescriptor):
         if not isinstance(base, RingDescriptor) or isinstance(base, PolyRing):
             raise RingError("polynomial base must be a non-polynomial ring descriptor")
         names = tuple(names)
-        if len(set(names)) != len(names) or not names:
-            raise RingError("variable names must be nonempty and unique")
+        if (not names or len(set(names)) != len(names)
+                or any("," in v or ":" in v for v in names)):
+            raise RingError("variable names must be nonempty, unique and "
+                            "free of ',' and ':'")
         self.base = base
         self.names = names
 
     def element(self, raw):
         if isinstance(raw, RingElement):
-            if raw.ring == self:
+            if raw.ring is self:
                 return raw
-            if raw.ring == self.base:
+            if raw.ring is self.base:
                 return self._from_terms({(0,) * len(self.names): raw})
             raise RingError("element of %s used in %s" % (raw.ring, self))
         if isinstance(raw, dict):
@@ -205,7 +190,7 @@ class PolyRing(RingDescriptor):
         return self._from_terms({(0,) * len(self.names): self.base.element(raw)})
 
     def _from_terms(self, terms):
-        clean = {m: c for m, c in terms.items() if c.value != c.ring.zero().value}
+        clean = {m: c for m, c in terms.items() if not c.is_zero()}
         key = tuple(sorted(clean.items(), key=lambda mc: self._order(mc[0])))
         return RingElement(self, key)
 
@@ -239,11 +224,7 @@ class RingElement:
     # -- arithmetic -------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, RingElement):
-            if other.ring != self.ring:
-                if isinstance(self.ring, PolyRing) and other.ring == self.ring.base:
-                    return self.ring.element(other)
-                raise RingError("mixed rings: %s vs %s" % (self.ring, other.ring))
+        if isinstance(other, RingElement) and other.ring is self.ring:
             return other
         return self.ring.element(other)
 
@@ -302,11 +283,8 @@ class RingElement:
 
     def __eq__(self, other):
         if not isinstance(other, RingElement):
-            try:
-                other = self._coerce(other)
-            except (RingError, TypeError, ValueError):
-                return NotImplemented
-        return self.ring == other.ring and self.value == other.value
+            return NotImplemented
+        return self.ring is other.ring and self.value == other.value
 
     def __hash__(self):
         return hash((self.ring, self.value))
@@ -357,10 +335,8 @@ class Ideal:
     def __init__(self, ring, shape, data=None):
         if shape not in ("zero", "full", "principal", "vars"):
             raise RingError("unknown ideal shape %r" % (shape,))
-        if shape == "principal":
-            if isinstance(ring, PolyRing):
-                raise RingError("principal ideals unsupported in polynomial rings")
-            data = ring.element(data)
+        if shape == "principal" and isinstance(ring, PolyRing):
+            raise RingError("principal ideals unsupported in polynomial rings")
         if shape == "vars":
             if not isinstance(ring, PolyRing):
                 raise RingError("variable-generated ideals require a polynomial ring")
@@ -422,11 +398,6 @@ class Ideal:
             return [ring.element(gcd(self.data.value, ring.m))]
         raise RingError("additive generators only for finite rings")
 
-    def elements(self):
-        if not self.ring.is_finite():
-            raise RingError("ideal enumeration requires a finite ring")
-        return [x for x in self.ring.elements() if self.contains(x)]
-
     def descriptor(self):
         if self.shape == "zero":
             return "ideal:0"
@@ -439,22 +410,11 @@ class Ideal:
     def __repr__(self):
         return self.descriptor()
 
-    def __eq__(self, other):
-        return (isinstance(other, Ideal) and self.ring == other.ring
-                and self.shape == other.shape and self.data == other.data)
-
 
 def _odd_part(n):
     """n with every factor 2 removed (0 stays 0)."""
     n = abs(n)
     return n // (n & -n) if n else 0
-
-
-def ideal_contains(ideal, r):
-    """Membership test; errors on ring mismatch."""
-    if isinstance(r, RingElement) and r.ring != ideal.ring:
-        raise RingError("ring mismatch: %s vs %s" % (r.ring, ideal.ring))
-    return ideal.contains(r)
 
 
 # -- parsing ---------------------------------------------------------
@@ -569,16 +529,8 @@ def divide_by_var(elt, name, k=1):
 def divide_by_unit(elt, unit):
     """Exact division of elt by a unit scalar of the (base) ring."""
     ring = elt.ring
-    if isinstance(ring, PolyRing):
-        inv = _scalar_inverse(ring.base, ring.base.element(unit))
-        return elt * ring.element(inv)
-    return elt * _scalar_inverse(ring, ring.element(unit))
-
-
-def _scalar_inverse(ring, u):
-    if isinstance(ring, (Zmod, Dyadic)):
-        return ring.invert(u)
-    raise RingError("no inverse in %s" % (ring,))
+    scalars = ring.base if isinstance(ring, PolyRing) else ring
+    return elt * ring.element(scalars.invert(scalars.element(unit)))
 
 
 def substitute(elt, name, value):
@@ -613,16 +565,14 @@ def sample_element(ring, rng, degree_bound=2, coeff_bound=9):
         return ring.element(rng.randrange(ring.m))
     if isinstance(ring, Dyadic):
         return ring.element((rng.randrange(-coeff_bound, coeff_bound + 1), rng.randrange(3)))
-    if isinstance(ring, PolyRing):
-        nvars = len(ring.names)
-        terms = {}
-        for _ in range(rng.randrange(4)):
-            mono = [0] * nvars
-            total = rng.randrange(degree_bound + 1)
-            for _ in range(total):
-                mono[rng.randrange(nvars)] += 1
-            c = sample_element(ring.base, rng, degree_bound, coeff_bound)
-            m = tuple(mono)
-            terms[m] = terms.get(m, ring.base.zero()) + c
-        return ring._from_terms({m: c for m, c in terms.items()})
-    raise RingError("cannot sample from %s" % (ring,))
+    nvars = len(ring.names)
+    terms = {}
+    for _ in range(rng.randrange(4)):
+        mono = [0] * nvars
+        total = rng.randrange(degree_bound + 1)
+        for _ in range(total):
+            mono[rng.randrange(nvars)] += 1
+        c = sample_element(ring.base, rng, degree_bound, coeff_bound)
+        m = tuple(mono)
+        terms[m] = terms.get(m, ring.base.zero()) + c
+    return ring._from_terms({m: c for m, c in terms.items()})

@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 
 from .matrices import SquareMatrix, _entry_from_json, _entry_to_json, sigma
-from .rings import RingError, ideal_contains
+from .rings import RingError
 
 
 LINEAR = "linear"
@@ -148,7 +148,7 @@ class GeneratorWord:
                              [a.inverse() for a in reversed(self.atoms)], self.tag)
 
     def __mul__(self, other):
-        if other.ring != self.ring or other.size != self.size:
+        if other.ring is not self.ring or other.size != self.size:
             raise RingError("word mismatch")
         return GeneratorWord(self.ring, self.size, self.atoms + other.atoms)
 
@@ -168,14 +168,14 @@ class GeneratorWord:
                 if not ((g1.i, g1.j) == (g3.i, g3.j) == (g2.j, g2.i)
                         and g1.arg == -g3.arg and g1.family == g2.family == g3.family):
                     raise RingError("atom block %d is not a conjugation triple" % (k // 3,))
-                if ideal is not None and not ideal_contains(ideal, g2.arg):
+                if ideal is not None and not ideal.contains(g2.arg):
                     raise RingError("triple core %r not in %s" % (g2.arg, ideal))
             return True
         if self.tag == "first-rowcol":
             for a in self.atoms:
                 if a.i != 1 and a.j != 1:
                     raise RingError("atom %r is not first-row/column" % (a,))
-                if a.j == 1 and ideal is not None and not ideal_contains(ideal, a.arg):
+                if a.j == 1 and ideal is not None and not ideal.contains(a.arg):
                     raise RingError("first-column arg %r not in %s" % (a.arg, ideal))
             return True
         raise RingError("unknown tag %r" % (self.tag,))
@@ -198,7 +198,7 @@ def relative_generator(ring, family, size, i, j, a, x, ideal):
     """Conjugation triple ge_ij(a) ge_ji(x) ge_ij(-a), x in I."""
     a = ring.element(a)
     x = ring.element(x)
-    if not ideal_contains(ideal, x):
+    if not ideal.contains(x):
         raise RingError("core argument %r is not in %s" % (x, ideal))
     atoms = [GeneratorAtom(family, i, j, a),
              GeneratorAtom(family, j, i, x),

@@ -142,3 +142,39 @@ def test_splice_demo_needs_a_factor(tmp_path, capsys):
     _assert_usage_error(["splice-demo", "--k", "0"], tmp_path, capsys)
     code, rep = _run(["splice-demo", "--k", "1"], tmp_path)
     assert code == 0 and rep["results"][0]["factor_count"] == 1
+
+
+def test_reduce_form_unreadable_input_is_usage_error(tmp_path, capsys):
+    _assert_usage_error(["reduce-form", "--input",
+                         str(tmp_path / "missing.json")], tmp_path, capsys)
+    bad = tmp_path / "bad.json"
+    for text in ("{not json", "{}", '{"ring": "zmod:27", "n": 2, "rows": 5}'):
+        bad.write_text(text)
+        _assert_usage_error(["reduce-form", "--input", str(bad)], tmp_path,
+                            capsys)
+
+
+def _psi2_file(tmp_path, m):
+    from transvect.matrices import matrix_to_json, standard_form
+    from transvect.rings import Zmod
+    path = tmp_path / ("psi2-%d.json" % m)
+    path.write_text(matrix_to_json(standard_form(Zmod(m), 2)))
+    return str(path)
+
+
+def test_reduce_form_input_over_another_ring_is_usage_error(tmp_path,
+                                                            capsys):
+    out = tmp_path / "u.json"
+    argv = ["reduce-form", "--input", _psi2_file(tmp_path, 45)]
+    assert run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
+    assert "zmod:45" in err and "zmod:27" in err
+    assert not out.exists()
+
+
+def test_reduce_form_input_over_its_ring(tmp_path):
+    code, rep = _run(["reduce-form", "--ring", "zmod:45", "--input",
+                      _psi2_file(tmp_path, 45)], tmp_path)
+    assert code == 0 and rep["ok"]
+    assert rep["results"][0]["total"] == 1

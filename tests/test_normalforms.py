@@ -4,30 +4,12 @@ import pytest
 
 from transvect import normalforms
 from transvect.matrices import standard_form
-from transvect.normalforms import (LocalRingWitness, _embed_one_perp,
-                                   complete_unimodular_local,
+from transvect.normalforms import (LocalRingWitness,
+                                   complete_unimodular_local, random_form,
                                    reduce_alternating_local,
                                    reduce_alternating_semilocal)
 from transvect.rings import GF, Ideal, RingError, Zmod
-from transvect.words import GeneratorWord, lin
-
-
-def random_form(ring, n, rng, ideal=None):
-    """An eps-generated Pfaffian-1 alternating form (the test oracle)."""
-    m = 2 * n
-    atoms = []
-    if m > 2:
-        for _ in range(rng.randrange(1, 6)):
-            i, j = rng.sample(range(1, m), 2)
-            a = ring.element(rng.randrange(ring.m))
-            if ideal is not None and not ideal.is_full():
-                g = ideal.additive_generators()[0]
-                x = g * ring.element(rng.randrange(ring.m))
-                atoms += [lin(i, j, a), lin(j, i, x), lin(i, j, -a)]
-            else:
-                atoms.append(lin(i, j, a))
-    big = _embed_one_perp(GeneratorWord(ring, m - 1, atoms).eval())
-    return big.transpose() * standard_form(ring, n) * big
+from transvect.words import GeneratorWord
 
 
 def test_witness_validation():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transvect.rings import (GF, Dyadic, Ideal, PolyRing, RingError, Zmod,
-                             divide_by_unit, divide_by_var, ideal_contains,
+                             divide_by_unit, divide_by_var,
                              localize_at_prime, parse_ideal, parse_ring,
                              prime_factors, sample_element, substitute,
                              var_multiplicity)
@@ -76,24 +76,24 @@ def test_substitute():
 def test_ideal_membership_zmod():
     R = Zmod(9)
     I = Ideal.principal(R, 3)
-    assert ideal_contains(I, R.element(6))
-    assert not ideal_contains(I, R.element(2))
+    assert I.contains(R.element(6))
+    assert not I.contains(R.element(2))
     assert Ideal.principal(R, 2).is_full()
-    assert ideal_contains(Ideal.zero(R), R.zero())
+    assert Ideal.zero(R).contains(R.zero())
 
 
 def test_ideal_membership_vars():
     R = PolyRing(Dyadic(), ("a", "x"))
     I = Ideal.vars(R, ("x",))
-    assert ideal_contains(I, R.var("x") * R.var("a"))
-    assert not ideal_contains(I, R.var("a"))
+    assert I.contains(R.var("x") * R.var("a"))
+    assert not I.contains(R.var("a"))
 
 
 def test_parse_ring_and_ideal():
     R = parse_ring("zmod:15")
     assert isinstance(R, Zmod) and R.m == 15
     I = parse_ideal(R, "5")
-    assert ideal_contains(I, R.element(10))
+    assert I.contains(R.element(10))
     assert isinstance(parse_ring("gf:7"), GF)
 
 
@@ -171,3 +171,66 @@ def test_malformed_descriptors_raise_descriptor_error():
     with pytest.raises(RingError) as err:
         parse_ring("zmod:8")
     assert not isinstance(err.value, DescriptorError)
+
+
+# -- canonical rings and strict element equality ------------------------
+
+_RINGS = [Zmod(9), GF(5), Dyadic(), PolyRing(Zmod(9), ("x",)),
+          PolyRing(Dyadic(), ("a", "b")), PolyRing(GF(7), ("x", "y"))]
+
+
+@pytest.mark.parametrize("ring", _RINGS, ids=repr)
+def test_parse_ring_returns_the_same_ring(ring):
+    assert parse_ring(ring.descriptor()) is ring
+
+
+def test_constructors_return_one_object_per_ring():
+    assert Zmod(9) is parse_ring("zmod:9") is Zmod(9)
+    assert Dyadic() is Dyadic()
+    assert PolyRing(Dyadic(), ["a", "b"]) is parse_ring("poly:dyadic:a,b")
+    assert PolyRing(Dyadic(), ("a", "b")) is not PolyRing(Dyadic(), ("b", "a"))
+    assert GF(5) is not Zmod(5)
+    assert GF(5).element(1) != Zmod(5).element(1)
+    # a variable name with ',' or ':' would share another ring's descriptor
+    for names in (["a,b"], ["a:b"]):
+        with pytest.raises(RingError):
+            PolyRing(Dyadic(), names)
+
+
+def test_invalid_ring_raises_every_time():
+    for _ in range(2):
+        with pytest.raises(RingError):
+            Zmod(8)
+    for _ in range(2):
+        with pytest.raises(RingError):
+            parse_ring("zmod:8")
+
+
+def test_elements_never_equal_ints():
+    R = Zmod(9)
+    assert R.element(1) != 1 and R.element(1) != 10
+    assert 10 not in {R.element(1)}
+    assert Dyadic().one() != 1
+    assert PolyRing(Dyadic(), ("x",)).one() != Dyadic().one()
+
+
+def test_ideal_rejects_foreign_elements():
+    I = Ideal.principal(Zmod(9), 3)
+    with pytest.raises(RingError):
+        I.contains(Zmod(27).element(3))
+
+
+_values = st.one_of(
+    st.integers(-30, 30),
+    st.integers(-30, 30).map(Zmod(9).element),
+    st.integers(-30, 30).map(GF(5).element),
+    st.integers(-30, 30).map(Zmod(5).element),
+    _dyadics.map(Dyadic().element),
+    st.integers(-30, 30).map(PolyRing(Zmod(9), ("x",)).element),
+)
+
+
+@given(_values, _values)
+def test_equal_values_hash_equal(a, b):
+    if a == b:
+        assert hash(a) == hash(b)
