@@ -158,7 +158,8 @@ def _read_form(path, ring):
     try:
         with open(path) as fh:
             phi = matrix_from_json(fh.read())
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError,
+            RingError) as exc:
         raise _UsageError("cannot read --input %s: %r" % (path, exc)) from None
     if phi.ring is not ring:
         raise _UsageError("--input form is over %s but --ring is %s"

@@ -13,14 +13,9 @@ Three exact-identity utilities that sit on top of the word/matrix layer:
   alpha(a^N X) = beta(a^N X).
 """
 
-from .matrices import SquareMatrix, is_alternating, perp
+from .matrices import SquareMatrix, is_alternating
 from .rings import PolyRing, RingError, substitute
 from .words import GeneratorWord, bass_symplectic_transvection, mu_matrix, rho_matrix
-
-
-def _embed(mat, total):
-    """Place mat in the lower-right corner of a total x total identity."""
-    return perp(SquareMatrix.identity(mat.ring, total - mat.n), mat)
 
 
 def _row_times(ring, q, mat):
@@ -63,13 +58,13 @@ def form_change_conjugate(ring, eps, phi_star, q, alpha, beta,
     if len(q) != m:
         raise RingError("q must have length %d" % m)
 
-    big = _embed(eps.eval(), m)
-    big_inv = _embed(eps.inverse().eval(), m)
+    big = eps.shifted(1).eval()
+    big_inv = eps.inverse().shifted(1).eval()
     phi = big.transpose() * phi_star * big
     q_new = _row_times(ring, q, big_inv.transpose())
 
-    wide = _embed(big, m + 2)
-    wide_inv = _embed(big_inv, m + 2)
+    wide = eps.shifted(3).eval()
+    wide_inv = eps.inverse().shifted(3).eval()
 
     report = {}
     lhs = wide_inv * rho_matrix(ring, q, alpha, phi_star) * wide

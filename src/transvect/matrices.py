@@ -43,11 +43,6 @@ class SquareMatrix:
         object.__setattr__(mat, "rows", tuple(tuple(r) for r in rows))
         return mat
 
-    @classmethod
-    def zero(cls, ring, n):
-        z = ring.zero()
-        return cls(ring, [[z] * n for _ in range(n)])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]
@@ -207,20 +202,6 @@ def standard_form(ring, n):
 def is_symplectic(mat, form):
     """Whether mat^t * form * mat == form (exact)."""
     return mat.transpose() * form * mat == form
-
-
-def perp(a, b):
-    """Block-diagonal sum of two square matrices over the same ring."""
-    if a.ring is not b.ring:
-        raise RingError("ring mismatch in perp")
-    n, m = a.n, b.n
-    z = a.ring.zero()
-    rows = []
-    for i in range(n):
-        rows.append(list(a.rows[i]) + [z] * m)
-    for i in range(m):
-        rows.append([z] * n + list(b.rows[i]))
-    return SquareMatrix(a.ring, rows)
 
 
 # -- JSON interchange -------------------------------------------------

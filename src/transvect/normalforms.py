@@ -12,11 +12,10 @@ Two reductions, both certified by their defining postconditions:
   local factor of Z/m via CRT projection.
 """
 
-from .matrices import (SquareMatrix, is_alternating, perp, pfaffian,
-                       standard_form)
+from .matrices import SquareMatrix, is_alternating, pfaffian, standard_form
 from .rings import (GF, Ideal, RingError, Zmod, localize_at_prime,
                     prime_factors, sample_element)
-from .words import GeneratorAtom, GeneratorWord, lin
+from .words import GeneratorWord, lin
 
 
 def _is_odd_prime_power(m):
@@ -36,7 +35,6 @@ class LocalRingWitness:
         self.ring = ring
         self.maximal_ideal = Ideal.principal(ring, p) if ring.m > p \
             else Ideal.zero(ring)
-        self.prime = p
 
     def is_unit(self, x):
         return self.ring.is_unit(self.ring.element(x))
@@ -163,10 +161,6 @@ def _solve_local(L, a_rows, rhs):
     return y
 
 
-def _shift_atoms(atoms, k):
-    return [GeneratorAtom(a.family, a.i + k, a.j + k, a.arg) for a in atoms]
-
-
 def reduce_alternating_local(phi, L, I=None):
     """Word eps with (1 perp eval(eps))^t psi_n (1 perp eval(eps)) = phi.
 
@@ -207,12 +201,8 @@ def reduce_alternating_local(phi, L, I=None):
 
 def _postcondition_holds(phi, eps):
     """(1 perp eval(eps))^t psi_n (1 perp eval(eps)) == phi."""
-    big = _embed_one_perp(eps.eval())
+    big = eps.shifted(1).eval()
     return big.transpose() * standard_form(phi.ring, phi.n // 2) * big == phi
-
-
-def _embed_one_perp(mat):
-    return perp(SquareMatrix.identity(mat.ring, 1), mat)
 
 
 def random_form(ring, n, rng, ideal=None):
@@ -230,7 +220,7 @@ def random_form(ring, n, rng, ideal=None):
                           lin(i, j, -a)]
             else:
                 atoms.append(lin(i, j, a))
-    big = _embed_one_perp(GeneratorWord(ring, m - 1, atoms).eval())
+    big = GeneratorWord(ring, m - 1, atoms).shifted(1).eval()
     return big.transpose() * standard_form(ring, n) * big
 
 
@@ -247,7 +237,7 @@ def _reduce_atoms(phi, L, I):
     tail = [phi[0, c] for c in range(1, m)]
     beta = complete_unimodular_local(tail, L, I)
     step1 = list(beta.inverse().atoms)
-    big = _embed_one_perp(beta.inverse().eval())
+    big = beta.inverse().shifted(1).eval()
     phi1 = big.transpose() * phi * big
 
     # Step 2: clear row 2 columns >= 3 against the trailing block.
@@ -264,14 +254,14 @@ def _reduce_atoms(phi, L, I):
             step2.extend(_triple(1, c - 1, ring.zero(), yc))
         else:
             step2.append(lin(c - 1, 1, yc))
-    big2 = _embed_one_perp(GeneratorWord(ring, m - 1, step2).eval())
+    big2 = GeneratorWord(ring, m - 1, step2).shifted(1).eval()
     phi2 = big2.transpose() * phi1 * big2
 
     # Step 3: split off the leading psi_1 block and recurse.
     block = SquareMatrix(ring, [[phi2[r, c] for c in range(2, m)]
                                 for r in range(2, m)])
-    step3 = _shift_atoms(_reduce_atoms(block, L, I), 2)
-    return step1 + step2 + step3
+    step3 = GeneratorWord(ring, m - 3, _reduce_atoms(block, L, I)).shifted(2)
+    return step1 + step2 + list(step3.atoms)
 
 
 def reduce_alternating_semilocal(phi, I=None):

@@ -128,6 +128,12 @@ def _peel(ring, size, matrix, roots):
     raise RewriteError("matrix does not peel on roots %r" % (roots,))
 
 
+def _long_residue(ring, size, head, target):
+    """The long-root atoms r with target = head · r."""
+    word = GeneratorWord(ring, size, _inverse_atoms(head) + [target])
+    return _peel(ring, size, word.eval(), _long_roots(size // 2))
+
+
 def comm_word(ring, size, g, h):
     """[g, h] as a word of atoms on the roots a+b, 2a+b, a+2b."""
     n = size // 2
@@ -136,11 +142,8 @@ def comm_word(ring, size, g, h):
     if ra == _neg(rb):
         raise RewriteError("opposite roots: no commutator expansion")
     word = GeneratorWord(ring, size, [g, h, g.inverse(), h.inverse()])
-    mat = word.eval()
-    if mat.is_identity():
-        return []
     cands = [_addroot(ra, rb), _addroot(ra, rb, 2), _addroot(rb, ra, 2)]
-    return _peel(ring, size, mat, cands)
+    return _peel(ring, size, word.eval(), cands)
 
 
 # -- single-atom rewriting to first-row/column shape ------------------
@@ -160,6 +163,14 @@ def _const_of(elt):
     return elt.value[0][1]
 
 
+def _arg_at(atom, p, q):
+    """The atom's argument read at (p, q): its own position or, by the
+    mirror sign rule, its mirror position."""
+    if (atom.i, atom.j) == (p, q):
+        return atom.arg
+    return -atom.arg if (atom.i + atom.j) % 2 == 0 else atom.arg
+
+
 def _probe_coeff(ring, size, g, h, p, q):
     """The constant argument of the piece of [g, h] on the root of
     se_pq, read at position (p, q); None if [g, h] has no such piece."""
@@ -168,16 +179,25 @@ def _probe_coeff(ring, size, g, h, p, q):
     coeff = None
     for c in comm_word(ring, size, g, h):
         if atom_root(c.i, c.j, n) == root:
-            arg = c.arg
-            if (c.i, c.j) != (p, q):
-                arg = -arg if (c.i + c.j) % 2 == 0 else arg
-            coeff = _const_of(arg)
+            coeff = _const_of(_arg_at(c, p, q))
     return coeff
 
 
 def _divide(arg, const, yname, ypow):
     out = divide_by_unit(arg, const)
     return divide_by_var(out, yname, ypow)
+
+
+def _quad_route(ring, size, atom, p, q, yname, ideal_side):
+    """The quad [se_p1(u), se_1q(Y)] whose piece at (p, q) carries the
+    atom's argument there (u, Y swapped on the "row" side)."""
+    one = ring.one()
+    coeff = _probe_coeff(ring, size, se(p, 1, one), se(1, q, one), p, q)
+    if coeff is None:
+        raise RewriteError("no (%d, %d) component in the probe commutator"
+                           % (p, q))
+    u = _divide(_arg_at(atom, p, q), coeff, yname, 1)
+    return _quad(p, q, u, ring.var(yname), ideal_side)
 
 
 def rewrite_to_first(ring, size, atom, ideal, yname, ideal_side="col"):
@@ -193,47 +213,31 @@ def rewrite_to_first(ring, size, atom, ideal, yname, ideal_side="col"):
         return [atom]
     if q == 2 or p == 2:
         # the mirror position has index 1
-        s = -w if (p + q) % 2 == 0 else w
-        return [se(sigma(q), sigma(p), s)]
+        return [se(sigma(q), sigma(p), _arg_at(atom, sigma(q), sigma(p)))]
     if w.is_zero():
         return []
-    y = ring.var(yname)
     if q == sigma(p):
         # long root: se_p,sigma(p)(w) = [se_p1(u), se_1,sigma(p)(Y)], w = 2uY
         u = _divide(w, 2, yname, 1)
-        quad = _quad(p, q, u, y, ideal_side)
+        quad = _quad(p, q, u, ring.var(yname), ideal_side)
         assert GeneratorWord(ring, size, quad).eval() == atom.matrix(ring, size)
         return quad
     # short root: peel the defect of [se_p1(u), se_1q(Y)] against the target
-    coeff = _probe_coeff(ring, size, se(p, 1, ring.one()),
-                         se(1, q, ring.one()), p, q)
-    if coeff is None:
-        raise RewriteError("no (p, q) component in the probe commutator")
-    u = _divide(w, coeff, yname, 1)
-    quad = _quad(p, q, u, y, ideal_side)
-    # target = quad * corr, with corr supported on long roots
-    corr_mat = GeneratorWord(ring, size, _inverse_atoms(quad) + [atom]).eval()
+    quad = _quad_route(ring, size, atom, p, q, yname, ideal_side)
     out = list(quad)
-    for extra in _peel(ring, size, corr_mat, _long_roots(size // 2)):
+    for extra in _long_residue(ring, size, quad, atom):
         out.extend(rewrite_to_first(ring, size, extra, ideal, yname, ideal_side))
     assert GeneratorWord(ring, size, out).eval() == atom.matrix(ring, size)
     return out
 
 
-def _ensure_first(ring, size, atom, ideal, yname, ideal_side):
-    if atom.i == 1 or atom.j == 1:
-        return [atom]
-    return rewrite_to_first(ring, size, atom, ideal, yname, ideal_side)
-
-
-def _emittable(ring, size, atom, ideal, yname, ideal_side):
-    """Whether the atom rewrites to a shape-and-membership-clean word."""
+def _emittable(ring, size, atom, ideal, yname):
+    """Whether the atom rewrites to a shape-and-membership-clean word
+    ("row" side)."""
     try:
-        word = _ensure_first(ring, size, atom, ideal, yname, ideal_side)
+        word = rewrite_to_first(ring, size, atom, ideal, yname, "row")
     except RingError:
         return False
-    if ideal_side == "col":
-        return all(a.i == 1 or ideal.contains(a.arg) for a in word)
     return all(a.j == 1 or ideal.contains(a.arg) for a in word)
 
 
@@ -245,27 +249,15 @@ def _expand_avoiding(ring, size, atom, avoid, ideal, yname, ideal_side, process)
     """
     n = size // 2
     root = atom_root(atom.i, atom.j, n)
-    y = ring.var(yname)
     spots = [pq for pq in _positions(root, n) if 1 not in pq]
     if not spots:
         raise RewriteError("piece opposite to a cancelled factor; no route")
     p, q = spots[0]
-    w = atom.arg
-    if (atom.i, atom.j) != (p, q):
-        w = -w if (atom.i + atom.j) % 2 == 0 else w
-    coeff = _probe_coeff(ring, size, se(p, 1, ring.one()),
-                         se(1, q, ring.one()), p, q)
-    if coeff is None:
-        raise RewriteError("no quad route for the opposite piece")
-    v = _divide(w, coeff, yname, 1)
-    quad = _quad(p, q, v, y, ideal_side)
+    quad = _quad_route(ring, size, atom, p, q, yname, ideal_side)
     if any(atom_root(x.i, x.j, n) == _neg(avoid) for x in quad):
         raise RewriteError("quad route still clashes")
-    resid = _peel(ring, size,
-                  GeneratorWord(ring, size, _inverse_atoms(quad) + [atom]).eval(),
-                  _long_roots(n))
     out = list(quad)
-    for extra in resid:
+    for extra in _long_residue(ring, size, quad, atom):
         out.extend(process(extra))
     return out
 
@@ -273,11 +265,30 @@ def _expand_avoiding(ring, size, atom, avoid, ideal, yname, ideal_side, process)
 # -- conjugation ------------------------------------------------------
 
 
+def _slide(ring, size, c, atoms, ideal, yname):
+    """c · atoms · c^{-1} as the pieces [c, x]·x, skipping zero atoms and
+    first re-routing ("row" side) any atom on the root opposite c."""
+    n = size // 2
+    rc = atom_root(c.i, c.j, n)
+    out = []
+    for x in atoms:
+        if x.arg.is_zero():
+            continue
+        pieces = [x]
+        if atom_root(x.i, x.j, n) == _neg(rc):
+            pieces = _expand_avoiding(ring, size, x, rc, ideal, yname, "row",
+                                      lambda e: [e])
+        for piece in pieces:
+            out.extend(comm_word(ring, size, c, piece))
+            out.append(piece)
+    return out
+
+
 def _conj_atoms(ring, size, g, x, ideal, yname, ideal_side):
     """^g x for non-opposite roots, flattened to first-row/column atoms."""
     out = []
     for c in comm_word(ring, size, g, x):
-        out.extend(_ensure_first(ring, size, c, ideal, yname, ideal_side))
+        out.extend(rewrite_to_first(ring, size, c, ideal, yname, ideal_side))
     out.append(x)
     return out
 
@@ -307,44 +318,33 @@ def _monster(ring, size, g, t, ideal, yname, ideal_side):
     u = _divide(m, coeff, yname, 2)
     a0 = se(1, r, u)
     b0 = se(r, j, y2)
-    comm = [a0, b0, a0.inverse(), b0.inverse()]
+    corr = _long_residue(ring, size, [a0, b0, a0.inverse(), b0.inverse()], t)
     n = size // 2
-    corr = _peel(ring, size,
-                 GeneratorWord(ring, size, _inverse_atoms(comm) + [t]).eval(),
-                 _long_roots(n))
-
     rb0 = atom_root(b0.i, b0.j, n)
 
-    def process(atom, defer_ok):
+    def process(atom):
         """First-row/column form, deferring atoms that clash with B0."""
-        root = atom_root(atom.i, atom.j, n)
-        if root == _neg(rb0):
+        if atom_root(atom.i, atom.j, n) == _neg(rb0):
             return _expand_avoiding(ring, size, atom, rb0, ideal, yname,
-                                    ideal_side,
-                                    lambda extra: process(extra, defer_ok))
-        if atom.i == 1 or atom.j == 1:
-            return [atom]
+                                    ideal_side, process)
         rewritten = rewrite_to_first(ring, size, atom, ideal, yname, ideal_side)
-        clash = any(atom_root(x.i, x.j, n) == _neg(rb0) for x in rewritten)
-        if not clash:
-            return rewritten
-        if defer_ok and root != _neg(rb0):
+        if any(atom_root(x.i, x.j, n) == _neg(rb0) for x in rewritten):
             return [atom]  # defer: rewrite after the B0 sandwich
-        raise RewriteError("piece opposite to B0; no schedule")
+        return rewritten
 
     fa = []
     for x in comm_word(ring, size, g, a0):
-        fa.extend(process(x, defer_ok=True))
+        fa.extend(process(x))
     fb = []
     for x in comm_word(ring, size, g, b0):
-        fb.extend(process(x, defer_ok=True))
+        fb.extend(process(x))
 
     # ^g [A0, B0] = FA·A0·FB·B0·A0^{-1}·FA^{-1}·B0^{-1}·FB^{-1}
     out = list(fa) + [a0] + list(fb)
     sandwich = [a0.inverse()] + [x.inverse() for x in reversed(fa)]
     for x in sandwich:
         for c in comm_word(ring, size, b0, x):
-            out.extend(process(c, defer_ok=True))
+            out.extend(process(c))
         out.append(x)
     out.extend(x.inverse() for x in reversed(fb))
     # trailing ^g corr
@@ -353,7 +353,7 @@ def _monster(ring, size, g, t, ideal, yname, ideal_side):
     # resolve anything deferred through the sandwich
     final = []
     for x in out:
-        final.extend(_ensure_first(ring, size, x, ideal, yname, ideal_side))
+        final.extend(rewrite_to_first(ring, size, x, ideal, yname, ideal_side))
     return final
 
 
@@ -378,50 +378,35 @@ def _monster_long_row(ring, size, g, t, ideal, yname):
     piece annihilates in the cancellation pass.
     """
     n = size // 2
-    one = ring.one()
-    y = ring.var(yname)
     b = g.arg
     w = t.arg
     divide_by_var(w, yname, 2)  # demand the Y^2 budget up front
-    l0 = se(3, 4, w)
     tv = se(3, 4, w)
-    stages = (se(2, 3, b), se(1, 3, one), se(4, 3, b))
+    stages = (se(2, 3, b), se(1, 3, ring.one()), se(4, 3, b))
     wword = list(reversed(stages))
     # G^{-1} = T(u+v, w')^{-1} · ^g t · T(v, w'), evaluated as one word
-    ginv = GeneratorWord(ring, size, wword + [l0.inverse()] + _inverse_atoms(wword)
+    ginv = GeneratorWord(ring, size, wword + [tv.inverse()] + _inverse_atoms(wword)
                        + [g, t, g.inverse(), tv]).eval()
     shorts = [(1, 1), (-1, 1)]
     longs = [(0, 2), (-2, 0)]
     cand = [r + (0,) * (n - 2) for r in shorts + longs]
     ginv_atoms = _peel(ring, size, ginv, cand)
 
-    atoms = [l0]
+    atoms = [tv]
     for c in stages:
-        rc = atom_root(c.i, c.j, n)
-        staged = []
-        for x in atoms:
-            if x.arg.is_zero():
-                continue
-            pieces = [x]
-            if atom_root(x.i, x.j, n) == _neg(rc):
-                pieces = _expand_avoiding(ring, size, x, rc, ideal, yname,
-                                          "row", lambda e: [e])
-            for piece in pieces:
-                if atom_root(piece.i, piece.j, n) == _neg(rc):
-                    raise RewriteError("stage piece still opposite %r" % (c,))
-                staged.extend(comm_word(ring, size, c, piece))
-                staged.append(piece)
-        atoms = staged
+        atoms = _slide(ring, size, c, atoms, ideal, yname)
 
     raw = atoms + ginv_atoms + [tv.inverse()]
-    out = _cancel_pass(ring, size, raw, ideal, yname, "row")
     final = []
-    for x in out:
-        final.extend(_ensure_first(ring, size, x, ideal, yname, "row"))
+    for x in _cancel_pass(ring, size, raw, ideal, yname):
+        final.extend(rewrite_to_first(ring, size, x, ideal, yname, "row"))
     return final
 
 
-def _cancel_pass(ring, size, atoms, ideal, yname, ideal_side, max_rounds=200):
+_CANCEL_ROUNDS = 200
+
+
+def _cancel_pass(ring, size, atoms, ideal, yname):
     """Eliminate non-emittable atoms by sliding each onto its inverse.
 
     An atom that cannot be rewritten into clean first-row/column shape is
@@ -429,14 +414,13 @@ def _cancel_pass(ring, size, atoms, ideal, yname, ideal_side, max_rounds=200):
     atom in its way) until it annihilates against its exact inverse; the
     conjugation byproducts it sheds are handled in later rounds.
     """
-    n = size // 2
     out = list(atoms)
-    for _ in range(max_rounds):
+    for _ in range(_CANCEL_ROUNDS):
         bad = None
         for i, x in enumerate(out):
             if x.arg.is_zero():
                 continue
-            if not _emittable(ring, size, x, ideal, yname, ideal_side):
+            if not _emittable(ring, size, x, ideal, yname):
                 bad = i
                 break
         if bad is None:
@@ -450,16 +434,7 @@ def _cancel_pass(ring, size, atoms, ideal, yname, ideal_side, max_rounds=200):
                 break
         if partner is None:
             raise RewriteError("unmatched non-emittable atom %r" % (x,))
-        rx = atom_root(x.i, x.j, n)
-        seg = []
-        for y in out[bad + 1:partner]:
-            pieces = [y]
-            if atom_root(y.i, y.j, n) == _neg(rx):
-                pieces = _expand_avoiding(ring, size, y, rx, ideal, yname,
-                                          ideal_side, lambda e: [e])
-            for yy in pieces:
-                seg.extend(comm_word(ring, size, x, yy))
-                seg.append(yy)
+        seg = _slide(ring, size, x, out[bad + 1:partner], ideal, yname)
         out = out[:bad] + seg + out[partner + 1:]
     raise RewriteError("cancellation pass did not terminate")
 
@@ -571,10 +546,7 @@ def conjugate_square_ideal(ring, size, i, j, z, a, b, ideal, kl=None):
         p1 = se(sigma(i), j, b)
         p2 = se(i, sigma(i), -a)
         quad = [p1, p2, p1.inverse(), p2.inverse()]
-        corr = _peel(ring, size,
-                     GeneratorWord(ring, size, _inverse_atoms(quad) + [target]).eval(),
-                     _long_roots(n))
-        factors = quad + corr
+        factors = quad + _long_residue(ring, size, quad, target)
     out = []
     for x in factors:
         out.extend(comm_word(ring, size, alpha, x))

@@ -147,6 +147,14 @@ class GeneratorWord:
         return GeneratorWord(self.ring, self.size,
                              [a.inverse() for a in reversed(self.atoms)], self.tag)
 
+    def shifted(self, k):
+        """The same atoms on indices k+1..k+size: eval() is I_k perp
+        eval(self).  A symplectic atom keeps its mirror only for even k."""
+        if k % 2 and any(a.family == SYMPLECTIC for a in self.atoms):
+            raise RingError("a symplectic word shifts by an even k only")
+        return GeneratorWord(self.ring, self.size + k, [
+            GeneratorAtom(a.family, a.i + k, a.j + k, a.arg) for a in self.atoms])
+
     def __mul__(self, other):
         if other.ring is not self.ring or other.size != self.size:
             raise RingError("word mismatch")

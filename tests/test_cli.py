@@ -154,6 +154,22 @@ def test_reduce_form_unreadable_input_is_usage_error(tmp_path, capsys):
                             capsys)
 
 
+@pytest.mark.parametrize("text", [
+    '{"ring": "zmod:27", "n": 3, "rows": [[0, 1], [-1, 0]]}',
+    '{"ring": "zmod:27", "n": 2, "rows": [[0, 1], [-1]]}',
+    '{"ring": "dyadic", "n": 2, "rows": [[[0, 0], [1, -1]], '
+    '[[-1, 0], [0, 0]]]}',
+])
+def test_reduce_form_inconsistent_input_is_usage_error(text, tmp_path,
+                                                       capsys):
+    """Valid JSON that builds no matrix (wrong size field, ragged rows,
+    a negative dyadic exponent) is bad input, not a mathematical failure."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    _assert_usage_error(["reduce-form", "--input", str(bad)], tmp_path,
+                        capsys)
+
+
 def _psi2_file(tmp_path, m):
     from transvect.matrices import matrix_to_json, standard_form
     from transvect.rings import Zmod

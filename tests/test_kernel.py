@@ -8,7 +8,7 @@ import pytest
 
 from transvect.matrices import SquareMatrix
 from transvect.rewrite import _neg, atom_root, comm_word
-from transvect.rings import parse_ring, sample_element
+from transvect.rings import RingError, parse_ring, sample_element
 from transvect.words import GeneratorWord, act_on_rows, lin, se
 
 RINGS = ["zmod:9", "gf:5", "dyadic", "poly:dyadic:a,b", "poly:zmod:9:X"]
@@ -79,3 +79,32 @@ def test_peeled_commutator_matches_dense_product(desc, size):
         peeled = comm_word(ring, size, g, h)
         assert _dense_product(ring, size, peeled) == dense
         done += 1
+
+
+def _one_block(mat, k):
+    """I_k perp mat, entry by entry."""
+    ring, n = mat.ring, mat.n + k
+    rows = [[ring.one() if r == c else ring.zero() for c in range(n)]
+            for r in range(n)]
+    for r in range(k, n):
+        for c in range(k, n):
+            rows[r][c] = mat[r - k, c - k]
+    return SquareMatrix(ring, rows)
+
+
+@pytest.mark.parametrize("desc,family,size", CASES)
+def test_shifted_word_is_identity_perp_word(desc, family, size):
+    ring = parse_ring(desc)
+    rng = random.Random(_seed("shift", desc, family, size))
+    for k in (1, 2, 3):
+        for length in (0, 1, 3, 7):
+            word = GeneratorWord(ring, size,
+                                 _random_atoms(ring, family, size, rng, length))
+            if family == "symplectic" and k % 2 and length:
+                # an odd shift would move a short root's mirror off sigma
+                with pytest.raises(RingError):
+                    word.shifted(k)
+                continue
+            shifted = word.shifted(k)
+            assert shifted.size == size + k
+            assert shifted.eval() == _one_block(word.eval(), k)
