@@ -289,15 +289,17 @@ def _at_least(low):
 
 
 def _sizes(text):
-    """An argparse type: comma-separated dilation sizes, each >= 2 (a
-    smaller size has no case to certify); the text itself is kept."""
+    """An argparse type: comma-separated dilation sizes, each even (the
+    cases are symplectic) and >= 4 (the opposite-root schedule needs
+    it); the text itself is kept."""
     try:
-        ok = all(int(part) >= 2 for part in text.split(","))
+        ok = all(int(part) >= 4 and int(part) % 2 == 0
+                 for part in text.split(","))
     except ValueError:
         ok = False
     if not ok:
         raise argparse.ArgumentTypeError(
-            "expected comma-separated sizes >= 2, got %r" % (text,))
+            "expected comma-separated even sizes >= 4, got %r" % (text,))
     return text
 
 
@@ -310,31 +312,31 @@ def _build_parser():
         p.set_defaults(func=func)
         p.add_argument("--out")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=10 ** 7)
-        p.add_argument("--cap", type=int, default=10 ** 6)
+        p.add_argument("--budget", type=_at_least(1), default=10 ** 7)
+        p.add_argument("--cap", type=_at_least(1), default=10 ** 6)
         return p
 
     p = add("verify-relations", _cmd_verify_relations)
     p.add_argument("--ring", default="gf:5")
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=_at_least(0), default=2)
     p.add_argument("--symbolic", action="store_true")
-    p.add_argument("--samples", type=int)
+    p.add_argument("--samples", type=_at_least(0))
 
     p = add("dilate", _cmd_dilate)
     p.add_argument("--sizes", type=_sizes, default="4")
 
     p = add("decompose", _cmd_decompose)
     p.add_argument("--ring", default="zmod:9")
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=_at_least(0), default=2)
     p.add_argument("--symbolic", action="store_true")
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=_at_least(0), default=100)
 
     p = add("reduce-form", _cmd_reduce_form)
     p.add_argument("--ring", default="zmod:27")
     p.add_argument("--ideal")
     p.add_argument("--input")
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--samples", type=int, default=10)
+    p.add_argument("--n", type=_at_least(0), default=2)
+    p.add_argument("--samples", type=_at_least(0), default=10)
 
     p = add("orbits", _cmd_orbits)
     p.add_argument("--ring", required=True)
@@ -357,18 +359,18 @@ def _build_parser():
     p.add_argument("--ring", required=True)
     p.add_argument("--size", type=_at_least(1), required=True)
     p.add_argument("--ideal", required=True)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_at_least(0), default=1000)
 
     p = add("square-ideal-test", _cmd_square_ideal_test)
     p.add_argument("--ring", required=True)
     p.add_argument("--size", type=_at_least(1), required=True)
     p.add_argument("--ideal", required=True)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_at_least(0), default=200)
 
     p = add("splice-demo", _cmd_splice_demo)
     p.add_argument("--ring", default="zmod:9")
     p.add_argument("--k", type=_at_least(1), default=3)
-    p.add_argument("--length", type=int, default=4)
+    p.add_argument("--length", type=_at_least(0), default=4)
 
     return top
 

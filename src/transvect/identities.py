@@ -13,22 +13,9 @@ Three exact-identity utilities that sit on top of the word/matrix layer:
   alpha(a^N X) = beta(a^N X).
 """
 
-from .matrices import SquareMatrix, is_alternating
+from .matrices import SquareMatrix, is_alternating, row_times
 from .rings import PolyRing, RingError, substitute
 from .words import GeneratorWord, bass_symplectic_transvection, mu_matrix, rho_matrix
-
-
-def _row_times(ring, q, mat):
-    q = [ring.element(x) for x in q]
-    if len(q) != mat.n:
-        raise RingError("row length %d does not match matrix size %d" % (len(q), mat.n))
-    out = []
-    for c in range(mat.n):
-        acc = ring.zero()
-        for r in range(mat.n):
-            acc = acc + q[r] * mat[r, c]
-        out.append(acc)
-    return out
 
 
 def form_change_conjugate(ring, eps, phi_star, q, alpha, beta,
@@ -58,27 +45,25 @@ def form_change_conjugate(ring, eps, phi_star, q, alpha, beta,
     if len(q) != m:
         raise RingError("q must have length %d" % m)
 
-    big = eps.shifted(1).eval()
-    big_inv = eps.inverse().shifted(1).eval()
-    phi = big.transpose() * phi_star * big
-    q_new = _row_times(ring, q, big_inv.transpose())
-
-    wide = eps.shifted(3).eval()
-    wide_inv = eps.inverse().shifted(3).eval()
+    one_eps = eps.shifted(1)
+    phi = one_eps.congruence(phi_star)
+    q_new = row_times(q, eps.inverse().shifted(1).eval().transpose())
+    wide = eps.shifted(3)
 
     report = {}
-    lhs = wide_inv * rho_matrix(ring, q, alpha, phi_star) * wide
+    lhs = wide.similarity(rho_matrix(ring, q, alpha, phi_star))
     report["rho"] = lhs == rho_matrix(ring, q_new, alpha, phi)
 
-    lhs = wide_inv * mu_matrix(ring, q, beta, phi_star) * wide
+    lhs = wide.similarity(mu_matrix(ring, q, beta, phi_star))
     report["mu"] = lhs == mu_matrix(ring, q_new, beta, phi)
 
     if u is not None and v is not None:
-        u_new = _row_times(ring, u, big.transpose())
-        v_new = _row_times(ring, v, big.transpose())
+        big_t = one_eps.eval().transpose()
+        u_new = row_times(u, big_t)
+        v_new = row_times(v, big_t)
         lhs = bass_symplectic_transvection(ring, u, v, alpha, phi)
-        rhs = big_inv * bass_symplectic_transvection(
-            ring, u_new, v_new, alpha, phi_star) * big
+        rhs = one_eps.similarity(bass_symplectic_transvection(
+            ring, u_new, v_new, alpha, phi_star))
         report["bass"] = lhs == rhs
     else:
         report["bass"] = None

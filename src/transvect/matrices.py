@@ -104,6 +104,15 @@ def _dot(row, col, ring):
     return acc
 
 
+def row_times(q, mat):
+    """The row vector q * mat, with q coerced into mat.ring."""
+    q = [mat.ring.element(x) for x in q]
+    if len(q) != mat.n:
+        raise RingError("row length %d does not match matrix size %d"
+                        % (len(q), mat.n))
+    return [_dot(q, col, mat.ring) for col in zip(*mat.rows)]
+
+
 def determinant(mat, size_bound=8):
     """Division-free determinant by memoized Laplace expansion."""
     if mat.n > size_bound:

@@ -201,8 +201,7 @@ def reduce_alternating_local(phi, L, I=None):
 
 def _postcondition_holds(phi, eps):
     """(1 perp eval(eps))^t psi_n (1 perp eval(eps)) == phi."""
-    big = eps.shifted(1).eval()
-    return big.transpose() * standard_form(phi.ring, phi.n // 2) * big == phi
+    return eps.shifted(1).congruence(standard_form(phi.ring, phi.n // 2)) == phi
 
 
 def random_form(ring, n, rng, ideal=None):
@@ -215,13 +214,13 @@ def random_form(ring, n, rng, ideal=None):
             i, j = rng.sample(range(1, m), 2)
             a = sample_element(ring, rng)
             if ideal is not None and not ideal.is_full():
-                g = ideal.additive_generators()[0]
+                g = (ideal.additive_generators() or [ring.zero()])[0]
                 atoms += [lin(i, j, a), lin(j, i, g * sample_element(ring, rng)),
                           lin(i, j, -a)]
             else:
                 atoms.append(lin(i, j, a))
-    big = GeneratorWord(ring, m - 1, atoms).shifted(1).eval()
-    return big.transpose() * standard_form(ring, n) * big
+    return GeneratorWord(ring, m - 1, atoms).shifted(1).congruence(
+        standard_form(ring, n))
 
 
 def _reduce_atoms(phi, L, I):
@@ -237,8 +236,7 @@ def _reduce_atoms(phi, L, I):
     tail = [phi[0, c] for c in range(1, m)]
     beta = complete_unimodular_local(tail, L, I)
     step1 = list(beta.inverse().atoms)
-    big = beta.inverse().shifted(1).eval()
-    phi1 = big.transpose() * phi * big
+    phi1 = beta.inverse().shifted(1).congruence(phi)
 
     # Step 2: clear row 2 columns >= 3 against the trailing block.
     a_rows = [[phi1[r, c] for c in range(2, m)] for r in range(2, m)]
@@ -254,8 +252,7 @@ def _reduce_atoms(phi, L, I):
             step2.extend(_triple(1, c - 1, ring.zero(), yc))
         else:
             step2.append(lin(c - 1, 1, yc))
-    big2 = GeneratorWord(ring, m - 1, step2).shifted(1).eval()
-    phi2 = big2.transpose() * phi1 * big2
+    phi2 = GeneratorWord(ring, m - 1, step2).shifted(1).congruence(phi1)
 
     # Step 3: split off the leading psi_1 block and recurse.
     block = SquareMatrix(ring, [[phi2[r, c] for c in range(2, m)]

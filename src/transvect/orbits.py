@@ -351,8 +351,7 @@ def check_dim0_transitivity(ring, size, ideal=None, budget=10 ** 7,
                                     ideal if relative else None))
     part = orbit_partition(universe, gens, ring=ring, chunk=chunk)
     g = _ideal_gen(ring, ideal)
-    classes = {tuple(x % g for x in row) if g > 1 else 0
-               for row in universe}
+    classes = {tuple(x % g for x in row) if g else row for row in universe}
     return {
         "ring": ring.descriptor(),
         "size": size,

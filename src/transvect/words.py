@@ -7,7 +7,8 @@ from __future__ import annotations
 
 import json
 
-from .matrices import SquareMatrix, _entry_from_json, _entry_to_json, sigma
+from .matrices import (SquareMatrix, _dot, _entry_from_json, _entry_to_json,
+                       row_times, sigma)
 from .rings import RingError
 
 
@@ -143,6 +144,25 @@ class GeneratorWord:
             act_on_columns(rows, atom.entries(self.ring, self.size))
         return SquareMatrix.from_rows(self.ring, rows)
 
+    def congruence(self, phi):
+        """eval(self)^t * phi * eval(self), by row and column operations."""
+        return self._act(phi, GeneratorAtom.transpose)
+
+    def similarity(self, mat):
+        """eval(self)^-1 * mat * eval(self), by row and column operations."""
+        return self._act(mat, GeneratorAtom.inverse)
+
+    def _act(self, mat, left):
+        """left(A_k)...left(A_1) * mat * A_1...A_k for the atoms A_i."""
+        if not isinstance(mat, SquareMatrix) or mat.ring is not self.ring \
+                or mat.n != self.size:
+            raise RingError("matrix shape/ring mismatch")
+        rows = [list(r) for r in mat.rows]
+        for atom in self.atoms:
+            act_on_columns(rows, atom.entries(self.ring, self.size))
+            act_on_rows(rows, left(atom).entries(self.ring, self.size))
+        return SquareMatrix.from_rows(self.ring, rows)
+
     def inverse(self):
         return GeneratorWord(self.ring, self.size,
                              [a.inverse() for a in reversed(self.atoms)], self.tag)
@@ -230,8 +250,7 @@ def _rho_mu(ring, q, phi, r, corner):
         raise RingError("q must have length %d" % m)
     rows = identity_rows(ring, m + 2)
     rows[r][1 - r] = corner
-    for c in range(m):
-        qphi = _rowdot(q, [phi[k, c] for k in range(m)], ring)
+    for c, qphi in enumerate(row_times(q, phi)):
         rows[r][c + 2] = -qphi if r else qphi
         rows[c + 2][1 - r] = q[c]
     return SquareMatrix.from_rows(ring, rows)
@@ -245,13 +264,6 @@ def rho_matrix(ring, q, alpha, phi):
 def mu_matrix(ring, q, beta, phi):
     """Block matrix [[1,-beta,q*phi],[0,1,0],[0,q^t,I]] of size 2n+2."""
     return _rho_mu(ring, q, phi, 0, -ring.element(beta))
-
-
-def _rowdot(u, v, ring):
-    acc = ring.zero()
-    for a, b in zip(u, v):
-        acc = acc + ring.element(a) * ring.element(b)
-    return acc
 
 
 def hyperbolic_defect(ring, q):
@@ -296,12 +308,7 @@ def decompose_mu(ring, q, beta):
 
 def _pairing(ring, u, v, phi):
     """<u, v> = u phi v^t."""
-    m = phi.n
-    acc = ring.zero()
-    for r in range(m):
-        for c in range(m):
-            acc = acc + ring.element(u[r]) * phi[r, c] * ring.element(v[c])
-    return acc
+    return _dot(row_times(u, phi), v, ring)
 
 
 def bass_symplectic_transvection(ring, u, v, alpha, phi):
@@ -315,7 +322,7 @@ def bass_symplectic_transvection(ring, u, v, alpha, phi):
 
     def outer_phi(a, b):
         # matrix a^t * (b phi)
-        bphi = [_rowdot(b, [phi[k, c] for k in range(m)], ring) for c in range(m)]
+        bphi = row_times(b, phi)
         return SquareMatrix(ring, [[a[r] * bphi[c] for c in range(m)] for r in range(m)])
 
     eye = SquareMatrix.identity(ring, m)

@@ -133,9 +133,22 @@ def test_bad_size_is_usage_error(argv, size, tmp_path, capsys):
     _assert_usage_error(argv + ["--size", size], tmp_path, capsys)
 
 
-@pytest.mark.parametrize("sizes", ["x", "4,", "4,1", ""])
+@pytest.mark.parametrize("sizes", ["x", "4,", "4,1", "", "2", "3", "4,5"])
 def test_bad_dilate_sizes_is_usage_error(sizes, tmp_path, capsys):
     _assert_usage_error(["dilate", "--sizes", sizes], tmp_path, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--n", "-1"],
+    ["decompose", "--samples", "-1"],
+    ["splice-demo", "--length", "-2"],
+    ["orbits", "--ring", "zmod:3", "--size", "2", "--budget", "-1"],
+    ["orbits", "--ring", "zmod:3", "--size", "2", "--budget", "0"],
+    ["kernel-test", "--ring", "zmod:9", "--size", "4", "--ideal", "3",
+     "--cap", "0"],
+])
+def test_negative_counts_are_usage_errors(argv, tmp_path, capsys):
+    _assert_usage_error(argv, tmp_path, capsys)
 
 
 def test_splice_demo_needs_a_factor(tmp_path, capsys):
@@ -194,3 +207,19 @@ def test_reduce_form_input_over_its_ring(tmp_path):
                       _psi2_file(tmp_path, 45)], tmp_path)
     assert code == 0 and rep["ok"]
     assert rep["results"][0]["total"] == 1
+
+
+@pytest.mark.parametrize("ring", ["zmod:27", "zmod:45"])
+def test_reduce_form_zero_ideal(ring, tmp_path):
+    code, rep = _run(["reduce-form", "--ring", ring, "--ideal", "0"],
+                     tmp_path)
+    res = rep["results"][0]
+    assert code == 0 and res["passed"] == res["total"] > 0
+
+
+def test_transitivity_zero_ideal_full_universe(tmp_path):
+    code, rep = _run(["transitivity", "--ring", "zmod:9", "--size", "4",
+                      "--ideal", "0", "--full-universe"], tmp_path)
+    res = rep["results"][0]
+    assert code == 0 and res["transitive"]
+    assert res["orbit_count"] == res["congruence_classes"] == 6480

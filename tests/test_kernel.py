@@ -1,12 +1,12 @@
 """Differential tests: the row/column-operation kernel against dense
-products of ``GeneratorAtom.matrix()`` factors."""
+products of ``GeneratorAtom.matrix()`` factors and evaluated words."""
 
 import random
 import zlib
 
 import pytest
 
-from transvect.matrices import SquareMatrix
+from transvect.matrices import SquareMatrix, row_times
 from transvect.rewrite import _neg, atom_root, comm_word
 from transvect.rings import RingError, parse_ring, sample_element
 from transvect.words import GeneratorWord, act_on_rows, lin, se
@@ -108,3 +108,74 @@ def test_shifted_word_is_identity_perp_word(desc, family, size):
             shifted = word.shifted(k)
             assert shifted.size == size + k
             assert shifted.eval() == _one_block(word.eval(), k)
+
+
+def _random_matrix(ring, size, rng):
+    return SquareMatrix(ring, [[sample_element(ring, rng) for _ in range(size)]
+                               for _ in range(size)])
+
+
+def _words(ring, family, size, rng):
+    """Words of every test length, plain and shifted into ``size``."""
+    shifts = (0, 1) if family == "linear" else (0, 2)
+    for k in shifts:
+        if size - k < 2:
+            continue
+        for length in (0, 1, 2, 5, 9):
+            atoms = _random_atoms(ring, family, size - k, rng, length)
+            yield GeneratorWord(ring, size - k, atoms).shifted(k)
+
+
+@pytest.mark.parametrize("desc,family,size", CASES)
+def test_congruence_matches_dense_product(desc, family, size):
+    ring = parse_ring(desc)
+    rng = random.Random(_seed("congruence", desc, family, size))
+    for word in _words(ring, family, size, rng):
+        phi = _random_matrix(ring, size, rng)
+        big = word.eval()
+        assert word.congruence(phi) == big.transpose() * phi * big
+
+
+@pytest.mark.parametrize("desc,family,size", CASES)
+def test_similarity_matches_dense_product(desc, family, size):
+    ring = parse_ring(desc)
+    rng = random.Random(_seed("similarity", desc, family, size))
+    for word in _words(ring, family, size, rng):
+        mat = _random_matrix(ring, size, rng)
+        assert word.similarity(mat) == word.inverse().eval() * mat * word.eval()
+
+
+def test_word_action_rejects_another_ring_or_size():
+    ring = parse_ring("zmod:9")
+    word = GeneratorWord(ring, 3, [lin(1, 2, ring.element(4))])
+    for mat in (SquareMatrix.identity(ring, 4),
+                SquareMatrix.identity(parse_ring("gf:5"), 3)):
+        with pytest.raises(RingError):
+            word.congruence(mat)
+        with pytest.raises(RingError):
+            word.similarity(mat)
+
+
+@pytest.mark.parametrize("desc", RINGS)
+@pytest.mark.parametrize("size", [1, 2, 5])
+def test_row_times_matches_entry_sum(desc, size):
+    ring = parse_ring(desc)
+    rng = random.Random(_seed("row", desc, size))
+    mat = _random_matrix(ring, size, rng)
+    q = [sample_element(ring, rng) for _ in range(size)]
+    expected = []
+    for c in range(size):
+        acc = ring.zero()
+        for r in range(size):
+            acc = acc + q[r] * mat[r, c]
+        expected.append(acc)
+    assert row_times(q, mat) == expected
+
+
+def test_row_times_coerces_and_checks_length():
+    ring = parse_ring("zmod:9")
+    mat = SquareMatrix(ring, [[1, 2], [3, 4]])
+    assert row_times([1, 1], mat) == [ring.element(4), ring.element(6)]
+    for q in ([1], [1, 2, 3]):
+        with pytest.raises(RingError):
+            row_times(q, mat)
