@@ -27,8 +27,8 @@ from .orbits import (GroupSpec, check_dim0_transitivity, check_orbit_equality,
                      square_ideal_inclusion_test)
 from .relations import suite_summary, verify_relation_suite
 from .rewrite import conjugate_first_rowcol
-from .rings import (DescriptorError, Dyadic, Ideal, PolyRing, RingError,
-                    Zmod, parse_ideal, parse_ring, sample_element)
+from .rings import (X, Y, DescriptorError, Dyadic, Ideal, PolyRing,
+                    RingError, Zmod, parse_ideal, parse_ring, sample_element)
 from .words import (GeneratorWord, decompose_mu, decompose_rho, lin,
                     mu_matrix, rho_matrix, se, word_to_json)
 
@@ -87,7 +87,7 @@ def _emit(report, out_path):
 # -- subcommands ------------------------------------------------------
 
 
-def _cmd_verify_relations(args, report, ring, ideal):
+def _cmd_verify_relations(args, report, ring, _ideal):
     if args.symbolic or args.samples is None:
         reports = verify_relation_suite(args.n, mode="symbolic")
     else:
@@ -99,7 +99,7 @@ def _cmd_verify_relations(args, report, ring, ideal):
 
 
 def _dilation_ring():
-    return PolyRing(Dyadic(), ("a", "X", "Y", "x1", "x2"))
+    return PolyRing(Dyadic(), ("a", X, Y, "x1", "x2"))
 
 
 def _cmd_dilate(args, report, _ring, _ideal):
@@ -107,7 +107,7 @@ def _cmd_dilate(args, report, _ring, _ideal):
     ring = _dilation_ring()
     ideal = Ideal.vars(ring, ("x1", "x2"))
     a, x_ = ring.var("a"), ring.var("x1")
-    x, y = ring.var("X"), ring.var("Y")
+    x, y = ring.var(X), ring.var(Y)
     m = y * y * y * y * x * (ring.one() + x)
     sizes = [int(s) for s in args.sizes.split(",")]  # checked by _sizes
     for size in sizes:
@@ -127,7 +127,7 @@ def _symbolic_q_ring(m):
     return PolyRing(Dyadic(), names)
 
 
-def _cmd_decompose(args, report, ring, ideal):
+def _cmd_decompose(args, report, ring, _ideal):
     m = 2 * args.n
     if args.symbolic:
         ring = _symbolic_q_ring(m)
@@ -242,12 +242,12 @@ def _cmd_square_ideal_test(args, report, ring, ideal):
     report.add("square-ideal", rep.pop("ok"), **rep)
 
 
-def _cmd_splice_demo(args, report, base, ideal):
+def _cmd_splice_demo(args, report, base, _ideal):
     if not isinstance(base, Zmod):
         raise RingError("splice demo needs a finite Z/m base ring")
-    ring = PolyRing(base, ("X",))
+    ring = PolyRing(base, (X,))
     rng = random.Random(args.seed)
-    x = ring.var("X")
+    x = ring.var(X)
     atoms = []
     for _ in range(args.length):
         i, j = rng.sample(range(1, 4), 2)
@@ -288,6 +288,18 @@ def _at_least(low):
     return integer
 
 
+def _even_at_least(low):
+    """An argparse type: an even integer >= low."""
+    at_least = _at_least(low)
+
+    def integer(text):
+        value = at_least(text)
+        if value % 2:
+            raise argparse.ArgumentTypeError("must be even, got %d" % value)
+        return value
+    return integer
+
+
 def _sizes(text):
     """An argparse type: comma-separated dilation sizes, each even (the
     cases are symplectic) and >= 4 (the opposite-root schedule needs
@@ -307,7 +319,7 @@ def _build_parser():
     top = _Parser(prog="transvect")
     sub = top.add_subparsers(dest="command")
 
-    def add(name, func, **kw):
+    def add(name, func):
         p = sub.add_parser(name)
         p.set_defaults(func=func)
         p.add_argument("--out")
@@ -335,7 +347,7 @@ def _build_parser():
     p.add_argument("--ring", default="zmod:27")
     p.add_argument("--ideal")
     p.add_argument("--input")
-    p.add_argument("--n", type=_at_least(0), default=2)
+    p.add_argument("--n", type=_at_least(1), default=2)
     p.add_argument("--samples", type=_at_least(0), default=10)
 
     p = add("orbits", _cmd_orbits)
@@ -346,24 +358,24 @@ def _build_parser():
 
     p = add("orbit-equality", _cmd_orbit_equality)
     p.add_argument("--ring", required=True)
-    p.add_argument("--size", type=_at_least(1), required=True)
+    p.add_argument("--size", type=_even_at_least(4), required=True)
     p.add_argument("--ideal")
 
     p = add("transitivity", _cmd_transitivity)
     p.add_argument("--ring", required=True)
-    p.add_argument("--size", type=_at_least(1), required=True)
+    p.add_argument("--size", type=_at_least(2), required=True)
     p.add_argument("--ideal")
     p.add_argument("--full-universe", action="store_true")
 
     p = add("kernel-test", _cmd_kernel_test)
     p.add_argument("--ring", required=True)
-    p.add_argument("--size", type=_at_least(1), required=True)
+    p.add_argument("--size", type=_even_at_least(2), required=True)
     p.add_argument("--ideal", required=True)
     p.add_argument("--samples", type=_at_least(0), default=1000)
 
     p = add("square-ideal-test", _cmd_square_ideal_test)
     p.add_argument("--ring", required=True)
-    p.add_argument("--size", type=_at_least(1), required=True)
+    p.add_argument("--size", type=_even_at_least(2), required=True)
     p.add_argument("--ideal", required=True)
     p.add_argument("--samples", type=_at_least(0), default=200)
 

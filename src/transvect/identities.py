@@ -14,7 +14,7 @@ Three exact-identity utilities that sit on top of the word/matrix layer:
 """
 
 from .matrices import SquareMatrix, is_alternating, row_times
-from .rings import PolyRing, RingError, substitute
+from .rings import X, PolyRing, RingError, substitute
 from .words import GeneratorWord, bass_symplectic_transvection, mu_matrix, rho_matrix
 
 
@@ -79,9 +79,10 @@ def form_change_conjugate(ring, eps, phi_star, q, alpha, beta,
     return report
 
 
-def _subst_matrix(mat, xname, value):
+def _subst_matrix(mat, value):
+    """The matrix with ``value`` substituted for X."""
     return SquareMatrix(mat.ring, [
-        [substitute(e, xname, value) for e in row] for row in mat.rows])
+        [substitute(e, X, value) for e in row] for row in mat.rows])
 
 
 def _as_matrix_pair(alpha):
@@ -91,7 +92,7 @@ def _as_matrix_pair(alpha):
     raise RingError("splice_telescoping needs a GeneratorWord alpha")
 
 
-def splice_telescoping(alpha, pairs, xname="X"):
+def splice_telescoping(alpha, pairs):
     """Factor alpha(X) into k telescoping pieces along sum c_i b_i = 1.
 
     With T_i = sum_{t > i} c_t b_t X, the i-th factor is
@@ -105,10 +106,10 @@ def splice_telescoping(alpha, pairs, xname="X"):
     """
     mat, mat_inv = _as_matrix_pair(alpha)
     ring = mat.ring
-    if not isinstance(ring, PolyRing) or xname not in ring.names:
-        raise RingError("alpha must live over a polynomial ring in %s" % xname)
+    if not isinstance(ring, PolyRing) or X not in ring.names:
+        raise RingError("alpha must live over a polynomial ring in %s" % X)
     zero = ring.zero()
-    if not _subst_matrix(mat, xname, zero).is_identity():
+    if not _subst_matrix(mat, zero).is_identity():
         raise RingError("alpha(0) is not the identity")
     cb = [ring.element(c) * ring.element(b) for c, b in pairs]
     total = ring.zero()
@@ -117,15 +118,14 @@ def splice_telescoping(alpha, pairs, xname="X"):
     if total != ring.one():
         raise RingError("the products c_i b_i do not sum to 1")
 
-    x = ring.var(xname)
+    x = ring.var(X)
     factors = []
     for i in range(len(cb)):
         tail = ring.zero()
         for t in cb[i + 1:]:
             tail = tail + t * x
         head = cb[i] * x + tail
-        factors.append(_subst_matrix(mat, xname, head)
-                       * _subst_matrix(mat_inv, xname, tail))
+        factors.append(_subst_matrix(mat, head) * _subst_matrix(mat_inv, tail))
 
     product = SquareMatrix.identity(ring, mat.n)
     for f in factors:
@@ -135,7 +135,7 @@ def splice_telescoping(alpha, pairs, xname="X"):
     return factors
 
 
-def find_dilation_exponent(alpha, beta, a, bound, xname="X"):
+def find_dilation_exponent(alpha, beta, a, bound):
     """Least N <= bound with alpha(a^N X) = beta(a^N X), or None.
 
     alpha, beta are polynomial matrices over the same ring (generator
@@ -146,19 +146,19 @@ def find_dilation_exponent(alpha, beta, a, bound, xname="X"):
     if isinstance(beta, GeneratorWord):
         beta = beta.eval()
     ring = alpha.ring
-    if not isinstance(ring, PolyRing) or xname not in ring.names:
-        raise RingError("matrices must live over a polynomial ring in %s" % xname)
+    if not isinstance(ring, PolyRing) or X not in ring.names:
+        raise RingError("matrices must live over a polynomial ring in %s" % X)
     if alpha.n != beta.n or alpha.ring is not beta.ring:
         raise RingError("matrix shape/ring mismatch")
     zero = ring.zero()
-    if _subst_matrix(alpha, xname, zero) != _subst_matrix(beta, xname, zero):
+    if _subst_matrix(alpha, zero) != _subst_matrix(beta, zero):
         raise RingError("alpha(0) != beta(0)")
-    x = ring.var(xname)
+    x = ring.var(X)
     scale = ring.one()
     a = ring.element(a)
     for n in range(bound + 1):
         value = scale * x
-        if _subst_matrix(alpha, xname, value) == _subst_matrix(beta, xname, value):
+        if _subst_matrix(alpha, value) == _subst_matrix(beta, value):
             return n
         scale = scale * a
     return None

@@ -113,10 +113,10 @@ def row_times(q, mat):
     return [_dot(q, col, mat.ring) for col in zip(*mat.rows)]
 
 
-def determinant(mat, size_bound=8):
+def determinant(mat):
     """Division-free determinant by memoized Laplace expansion."""
-    if mat.n > size_bound:
-        raise RingError("determinant restricted to sizes <= %d" % size_bound)
+    if mat.n > 8:
+        raise RingError("determinant restricted to sizes <= 8")
     ring = mat.ring
     n = mat.n
     if n == 0:
@@ -158,10 +158,10 @@ def is_alternating(mat):
     return True
 
 
-def pfaffian(mat, size_bound=12):
+def pfaffian(mat):
     """Pfaffian of an alternating matrix via matching expansion."""
-    if mat.n > size_bound:
-        raise RingError("pfaffian restricted to sizes <= %d" % size_bound)
+    if mat.n > 12:
+        raise RingError("pfaffian restricted to sizes <= 12")
     if not is_alternating(mat):
         raise RingError("pfaffian requires an alternating matrix")
     if mat.n % 2 == 1:

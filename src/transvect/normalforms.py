@@ -15,7 +15,7 @@ Two reductions, both certified by their defining postconditions:
 from .matrices import SquareMatrix, is_alternating, pfaffian, standard_form
 from .rings import (GF, Ideal, RingError, Zmod, localize_at_prime,
                     prime_factors, sample_element)
-from .words import GeneratorWord, lin
+from .words import LINEAR, GeneratorWord, conjugation_triple, lin
 
 
 def _is_odd_prime_power(m):
@@ -59,11 +59,6 @@ def _word_from_ops(ring, n, ops, tag="plain"):
     return GeneratorWord(ring, n, atoms, tag=tag)
 
 
-def _triple(i, j, a, x):
-    """Atoms of E_ij(a) E_ji(x) E_ij(-a)."""
-    return [lin(i, j, a), lin(j, i, x), lin(i, j, -a)]
-
-
 def complete_unimodular_local(v, L, I=None):
     """Elementary word beta with v = e_1 * eval(beta) over a local ring.
 
@@ -102,12 +97,15 @@ def complete_unimodular_local(v, L, I=None):
         triples = []
         for j in range(2, n + 1):
             if not w[j - 1].is_zero():
-                triples.append(_triple(j, 1, ring.zero(), -w[j - 1] * inv1))
+                triples.append(conjugation_triple(LINEAR, j, 1, ring.zero(),
+                                                  -w[j - 1] * inv1))
         u = w[0]
         if u != ring.one():
             # (u, 0) -> (1, u - 1) under E_12(1) E_21(u^{-1} - 1) E_12(-1).
-            triples.append(_triple(1, 2, ring.one(), L.invert(u) - ring.one()))
-            triples.append(_triple(2, 1, ring.zero(), ring.one() - u))
+            triples.append(conjugation_triple(LINEAR, 1, 2, ring.one(),
+                                              L.invert(u) - ring.one()))
+            triples.append(conjugation_triple(LINEAR, 2, 1, ring.zero(),
+                                              ring.one() - u))
         for t in triples:
             for a in t:
                 push(a.i, a.j, a.arg)
@@ -215,8 +213,8 @@ def random_form(ring, n, rng, ideal=None):
             a = sample_element(ring, rng)
             if ideal is not None and not ideal.is_full():
                 g = (ideal.additive_generators() or [ring.zero()])[0]
-                atoms += [lin(i, j, a), lin(j, i, g * sample_element(ring, rng)),
-                          lin(i, j, -a)]
+                atoms += conjugation_triple(LINEAR, i, j, a,
+                                            g * sample_element(ring, rng))
             else:
                 atoms.append(lin(i, j, a))
     return GeneratorWord(ring, m - 1, atoms).shifted(1).congruence(
@@ -249,7 +247,7 @@ def _reduce_atoms(phi, L, I):
         if relative and not I.contains(yc):
             raise RingError("clearing coefficient %r escaped %s" % (yc, I))
         if relative:
-            step2.extend(_triple(1, c - 1, ring.zero(), yc))
+            step2.extend(conjugation_triple(LINEAR, 1, c - 1, ring.zero(), yc))
         else:
             step2.append(lin(c - 1, 1, yc))
     phi2 = GeneratorWord(ring, m - 1, step2).shifted(1).congruence(phi1)

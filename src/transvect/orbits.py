@@ -12,6 +12,7 @@ partitions are independent of generator order and worker chunking.
 
 import math
 import random
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -19,7 +20,8 @@ import numpy as np
 from .matrices import SquareMatrix, sigma
 from .rewrite import conjugate_square_ideal
 from .rings import Ideal, RingError, Zmod, sample_element
-from .words import GeneratorWord, lin, se
+from .words import (LINEAR, SYMPLECTIC, GeneratorAtom, GeneratorWord,
+                    conjugation_triple, se)
 
 FAMILIES = ("linear-E", "symplectic-ESp", "linear-E-relative",
             "symplectic-ESp-relative", "first-rowcol-E1",
@@ -61,12 +63,12 @@ def _mat_key(a):
     return a.tobytes()
 
 
-def _inverse_mod(mat, m, order_cap=10 ** 5):
+def _inverse_mod(mat, m):
     """Inverse by cycling powers (finite ring, invertible matrix)."""
     eye = np.eye(mat.shape[0], dtype=np.int64)
     prev = eye
     cur = mat.copy()
-    for _ in range(order_cap):
+    for _ in range(10 ** 5):
         if (cur == eye).all():
             return prev % m
         prev = cur
@@ -74,7 +76,7 @@ def _inverse_mod(mat, m, order_cap=10 ** 5):
     raise RingError("matrix order exceeded cap; not invertible?")
 
 
-def _ideal_gen(ring, ideal):
+def _ideal_gen(ideal):
     """The additive generator of a Z/m ideal (g with I = gZ/m)."""
     if ideal is None or ideal.is_full():
         return 1
@@ -94,7 +96,7 @@ def enumerate_unimodular(ring, n, ideal=None, budget=10 ** 7):
     if n < 1:
         raise RingError("row length must be >= 1, got %d" % (n,))
     m = ring.m
-    g = _ideal_gen(ring, ideal)
+    g = _ideal_gen(ideal)
     if g == 0:
         return [tuple([1] + [0] * (n - 1))]
     per_coord = m if g == 1 else m // g
@@ -133,7 +135,8 @@ def generators_for(spec):
     atoms with ideal-restricted first-column atoms.
     """
     ring, size, ideal = spec.ring, spec.size, spec.ideal
-    atom = {"lin": lin, "se": se}["se" if "ESp" in spec.family else "lin"]
+    family = SYMPLECTIC if "ESp" in spec.family else LINEAR
+    atom = partial(GeneratorAtom, family)
     pairs = _index_pairs(size)
     out = []
     seen = set()
@@ -153,16 +156,16 @@ def generators_for(spec):
             for i, j in pairs:
                 emit(GeneratorWord(ring, size, [atom(i, j, ring.one())]))
         else:
-            g = _ideal_gen(ring, ideal)
+            g = _ideal_gen(ideal)
             if g:
                 x = ring.element(g)
                 for i, j in pairs:
                     for a in range(ring.m):
                         av = ring.element(a)
-                        emit(GeneratorWord(ring, size, [
-                            atom(i, j, av), atom(j, i, x), atom(i, j, -av)]))
+                        emit(GeneratorWord(ring, size, conjugation_triple(
+                            family, i, j, av, x)))
     else:  # first-rowcol families
-        g = _ideal_gen(ring, ideal)
+        g = _ideal_gen(ideal)
         for j in range(2, size + 1):
             emit(GeneratorWord(ring, size, [atom(1, j, ring.one())]))
             if g:
@@ -241,7 +244,7 @@ def _compress(parent):
         parent = up
 
 
-def orbit_partition(universe, generators, ring=None, chunk=4096):
+def orbit_partition(universe, generators, ring, chunk=4096):
     """Orbits of a sorted row universe under the generated group.
 
     ``generators`` are numpy matrices (or SquareMatrix) over Z/m; m is
@@ -258,8 +261,6 @@ def orbit_partition(universe, generators, ring=None, chunk=4096):
     ``stats["frontier_sizes"]`` holds the live edge count of each
     hooking round, generator by generator.
     """
-    if ring is None:
-        raise RingError("orbit_partition needs the ring for the modulus")
     if chunk < 1:
         raise RingError("chunk must be >= 1")
     m = ring.m
@@ -297,7 +298,7 @@ def orbit_partition(universe, generators, ring=None, chunk=4096):
     return OrbitPartition(universe, label_of, stats)
 
 
-def _partition_for(ring, size, family, ideal, budget, chunk=4096):
+def _partition_for(ring, size, family, ideal, budget, chunk):
     universe = enumerate_unimodular(ring, size, ideal, budget)
     spec = GroupSpec(family, size, ring, ideal)
     gens = generators_for(spec)
@@ -350,7 +351,7 @@ def check_dim0_transitivity(ring, size, ideal=None, budget=10 ** 7,
     gens = generators_for(GroupSpec(family, size, ring,
                                     ideal if relative else None))
     part = orbit_partition(universe, gens, ring=ring, chunk=chunk)
-    g = _ideal_gen(ring, ideal)
+    g = _ideal_gen(ideal)
     classes = {tuple(x % g for x in row) if g else row for row in universe}
     return {
         "ring": ring.descriptor(),
@@ -409,14 +410,14 @@ def subgroup_closure(generators, ring, conjugators=None, cap=10 ** 6):
     return elements
 
 
-def _random_first_rowcol_word(ring, size, ideal, rng, length=6):
-    """A random word of first-row atoms (free args) and first-column
-    atoms (args in I), composed with its mod-I mirror so that the
-    evaluation is the identity modulo I by construction."""
-    g = _ideal_gen(ring, ideal)
+def _random_first_rowcol_word(ring, size, ideal, rng):
+    """A random word of six atoms, first-row (free args) or first-column
+    (args in I), composed with its mod-I mirror so that the evaluation
+    is the identity modulo I by construction."""
+    g = _ideal_gen(ideal)
     m = ring.m
     atoms = []
-    for _ in range(length):
+    for _ in range(6):
         j = rng.randrange(2, size + 1)
         if rng.randrange(2) and g:
             atoms.append(se(j, 1, ring.element(g * rng.randrange(m))))
@@ -468,7 +469,7 @@ def square_ideal_inclusion_test(ring, size, ideal, samples=200, seed=0,
     """Sampled check of ESp(R, I^2) c ESp(I): conjugates of se_ij(ab)
     with a, b in I land in the closure of the I-argument atoms, and the
     explicit factorization agrees."""
-    g = _ideal_gen(ring, ideal)
+    g = _ideal_gen(ideal)
     spec_pairs = _index_pairs(size)
     gens = []
     for i, j in spec_pairs:

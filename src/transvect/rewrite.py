@@ -19,8 +19,8 @@ from __future__ import annotations
 from itertools import permutations
 
 from .matrices import sigma
-from .rings import (PolyRing, RingError, divide_by_unit, divide_by_var,
-                    var_multiplicity)
+from .rings import (X, Y, PolyRing, RingError, divide_by_unit, divide_by_var,
+                    substitute, var_multiplicity)
 from .words import (GeneratorAtom, GeneratorWord, act_on_rows, identity_rows,
                     se)
 
@@ -54,7 +54,7 @@ def _addroot(a, b, mult=1):
     return tuple(x * mult + y for x, y in zip(a, b))
 
 
-def _positions(root, n):
+def _positions(root):
     """All index pairs (p, q) realizing the root; [] if not a root."""
     def pos(k, s):
         return 2 * k - 1 if s > 0 else 2 * k
@@ -104,10 +104,9 @@ def _peel(ring, size, matrix, roots):
     argument off the residual matrix; success means the residual is the
     identity, which certifies the factorization.
     """
-    n = size // 2
     spots = []
     for r in roots:
-        ps = _positions(r, n)
+        ps = _positions(r)
         if ps:
             pq = _prefer(ps)
             if pq not in spots:
@@ -183,12 +182,12 @@ def _probe_coeff(ring, size, g, h, p, q):
     return coeff
 
 
-def _divide(arg, const, yname, ypow):
+def _divide(arg, const, ypow):
     out = divide_by_unit(arg, const)
-    return divide_by_var(out, yname, ypow)
+    return divide_by_var(out, Y, ypow)
 
 
-def _quad_route(ring, size, atom, p, q, yname, ideal_side):
+def _quad_route(ring, size, atom, p, q, ideal_side):
     """The quad [se_p1(u), se_1q(Y)] whose piece at (p, q) carries the
     atom's argument there (u, Y swapped on the "row" side)."""
     one = ring.one()
@@ -196,11 +195,11 @@ def _quad_route(ring, size, atom, p, q, yname, ideal_side):
     if coeff is None:
         raise RewriteError("no (%d, %d) component in the probe commutator"
                            % (p, q))
-    u = _divide(_arg_at(atom, p, q), coeff, yname, 1)
-    return _quad(p, q, u, ring.var(yname), ideal_side)
+    u = _divide(_arg_at(atom, p, q), coeff, 1)
+    return _quad(p, q, u, ring.var(Y), ideal_side)
 
 
-def rewrite_to_first(ring, size, atom, ideal, yname, ideal_side="col"):
+def rewrite_to_first(ring, size, atom, ideal_side):
     """Rewrite one atom se_pq (p, q != 1) as a first-row/column word.
 
     Requires arg in the ideal and divisible by Y^2; consumes at most Y^2
@@ -218,30 +217,30 @@ def rewrite_to_first(ring, size, atom, ideal, yname, ideal_side="col"):
         return []
     if q == sigma(p):
         # long root: se_p,sigma(p)(w) = [se_p1(u), se_1,sigma(p)(Y)], w = 2uY
-        u = _divide(w, 2, yname, 1)
-        quad = _quad(p, q, u, ring.var(yname), ideal_side)
+        u = _divide(w, 2, 1)
+        quad = _quad(p, q, u, ring.var(Y), ideal_side)
         assert GeneratorWord(ring, size, quad).eval() == atom.matrix(ring, size)
         return quad
     # short root: peel the defect of [se_p1(u), se_1q(Y)] against the target
-    quad = _quad_route(ring, size, atom, p, q, yname, ideal_side)
+    quad = _quad_route(ring, size, atom, p, q, ideal_side)
     out = list(quad)
     for extra in _long_residue(ring, size, quad, atom):
-        out.extend(rewrite_to_first(ring, size, extra, ideal, yname, ideal_side))
+        out.extend(rewrite_to_first(ring, size, extra, ideal_side))
     assert GeneratorWord(ring, size, out).eval() == atom.matrix(ring, size)
     return out
 
 
-def _emittable(ring, size, atom, ideal, yname):
+def _emittable(ring, size, atom, ideal):
     """Whether the atom rewrites to a shape-and-membership-clean word
     ("row" side)."""
     try:
-        word = rewrite_to_first(ring, size, atom, ideal, yname, "row")
+        word = rewrite_to_first(ring, size, atom, "row")
     except RingError:
         return False
     return all(a.j == 1 or ideal.contains(a.arg) for a in word)
 
 
-def _expand_avoiding(ring, size, atom, avoid, ideal, yname, ideal_side, process):
+def _expand_avoiding(ring, size, atom, avoid, ideal_side, process):
     """Rewrite `atom` so that no emitted piece sits on the root -`avoid`.
 
     Writes the atom at the index position away from the first row/column
@@ -249,11 +248,11 @@ def _expand_avoiding(ring, size, atom, avoid, ideal, yname, ideal_side, process)
     """
     n = size // 2
     root = atom_root(atom.i, atom.j, n)
-    spots = [pq for pq in _positions(root, n) if 1 not in pq]
+    spots = [pq for pq in _positions(root) if 1 not in pq]
     if not spots:
         raise RewriteError("piece opposite to a cancelled factor; no route")
     p, q = spots[0]
-    quad = _quad_route(ring, size, atom, p, q, yname, ideal_side)
+    quad = _quad_route(ring, size, atom, p, q, ideal_side)
     if any(atom_root(x.i, x.j, n) == _neg(avoid) for x in quad):
         raise RewriteError("quad route still clashes")
     out = list(quad)
@@ -265,7 +264,7 @@ def _expand_avoiding(ring, size, atom, avoid, ideal, yname, ideal_side, process)
 # -- conjugation ------------------------------------------------------
 
 
-def _slide(ring, size, c, atoms, ideal, yname):
+def _slide(ring, size, c, atoms):
     """c · atoms · c^{-1} as the pieces [c, x]·x, skipping zero atoms and
     first re-routing ("row" side) any atom on the root opposite c."""
     n = size // 2
@@ -276,24 +275,23 @@ def _slide(ring, size, c, atoms, ideal, yname):
             continue
         pieces = [x]
         if atom_root(x.i, x.j, n) == _neg(rc):
-            pieces = _expand_avoiding(ring, size, x, rc, ideal, yname, "row",
-                                      lambda e: [e])
+            pieces = _expand_avoiding(ring, size, x, rc, "row", lambda e: [e])
         for piece in pieces:
             out.extend(comm_word(ring, size, c, piece))
             out.append(piece)
     return out
 
 
-def _conj_atoms(ring, size, g, x, ideal, yname, ideal_side):
+def _conj_atoms(ring, size, g, x, ideal_side):
     """^g x for non-opposite roots, flattened to first-row/column atoms."""
     out = []
     for c in comm_word(ring, size, g, x):
-        out.extend(rewrite_to_first(ring, size, c, ideal, yname, ideal_side))
+        out.extend(rewrite_to_first(ring, size, c, ideal_side))
     out.append(x)
     return out
 
 
-def _monster(ring, size, g, t, ideal, yname, ideal_side):
+def _monster(ring, size, g, t, ideal, ideal_side):
     """^{se_j1(a)} se_1j(m): the opposite-root schedule.
 
     Routes the target through se_1j(m) = [A0, B0]·corr with
@@ -305,17 +303,17 @@ def _monster(ring, size, g, t, ideal, yname, ideal_side):
     if g.i != j or g.j != 1 or t.i != 1:
         raise RewriteError("monster schedule expects se_j1 against se_1j")
     if j == 2 and ideal_side == "row":
-        return _monster_long_row(ring, size, g, t, ideal, yname)
+        return _monster_long_row(ring, size, g, t, ideal)
     r = sigma(j) if j >= 3 else 4
     if r > size:
         raise RewriteError("schedule needs size >= 4")
-    y = ring.var(yname)
+    y = ring.var(Y)
     y2 = y * y
     coeff = _probe_coeff(ring, size, se(1, r, ring.one()),
                          se(r, j, ring.one()), 1, j)
     if coeff is None:
         raise RewriteError("route %d does not reach the target root" % r)
-    u = _divide(m, coeff, yname, 2)
+    u = _divide(m, coeff, 2)
     a0 = se(1, r, u)
     b0 = se(r, j, y2)
     corr = _long_residue(ring, size, [a0, b0, a0.inverse(), b0.inverse()], t)
@@ -325,9 +323,8 @@ def _monster(ring, size, g, t, ideal, yname, ideal_side):
     def process(atom):
         """First-row/column form, deferring atoms that clash with B0."""
         if atom_root(atom.i, atom.j, n) == _neg(rb0):
-            return _expand_avoiding(ring, size, atom, rb0, ideal, yname,
-                                    ideal_side, process)
-        rewritten = rewrite_to_first(ring, size, atom, ideal, yname, ideal_side)
+            return _expand_avoiding(ring, size, atom, rb0, ideal_side, process)
+        rewritten = rewrite_to_first(ring, size, atom, ideal_side)
         if any(atom_root(x.i, x.j, n) == _neg(rb0) for x in rewritten):
             return [atom]  # defer: rewrite after the B0 sandwich
         return rewritten
@@ -349,15 +346,15 @@ def _monster(ring, size, g, t, ideal, yname, ideal_side):
     out.extend(x.inverse() for x in reversed(fb))
     # trailing ^g corr
     for c in corr:
-        out.extend(_conj_atoms(ring, size, g, c, ideal, yname, ideal_side))
+        out.extend(_conj_atoms(ring, size, g, c, ideal_side))
     # resolve anything deferred through the sandwich
     final = []
     for x in out:
-        final.extend(rewrite_to_first(ring, size, x, ideal, yname, ideal_side))
+        final.extend(rewrite_to_first(ring, size, x, ideal_side))
     return final
 
 
-def _monster_long_row(ring, size, g, t, ideal, yname):
+def _monster_long_row(ring, size, g, t, ideal):
     """^{se_21(b)} se_12(w) with w in the ideal ("row" membership side).
 
     The generic schedule fails here: with a long-root conjugator, the
@@ -380,7 +377,7 @@ def _monster_long_row(ring, size, g, t, ideal, yname):
     n = size // 2
     b = g.arg
     w = t.arg
-    divide_by_var(w, yname, 2)  # demand the Y^2 budget up front
+    divide_by_var(w, Y, 2)  # demand the Y^2 budget up front
     tv = se(3, 4, w)
     stages = (se(2, 3, b), se(1, 3, ring.one()), se(4, 3, b))
     wword = list(reversed(stages))
@@ -394,19 +391,19 @@ def _monster_long_row(ring, size, g, t, ideal, yname):
 
     atoms = [tv]
     for c in stages:
-        atoms = _slide(ring, size, c, atoms, ideal, yname)
+        atoms = _slide(ring, size, c, atoms)
 
     raw = atoms + ginv_atoms + [tv.inverse()]
     final = []
-    for x in _cancel_pass(ring, size, raw, ideal, yname):
-        final.extend(rewrite_to_first(ring, size, x, ideal, yname, "row"))
+    for x in _cancel_pass(ring, size, raw, ideal):
+        final.extend(rewrite_to_first(ring, size, x, "row"))
     return final
 
 
 _CANCEL_ROUNDS = 200
 
 
-def _cancel_pass(ring, size, atoms, ideal, yname):
+def _cancel_pass(ring, size, atoms, ideal):
     """Eliminate non-emittable atoms by sliding each onto its inverse.
 
     An atom that cannot be rewritten into clean first-row/column shape is
@@ -420,7 +417,7 @@ def _cancel_pass(ring, size, atoms, ideal, yname):
         for i, x in enumerate(out):
             if x.arg.is_zero():
                 continue
-            if not _emittable(ring, size, x, ideal, yname):
+            if not _emittable(ring, size, x, ideal):
                 bad = i
                 break
         if bad is None:
@@ -434,39 +431,36 @@ def _cancel_pass(ring, size, atoms, ideal, yname):
                 break
         if partner is None:
             raise RewriteError("unmatched non-emittable atom %r" % (x,))
-        seg = _slide(ring, size, x, out[bad + 1:partner], ideal, yname)
+        seg = _slide(ring, size, x, out[bad + 1:partner])
         out = out[:bad] + seg + out[partner + 1:]
     raise RewriteError("cancellation pass did not terminate")
 
 
-def _conjugate_row_target(ring, size, g, t, ideal, yname, ideal_side):
+def _conjugate_row_target(ring, size, g, t, ideal, ideal_side):
     n = size // 2
     if atom_root(g.i, g.j, n) == _neg(atom_root(t.i, t.j, n)):
-        return _monster(ring, size, g, t, ideal, yname, ideal_side)
-    return _conj_atoms(ring, size, g, t, ideal, yname, ideal_side)
+        return _monster(ring, size, g, t, ideal, ideal_side)
+    return _conj_atoms(ring, size, g, t, ideal_side)
 
 
 class RewriteResult:
-    """lhs = rhs with a mechanically verified certificate."""
+    """lhs = rhs with a mechanically verified certificate: shape, first-
+    column membership and Y-divisibility for a first-row/column word,
+    membership of every argument otherwise."""
 
-    def __init__(self, lhs, rhs, ideal=None, yname=None,
-                 require_shape=True, membership="col"):
+    def __init__(self, lhs, rhs, ideal, first_rowcol):
         self.lhs = lhs
         self.rhs = rhs
         checks = {"eval-equal": lhs.eval() == rhs.eval()}
-        if require_shape:
+        if first_rowcol:
             checks["first-rowcol"] = all(a.i == 1 or a.j == 1 for a in rhs.atoms)
-        if ideal is not None:
-            if membership == "col":
-                checks["ideal-membership"] = all(
-                    ideal.contains(a.arg)
-                    for a in rhs.atoms if a.j == 1)
-            else:
-                checks["ideal-membership"] = all(
-                    ideal.contains(a.arg) for a in rhs.atoms)
-        if yname is not None:
+            checks["ideal-membership"] = all(
+                ideal.contains(a.arg) for a in rhs.atoms if a.j == 1)
             checks["y-divisible"] = all(
-                var_multiplicity(a.arg, yname) >= 1 for a in rhs.atoms)
+                var_multiplicity(a.arg, Y) >= 1 for a in rhs.atoms)
+        else:
+            checks["ideal-membership"] = all(
+                ideal.contains(a.arg) for a in rhs.atoms)
         self.checks = checks
         self.certificate = all(checks.values())
 
@@ -475,7 +469,7 @@ class RewriteResult:
             self.certificate, self.checks, len(self.rhs))
 
 
-def conjugate_first_rowcol(ring, size, conjugator, target, ideal, yname="Y"):
+def conjugate_first_rowcol(ring, size, conjugator, target, ideal):
     """^conjugator target as a certified first-row/column word.
 
     `conjugator` is a single E^1-legal atom (first row, any argument, or
@@ -484,58 +478,56 @@ def conjugate_first_rowcol(ring, size, conjugator, target, ideal, yname="Y"):
     """
     if target.i == 1:
         atoms = _conjugate_row_target(ring, size, conjugator, target,
-                                      ideal, yname, "col")
+                                      ideal, "col")
     elif target.j == 1:
         g2 = GeneratorAtom(conjugator.family, conjugator.j, conjugator.i,
                            -conjugator.arg)  # (g^t)^{-1}
         t2 = target.transpose()
-        inner = _conjugate_row_target(ring, size, g2, t2, ideal, yname, "row")
+        inner = _conjugate_row_target(ring, size, g2, t2, ideal, "row")
         atoms = [x.transpose() for x in reversed(inner)]
     else:
         raise RewriteError("target %r is not first-row/column" % (target,))
     lhs = GeneratorWord(ring, size, [conjugator, target, conjugator.inverse()])
     rhs = GeneratorWord(ring, size, atoms, tag="first-rowcol")
-    return RewriteResult(lhs, rhs, ideal=ideal, yname=yname)
+    return RewriteResult(lhs, rhs, ideal, True)
 
 
-def dilate_word(eps, target, ideal, xname="X", yname="Y"):
+def dilate_word(eps, target, ideal):
     """epsilon · target(Y^{4^r} X) · epsilon^{-1} rewritten recursively.
 
     eps is a first-rowcol word of r atoms; the target argument, a
     polynomial in X, is instantiated at Y^{4^r}X so that every level of
     the recursion keeps enough Y-divisibility for the case schedules.
     """
-    from .rings import substitute
-
     ring, size = eps.ring, eps.size
     r = len(eps.atoms)
-    y = ring.var(yname)
+    y = ring.var(Y)
     scale = ring.one()
     for _ in range(4 ** r):
         scale = scale * y
-    arg = substitute(ring.element(target.arg), xname, scale * ring.var(xname))
+    arg = substitute(ring.element(target.arg), X, scale * ring.var(X))
     seeded = GeneratorAtom(target.family, target.i, target.j, arg)
     current = [seeded]
     for g in reversed(eps.atoms):
         nxt = []
         for atom in current:
-            step = conjugate_first_rowcol(ring, size, g, atom, ideal, yname)
+            step = conjugate_first_rowcol(ring, size, g, atom, ideal)
             if not step.certificate:
                 raise RewriteError("uncertified step: %r" % (step,))
             nxt.extend(step.rhs.atoms)
         current = nxt
     lhs = eps * GeneratorWord(ring, size, [seeded]) * eps.inverse()
     rhs = GeneratorWord(ring, size, current, tag="first-rowcol")
-    return RewriteResult(lhs, rhs, ideal=ideal, yname=yname)
+    return RewriteResult(lhs, rhs, ideal, True)
 
 
-def conjugate_square_ideal(ring, size, i, j, z, a, b, ideal, kl=None):
+def conjugate_square_ideal(ring, size, i, j, z, a, b, ideal, kl):
     """^{se_kl(z)} se_ij(ab) with a, b in I, as a word over ESp(I).
 
     Splits se_ij(ab) = [se_{sigma(i)j}(b), se_{i sigma(i)}(-a)] · corr and
     conjugates the pieces; every emitted argument lies in the ideal.
     """
-    k, l = kl if kl is not None else (j, i)
+    k, l = kl
     alpha = se(k, l, z)
     target = se(i, j, a * b)
     n = size // 2
@@ -553,5 +545,4 @@ def conjugate_square_ideal(ring, size, i, j, z, a, b, ideal, kl=None):
         out.append(x)
     lhs = GeneratorWord(ring, size, [alpha, target, alpha.inverse()])
     rhs = GeneratorWord(ring, size, out)
-    return RewriteResult(lhs, rhs, ideal=ideal, yname=None,
-                         require_shape=False, membership="all")
+    return RewriteResult(lhs, rhs, ideal, False)

@@ -498,6 +498,13 @@ def prime_factors(m):
     return out
 
 
+# The conjugation calculus's two fixed indeterminates: a family's
+# argument is a polynomial in X, and every rewrite step spends
+# divisibility by Y.
+X = "X"
+Y = "Y"
+
+
 # -- exact division helpers -----------------------------------------
 
 
@@ -555,24 +562,24 @@ def substitute(elt, name, value):
 # -- sampling --------------------------------------------------------
 
 
-def sample_element(ring, rng, degree_bound=2, coeff_bound=9):
+def sample_element(ring, rng):
     """Deterministic-for-a-seed sample; uniform over finite rings.
 
-    Polynomial and dyadic rings need the bounds (error otherwise is the
-    caller's concern: the defaults make every ring sampleable).
+    Dyadic samples are n/2^k with |n| <= 9 and k <= 2; polynomial
+    samples have at most 3 terms of total degree <= 2.
     """
     if isinstance(ring, Zmod):
         return ring.element(rng.randrange(ring.m))
     if isinstance(ring, Dyadic):
-        return ring.element((rng.randrange(-coeff_bound, coeff_bound + 1), rng.randrange(3)))
+        return ring.element((rng.randrange(-9, 10), rng.randrange(3)))
     nvars = len(ring.names)
     terms = {}
     for _ in range(rng.randrange(4)):
         mono = [0] * nvars
-        total = rng.randrange(degree_bound + 1)
+        total = rng.randrange(3)
         for _ in range(total):
             mono[rng.randrange(nvars)] += 1
-        c = sample_element(ring.base, rng, degree_bound, coeff_bound)
+        c = sample_element(ring.base, rng)
         m = tuple(mono)
         terms[m] = terms.get(m, ring.base.zero()) + c
     return ring._from_terms({m: c for m, c in terms.items()})

@@ -222,16 +222,20 @@ def conjugate_word(g, h):
     return g * h * g.inverse()
 
 
+def conjugation_triple(family, i, j, a, x):
+    """The atoms of ge_ij(a) ge_ji(x) ge_ij(-a)."""
+    return [GeneratorAtom(family, i, j, a), GeneratorAtom(family, j, i, x),
+            GeneratorAtom(family, i, j, -a)]
+
+
 def relative_generator(ring, family, size, i, j, a, x, ideal):
     """Conjugation triple ge_ij(a) ge_ji(x) ge_ij(-a), x in I."""
     a = ring.element(a)
     x = ring.element(x)
     if not ideal.contains(x):
         raise RingError("core argument %r is not in %s" % (x, ideal))
-    atoms = [GeneratorAtom(family, i, j, a),
-             GeneratorAtom(family, j, i, x),
-             GeneratorAtom(family, i, j, -a)]
-    return GeneratorWord(ring, size, atoms, tag="relative")
+    return GeneratorWord(ring, size, conjugation_triple(family, i, j, a, x),
+                         tag="relative")
 
 
 # -- rho / mu transvection matrices ----------------------------------

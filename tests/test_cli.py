@@ -223,3 +223,32 @@ def test_transitivity_zero_ideal_full_universe(tmp_path):
     res = rep["results"][0]
     assert code == 0 and res["transitive"]
     assert res["orbit_count"] == res["congruence_classes"] == 6480
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce-form", "--n", "0"],
+    ["transitivity", "--ring", "zmod:9", "--ideal", "3", "--full-universe",
+     "--size", "1"],
+    ["orbit-equality", "--ring", "zmod:3", "--size", "2"],
+    ["orbit-equality", "--ring", "zmod:3", "--size", "3"],
+    ["orbit-equality", "--ring", "zmod:3", "--size", "5"],
+    ["kernel-test", "--ring", "zmod:9", "--ideal", "3", "--size", "3"],
+    ["square-ideal-test", "--ring", "zmod:9", "--ideal", "3", "--size", "3"],
+])
+def test_size_outside_the_theorem_is_usage_error(argv, tmp_path, capsys):
+    """A degenerate size is bad input, not a counterexample."""
+    _assert_usage_error(argv, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce-form", "--n", "1", "--samples", "2"],
+    ["transitivity", "--ring", "zmod:9", "--ideal", "3", "--full-universe",
+     "--size", "2"],
+    ["kernel-test", "--ring", "zmod:9", "--ideal", "3", "--size", "2",
+     "--samples", "20"],
+    ["square-ideal-test", "--ring", "zmod:9", "--ideal", "3", "--size", "2",
+     "--samples", "20"],
+])
+def test_smallest_sizes_run(argv, tmp_path):
+    code, rep = _run(argv, tmp_path)
+    assert code == 0 and rep["ok"]

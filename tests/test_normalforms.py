@@ -8,7 +8,7 @@ from transvect.normalforms import (LocalRingWitness,
                                    complete_unimodular_local, random_form,
                                    reduce_alternating_local,
                                    reduce_alternating_semilocal)
-from transvect.rings import GF, Ideal, RingError, Zmod
+from transvect.rings import GF, Ideal, RingError, Zmod, parse_ideal
 from transvect.words import GeneratorWord
 
 
@@ -145,3 +145,21 @@ def test_semilocal_verified_flag_is_computed(monkeypatch):
     monkeypatch.setattr(normalforms, "reduce_alternating_local", empty_word)
     table = reduce_alternating_semilocal(phi)
     assert not all(rec["verified"] for rec in table.values())
+
+
+@pytest.mark.parametrize("gen", [3, 5, 15, 0])
+@pytest.mark.parametrize("n", [2, 3])
+def test_semilocal_reduction_with_principal_ideal(gen, n):
+    """Each prime's ideal is the projection of (gen): proper exactly
+    where p divides gen, so that factor's epsilon is a relative word."""
+    ring = Zmod(45)
+    ideal = parse_ideal(ring, str(gen))
+    rng = random.Random(45 * n + gen)
+    for _ in range(3):
+        table = reduce_alternating_semilocal(random_form(ring, n, rng, ideal),
+                                             ideal)
+        assert sorted(table) == [3, 5]
+        for p, rec in table.items():
+            assert rec["verified"]
+            assert rec["epsilon"].tag == ("relative" if gen % p == 0
+                                          else "plain")

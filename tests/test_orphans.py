@@ -1,8 +1,11 @@
-"""Every private module-level helper in transvect has a caller.
+"""Every private module-level helper in transvect has a caller, and
+every function reads each of its parameters.
 
 A function or class whose name starts with ``_`` is internal, so if no
 code in the package names it outside its own definition, nothing can
-reach it and it should be deleted.
+reach it and it should be deleted.  A parameter that a function never
+reads is a setting no caller can use; it is deleted too, or named with
+a leading ``_`` where a fixed call signature needs it.
 """
 
 import ast
@@ -47,3 +50,50 @@ def test_a_planted_orphan_is_found(tmp_path):
         "def _caller():\n    pass\n\n\nVALUE = _caller\n")
     (tmp_path / "b.py").write_text("class _Lonely:\n    _Lonely = 1\n")
     assert _orphans(tmp_path) == ["a.py:1 _used", "b.py:1 _Lonely"]
+
+
+def _only_raises(body):
+    """A body that is one raise, after an optional docstring: an
+    abstract stub or an immutability guard."""
+    if (body and isinstance(body[0], ast.Expr)
+            and isinstance(body[0].value, ast.Constant)):
+        body = body[1:]
+    return len(body) == 1 and isinstance(body[0], ast.Raise)
+
+
+def _unread_parameters(src_dir):
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    unread = []
+    for path in sorted(src_dir.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, kinds):
+                continue
+            body = node.body if isinstance(node.body, list) else [node.body]
+            if _only_raises(body):
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args
+                      + args.kwonlyargs + [args.vararg, args.kwarg] if a]
+            reads = {n.id for stmt in body for n in ast.walk(stmt)
+                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", "<lambda>")
+            unread += ["%s:%d %s %s" % (path.name, node.lineno, name, p)
+                       for p in params
+                       if p not in reads and p not in ("self", "cls")
+                       and not p.startswith("_")]
+    return unread
+
+
+def test_every_parameter_is_read():
+    assert _unread_parameters(SRC) == []
+
+
+def test_a_planted_unread_parameter_is_found(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def used(a, _b, self=None):\n    return a\n\n\n"
+        "def stub(x):\n    \"\"\"Abstract.\"\"\"\n    raise NotImplementedError\n"
+        "\n\ndef planted(a, b, *rest, **kw):\n    return a\n\n\n"
+        "VALUE = lambda x, y: x\n")
+    assert _unread_parameters(tmp_path) == [
+        "a.py:10 planted b", "a.py:10 planted rest", "a.py:10 planted kw",
+        "a.py:14 <lambda> y"]

@@ -234,3 +234,20 @@ _values = st.one_of(
 def test_equal_values_hash_equal(a, b):
     if a == b:
         assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("text", ["gf:5", "dyadic", "poly:zmod:9:x",
+                                  "poly:dyadic:a,b"])
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_commutative_ring_laws(text, seed):
+    R = parse_ring(text)
+    rng = random.Random(seed)
+    x, y, z = (sample_element(R, rng) for _ in range(3))
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x + y == y + x
+    assert x * y == y * x
+    assert x * (y + z) == x * y + x * z
+    assert x - x == R.zero()
+    assert R.one() * x == x

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from transvect.matrices import sigma, standard_form
-from transvect.rings import Dyadic, GF, Ideal, PolyRing, RingError, Zmod
+from transvect.matrices import (SquareMatrix, matrix_from_json,
+                                matrix_to_json, sigma, standard_form)
+from transvect.rings import (Dyadic, GF, Ideal, PolyRing, RingError, Zmod,
+                             parse_ring, sample_element)
 from transvect.words import (GeneratorWord, bass_symplectic_transvection,
                              decompose_mu, decompose_rho, hyperbolic_defect,
                              lin, mu_matrix, parse_word_inline,
@@ -120,3 +122,17 @@ def test_word_json_and_inline_roundtrip():
     assert again.eval() == w.eval()
     inline = parse_word_inline(R, 4, "S:2,1:3;S:3,1:1")
     assert inline.eval() == w.eval()
+
+
+@pytest.mark.parametrize("text", ["gf:5", "dyadic", "poly:zmod:9:x",
+                                  "poly:dyadic:a,b"])
+def test_json_roundtrip_for_every_ring_kind(text):
+    R = parse_ring(text)
+    rng = random.Random(5)
+    mat = SquareMatrix(R, [[sample_element(R, rng) for _ in range(4)]
+                           for _ in range(4)])
+    assert matrix_from_json(matrix_to_json(mat)) == mat
+    w = GeneratorWord(R, 4, [se(2, 1, sample_element(R, rng)),
+                             lin(3, 4, sample_element(R, rng)),
+                             se(1, 3, sample_element(R, rng))])
+    assert word_from_json(R, 4, word_to_json(w)).atoms == w.atoms
