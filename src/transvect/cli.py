@@ -3,15 +3,12 @@ reduction, orbit experiments, and JSON report emission for CI.
 
 Exit codes: 0 = all checks passed, 1 = a mathematical check failed,
 2 = usage error.  Reports are deterministic for fixed argv + seed
-(timing fields aside).  The TRANSVECT_FIXTURES environment variable
-names a directory of golden-value JSON files; when a fixture for a
-computed quantity exists, the report compares against it.
+(timing fields aside).
 """
 
 import argparse
 import hashlib
 import json
-import os
 import random
 import sys
 import time
@@ -58,19 +55,6 @@ class RunReport:
             "results": self.results,
             "ok": all(r["ok"] for r in self.results),
         }
-
-
-def _fixture_check(report, key, value):
-    base = os.environ.get("TRANSVECT_FIXTURES")
-    if not base:
-        return
-    path = os.path.join(base, key + ".json")
-    if not os.path.exists(path):
-        return
-    with open(path) as fh:
-        expected = json.load(fh)["value"]
-    report.add("fixture:" + key, expected == value,
-               expected=expected, computed=value)
 
 
 def _emit(report, out_path):
@@ -206,15 +190,11 @@ _GROUPS = {"e": "linear-E", "esp": "symplectic-ESp",
 
 def _cmd_orbits(args, report, ring, ideal):
     spec = GroupSpec(_GROUPS[args.group], args.size, ring, ideal)
-    relative = "relative" in spec.family
-    universe = enumerate_unimodular(ring, args.size,
-                                    ideal if relative else None, args.budget)
+    universe = enumerate_unimodular(ring, args.size, spec.universe_ideal,
+                                    args.budget)
     part = orbit_partition(universe, generators_for(spec), ring=ring)
     report.add("orbits", True, universe_size=len(universe),
                orbit_count=part.orbit_count(), orbit_sizes=part.orbit_sizes())
-    _fixture_check(report, "orbits-%s-%d-%s-%s"
-                   % (args.ring, args.size, args.group, args.ideal or "full"),
-                   part.orbit_count())
 
 
 def _cmd_orbit_equality(args, report, ring, ideal):

@@ -33,8 +33,7 @@ class LocalRingWitness:
             raise RingError("%s is not GF(p) or Z/p^k with p odd" % (ring,))
         p = prime_factors(ring.m)[0]
         self.ring = ring
-        self.maximal_ideal = Ideal.principal(ring, p) if ring.m > p \
-            else Ideal.zero(ring)
+        self.maximal_ideal = Ideal.principal(ring, p)
 
     def is_unit(self, x):
         return self.ring.is_unit(self.ring.element(x))
@@ -212,9 +211,8 @@ def random_form(ring, n, rng, ideal=None):
             i, j = rng.sample(range(1, m), 2)
             a = sample_element(ring, rng)
             if ideal is not None and not ideal.is_full():
-                g = (ideal.additive_generators() or [ring.zero()])[0]
-                atoms += conjugation_triple(LINEAR, i, j, a,
-                                            g * sample_element(ring, rng))
+                x = ideal.modulus() * sample_element(ring, rng)
+                atoms += conjugation_triple(LINEAR, i, j, a, x)
             else:
                 atoms.append(lin(i, j, a))
     return GeneratorWord(ring, m - 1, atoms).shifted(1).congruence(
@@ -282,8 +280,4 @@ def reduce_alternating_semilocal(phi, I=None):
 def _project_ideal(I, local, project):
     if I is None or I.is_full():
         return None
-    if I.shape == "zero":
-        return Ideal.zero(local)
-    if I.shape == "principal":
-        return Ideal.principal(local, project(I.data))
-    raise RingError("cannot project ideal %r" % (I,))
+    return Ideal.principal(local, project(I.modulus()))

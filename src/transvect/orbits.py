@@ -19,44 +19,64 @@ import numpy as np
 
 from .matrices import SquareMatrix, sigma
 from .rewrite import conjugate_square_ideal
-from .rings import Ideal, RingError, Zmod, sample_element
+from .rings import DescriptorError, Ideal, RingError, Zmod, sample_element
 from .words import (LINEAR, SYMPLECTIC, GeneratorAtom, GeneratorWord,
                     conjugation_triple, se)
 
-FAMILIES = ("linear-E", "symplectic-ESp", "linear-E-relative",
-            "symplectic-ESp-relative", "first-rowcol-E1",
-            "first-rowcol-ESp1")
+# family -> (group it generates, kind), read only by GroupSpec
+FAMILIES = {
+    "linear-E": (LINEAR, "absolute"),
+    "symplectic-ESp": (SYMPLECTIC, "absolute"),
+    "linear-E-relative": (LINEAR, "relative"),
+    "symplectic-ESp-relative": (SYMPLECTIC, "relative"),
+    "first-rowcol-E1": (LINEAR, "first-rowcol"),
+    "first-rowcol-ESp1": (SYMPLECTIC, "first-rowcol"),
+}
 
 
 class GroupSpec:
-    """A named generator family over a finite Z/m ring."""
+    """A named generator family over a finite Z/m ring.
+
+    The family name decides, here and only here, the ``group``
+    generated (LINEAR, or SYMPLECTIC, which needs an even size), its
+    ``kind``, whether it needs an ideal, and ``universe_ideal``: I for a
+    relative family, whose orbits live on Um(R, I), and None (Um(R))
+    for the rest.  An absolute family's ``ideal`` is the full ideal,
+    since E(R) = E(R, R).  A size or ideal that does not fit the family
+    raises DescriptorError; a ring that is not Z/m raises RingError.
+    """
 
     def __init__(self, family, size, ring, ideal=None):
         if family not in FAMILIES:
             raise RingError("unknown family %r" % (family,))
         if not isinstance(ring, Zmod):
             raise RingError("orbit engine requires a finite Z/m ring")
-        if "symplectic" in family or "ESp1" in family:
-            if size % 2:
-                raise RingError("symplectic size must be even")
-        if ("relative" in family or "first-rowcol" in family) and ideal is None:
-            raise RingError("family %r needs an ideal" % (family,))
+        self.group, self.kind = FAMILIES[family]
+        if self.group == SYMPLECTIC and size % 2:
+            raise DescriptorError("family %r needs an even size, got %d"
+                                  % (family, size))
+        if self.kind == "absolute":
+            ideal = Ideal.full(ring)
+        elif ideal is None:
+            raise DescriptorError("family %r needs an ideal" % (family,))
         self.family = family
         self.size = size
         self.ring = ring
         self.ideal = ideal
+        self.universe_ideal = ideal if self.kind == "relative" else None
 
     def __repr__(self):
         return "GroupSpec(%s, n=%d, %s, %s)" % (
             self.family, self.size, self.ring, self.ideal)
 
 
-def _np_matrix(mat):
-    return np.array([[e.value for e in row] for row in mat.rows], dtype=np.int64)
-
-
-def _np_word(word):
-    return _np_matrix(word.eval())
+def _int_array(x, m):
+    """A word, SquareMatrix or array over Z/m as an int64 array mod m."""
+    if isinstance(x, GeneratorWord):
+        x = x.eval()
+    if isinstance(x, SquareMatrix):
+        x = [[e.value for e in row] for row in x.rows]
+    return np.asarray(x, dtype=np.int64) % m
 
 
 def _mat_key(a):
@@ -76,16 +96,6 @@ def _inverse_mod(mat, m):
     raise RingError("matrix order exceeded cap; not invertible?")
 
 
-def _ideal_gen(ideal):
-    """The additive generator of a Z/m ideal (g with I = gZ/m)."""
-    if ideal is None or ideal.is_full():
-        return 1
-    gens = ideal.additive_generators()
-    if not gens:
-        return 0
-    return gens[0].value
-
-
 def enumerate_unimodular(ring, n, ideal=None, budget=10 ** 7):
     """All rows of Um_n(Z/m); with a proper ideal, only rows = e_1 mod I.
 
@@ -96,20 +106,17 @@ def enumerate_unimodular(ring, n, ideal=None, budget=10 ** 7):
     if n < 1:
         raise RingError("row length must be >= 1, got %d" % (n,))
     m = ring.m
-    g = _ideal_gen(ideal)
+    g = 1 if ideal is None else ideal.modulus()
     if g == 0:
         return [tuple([1] + [0] * (n - 1))]
-    per_coord = m if g == 1 else m // g
-    if per_coord ** n > budget:
+    coords = range(0, m, g)
+    if len(coords) ** n > budget:
         raise RingError("universe size %d exceeds budget %d"
-                        % (per_coord ** n, budget))
-    coords = range(m) if g == 1 else range(0, m, g)
+                        % (len(coords) ** n, budget))
     rows = []
-    relative = ideal is not None and not ideal.is_full()
     for tail in product(coords, repeat=n - 1):
         for lead in coords:
-            first = (1 + lead) % m if relative else lead
-            row = (first,) + tail
+            row = ((1 + lead) % m,) + tail
             acc = m
             for x in row:
                 acc = math.gcd(acc, x)
@@ -127,49 +134,41 @@ def _index_pairs(size):
 def generators_for(spec):
     """Generator matrices for the family, additively reduced.
 
-    Plain families use one atom per index pair and additive generator
-    (atom args add in the same slot, so orbits are unaffected);
-    relative families use all conjugation triples ge_ij(a) ge_ji(x)
-    ge_ij(-a) with a over the whole ring and x over the ideal's
-    additive generators; first-row/column families mix free first-row
-    atoms with ideal-restricted first-column atoms.
+    With I = gZ/m the spec's ideal: absolute families (g = 1) use one
+    atom per index pair and additive generator (atom args add in the
+    same slot, so orbits are unaffected), and so do relative families
+    with the full ideal; other relative families use all conjugation
+    triples ge_ij(a) ge_ji(g) ge_ij(-a) with a over the whole ring;
+    first-row/column families mix free first-row atoms with
+    first-column atoms of argument g.
     """
-    ring, size, ideal = spec.ring, spec.size, spec.ideal
-    family = SYMPLECTIC if "ESp" in spec.family else LINEAR
-    atom = partial(GeneratorAtom, family)
-    pairs = _index_pairs(size)
+    ring, size = spec.ring, spec.size
+    atom = partial(GeneratorAtom, spec.group)
+    g = spec.ideal.modulus()
+    eye = np.eye(size, dtype=np.int64)
     out = []
     seen = set()
 
-    def emit(word):
-        mat = _np_word(word)
+    def emit(atoms):
+        mat = _int_array(GeneratorWord(ring, size, atoms), ring.m)
         key = _mat_key(mat)
-        if key not in seen and not (mat == np.eye(size, dtype=np.int64)).all():
+        if key not in seen and not (mat == eye).all():
             seen.add(key)
             out.append(mat)
 
-    if spec.family in ("linear-E", "symplectic-ESp"):
-        for i, j in pairs:
-            emit(GeneratorWord(ring, size, [atom(i, j, ring.one())]))
-    elif spec.family in ("linear-E-relative", "symplectic-ESp-relative"):
-        if ideal.is_full():
-            for i, j in pairs:
-                emit(GeneratorWord(ring, size, [atom(i, j, ring.one())]))
-        else:
-            g = _ideal_gen(ideal)
-            if g:
-                x = ring.element(g)
-                for i, j in pairs:
-                    for a in range(ring.m):
-                        av = ring.element(a)
-                        emit(GeneratorWord(ring, size, conjugation_triple(
-                            family, i, j, av, x)))
-    else:  # first-rowcol families
-        g = _ideal_gen(ideal)
+    if spec.kind == "first-rowcol":
         for j in range(2, size + 1):
-            emit(GeneratorWord(ring, size, [atom(1, j, ring.one())]))
+            emit([atom(1, j, ring.one())])
             if g:
-                emit(GeneratorWord(ring, size, [atom(j, 1, ring.element(g))]))
+                emit([atom(j, 1, ring.element(g))])
+    elif g == 1:
+        for i, j in _index_pairs(size):
+            emit([atom(i, j, ring.one())])
+    elif g:
+        x = ring.element(g)
+        for i, j in _index_pairs(size):
+            for a in range(ring.m):
+                emit(conjugation_triple(spec.group, i, j, ring.element(a), x))
     return out
 
 
@@ -264,8 +263,7 @@ def orbit_partition(universe, generators, ring, chunk=4096):
     if chunk < 1:
         raise RingError("chunk must be >= 1")
     m = ring.m
-    gens = [(_np_matrix(g) if isinstance(g, SquareMatrix) else np.asarray(g))
-            % m for g in generators]
+    gens = [_int_array(g, m) for g in generators]
     n_rows = len(universe)
     width = len(universe[0]) if universe else 0
     if m ** width >= 2 ** 63 or width * (m - 1) ** 2 >= 2 ** 63:
@@ -298,27 +296,26 @@ def orbit_partition(universe, generators, ring, chunk=4096):
     return OrbitPartition(universe, label_of, stats)
 
 
-def _partition_for(ring, size, family, ideal, budget, chunk):
-    universe = enumerate_unimodular(ring, size, ideal, budget)
-    spec = GroupSpec(family, size, ring, ideal)
-    gens = generators_for(spec)
-    part = orbit_partition(universe, gens, ring=ring, chunk=chunk)
-    return universe, gens, part
-
-
 def check_orbit_equality(ring, size, ideal=None, budget=10 ** 7, chunk=4096):
-    """Compare Um(R, I) partitions under relative E and relative ESp."""
+    """Compare Um(R, I) partitions under relative E and relative ESp.
+
+    Both families share one universe, enumerated once.
+    """
     if size < 4 or size % 2:
         raise RingError("orbit equality needs even size >= 4")
     if ideal is None:
         ideal = Ideal.full(ring)
-    lin_fam = "linear-E" if ideal.is_full() else "linear-E-relative"
-    sp_fam = "symplectic-ESp" if ideal.is_full() else "symplectic-ESp-relative"
-    universe, lgens, lpart = _partition_for(ring, size, lin_fam, ideal,
-                                            budget, chunk)
-    _, sgens, spart = _partition_for(ring, size, sp_fam, ideal, budget, chunk)
-    closed = (lpart.spot_check_closed(lgens, ring.m)
-              and spart.spot_check_closed(sgens, ring.m))
+    specs = [GroupSpec(family, size, ring, ideal)
+             for family in ("linear-E-relative", "symplectic-ESp-relative")]
+    universe = enumerate_unimodular(ring, size, specs[0].universe_ideal, budget)
+    parts = []
+    closed = True
+    for spec in specs:
+        gens = generators_for(spec)
+        part = orbit_partition(universe, gens, ring, chunk)
+        closed = part.spot_check_closed(gens, ring.m) and closed
+        parts.append(part)
+    lpart, spart = parts
     return {
         "ring": ring.descriptor(),
         "size": size,
@@ -344,14 +341,11 @@ def check_dim0_transitivity(ring, size, ideal=None, budget=10 ** 7,
     """
     if ideal is None:
         ideal = Ideal.full(ring)
-    relative = not ideal.is_full()
-    family = "linear-E-relative" if relative else "linear-E"
-    uni_ideal = ideal if (relative and not full_universe) else None
-    universe = enumerate_unimodular(ring, size, uni_ideal, budget)
-    gens = generators_for(GroupSpec(family, size, ring,
-                                    ideal if relative else None))
-    part = orbit_partition(universe, gens, ring=ring, chunk=chunk)
-    g = _ideal_gen(ideal)
+    spec = GroupSpec("linear-E-relative", size, ring, ideal)
+    universe = enumerate_unimodular(
+        ring, size, None if full_universe else spec.universe_ideal, budget)
+    part = orbit_partition(universe, generators_for(spec), ring, chunk)
+    g = ideal.modulus()
     classes = {tuple(x % g for x in row) if g else row for row in universe}
     return {
         "ring": ring.descriptor(),
@@ -373,11 +367,10 @@ def subgroup_closure(generators, ring, conjugators=None, cap=10 ** 6):
     group the conjugators generate.
     """
     m = ring.m
-    gens = [(_np_matrix(g) if isinstance(g, SquareMatrix) else np.asarray(g)) % m
-            for g in generators]
+    gens = [_int_array(g, m) for g in generators]
     conj = []
     for c in (conjugators or []):
-        a = (_np_matrix(c) if isinstance(c, SquareMatrix) else np.asarray(c)) % m
+        a = _int_array(c, m)
         conj.append((a, _inverse_mod(a, m)))
     n = gens[0].shape[0] if gens else (conj[0][0].shape[0] if conj else 1)
     eye = np.eye(n, dtype=np.int64)
@@ -414,7 +407,7 @@ def _random_first_rowcol_word(ring, size, ideal, rng):
     """A random word of six atoms, first-row (free args) or first-column
     (args in I), composed with its mod-I mirror so that the evaluation
     is the identity modulo I by construction."""
-    g = _ideal_gen(ideal)
+    g = ideal.modulus()
     m = ring.m
     atoms = []
     for _ in range(6):
@@ -436,22 +429,19 @@ def kernel_membership_test(ring, size, ideal, samples=1000, seed=0,
     the relative elementary symplectic group.
 
     Enumerates ESp(R, I) as the normal closure of the relative triples
-    under conjugation by the absolute ESp generators, then samples
+    under conjugation by the absolute ESp generators (for I = R, ESp
+    itself), then samples
     first-rowcol words whose evaluation is = identity mod I (by
     construction) and counts membership.
     """
     rel = generators_for(GroupSpec("symplectic-ESp-relative", size, ring, ideal))
     conj = generators_for(GroupSpec("symplectic-ESp", size, ring))
-    if ideal.is_full():
-        closure = subgroup_closure(conj, ring, cap=cap)
-    else:
-        closure = subgroup_closure(rel, ring, conjugators=conj, cap=cap)
+    closure = subgroup_closure(rel, ring, conjugators=conj, cap=cap)
     rng = random.Random(seed)
     hits = 0
     for _ in range(samples):
         word = _random_first_rowcol_word(ring, size, ideal, rng)
-        mat = _np_word(word)
-        if _mat_key(mat) in closure:
+        if _mat_key(_int_array(word, ring.m)) in closure:
             hits += 1
     return {
         "ring": ring.descriptor(),
@@ -469,11 +459,10 @@ def square_ideal_inclusion_test(ring, size, ideal, samples=200, seed=0,
     """Sampled check of ESp(R, I^2) c ESp(I): conjugates of se_ij(ab)
     with a, b in I land in the closure of the I-argument atoms, and the
     explicit factorization agrees."""
-    g = _ideal_gen(ideal)
+    g = ideal.modulus()
     spec_pairs = _index_pairs(size)
-    gens = []
-    for i, j in spec_pairs:
-        gens.append(GeneratorWord(ring, size, [se(i, j, ring.element(g))]).eval())
+    gens = [GeneratorWord(ring, size, [se(i, j, ring.element(g))])
+            for i, j in spec_pairs]
     closure = subgroup_closure(gens, ring, cap=cap)
     rng = random.Random(seed)
     m = ring.m
@@ -489,7 +478,7 @@ def square_ideal_inclusion_test(ring, size, ideal, samples=200, seed=0,
         alpha = GeneratorWord(ring, size, [se(k, l, z)])
         beta = GeneratorWord(ring, size, [se(i, j, a * b)])
         word = alpha * beta * alpha.inverse()
-        if _mat_key(_np_word(word)) in closure:
+        if _mat_key(_int_array(word, m)) in closure:
             hits += 1
         # The explicit factorization covers every pair except a long
         # target opposite its conjugator (no split of this shape).
@@ -497,7 +486,7 @@ def square_ideal_inclusion_test(ring, size, ideal, samples=200, seed=0,
             res = conjugate_square_ideal(ring, size, i, j, z, a, b, ideal,
                                          kl=(k, l))
             factored += 1
-            if res.certificate and _mat_key(_np_word(res.rhs)) in closure:
+            if res.certificate and _mat_key(_int_array(res.rhs, m)) in closure:
                 factor_hits += 1
     return {
         "ring": ring.descriptor(),

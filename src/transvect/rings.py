@@ -25,7 +25,8 @@ class RingError(ValueError):
 
 
 class DescriptorError(RingError):
-    """Malformed ring or ideal descriptor text."""
+    """Malformed ring or ideal descriptor text, or a group family given a
+    size or ideal that does not fit it."""
 
 
 def _is_prime(n):
@@ -379,24 +380,23 @@ class Ideal:
         if self.shape == "zero":
             return r.is_zero()
         if self.shape == "principal":
-            ring = self.ring
-            if isinstance(ring, Zmod):
-                return r.value % gcd(self.data.value, ring.m) == 0
+            if isinstance(self.ring, Zmod):
+                return r.value % self.modulus() == 0
             # Dyadic: 2 is a unit, so (d) = (odd part of d)
             return _odd_part(r.value[0]) % _odd_part(self.data.value[0]) == 0
         gen_idx = [self.ring.names.index(v) for v in self.data]
         return all(any(mono[i] for i in gen_idx) for mono, _ in r.value)
 
-    def additive_generators(self):
-        """A finite additive generating set (finite rings only)."""
-        ring = self.ring
+    def modulus(self):
+        """The g | m with I = gZ/m over Z/m: 0 for the zero ideal, 1 for
+        the full ideal, so x is in I iff g divides x."""
+        if not isinstance(self.ring, Zmod):
+            raise RingError("ideal modulus only over Z/m, not %s" % (self.ring,))
         if self.shape == "zero":
-            return []
+            return 0
         if self.shape == "full":
-            return [ring.one()]
-        if isinstance(ring, Zmod):
-            return [ring.element(gcd(self.data.value, ring.m))]
-        raise RingError("additive generators only for finite rings")
+            return 1
+        return gcd(self.data.value, self.ring.m)
 
     def descriptor(self):
         if self.shape == "zero":

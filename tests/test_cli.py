@@ -73,24 +73,6 @@ def test_reports_are_deterministic(tmp_path):
     assert _strip_timing(rep1) == _strip_timing(rep2)
 
 
-def test_fixture_comparison(tmp_path, monkeypatch):
-    fixdir = tmp_path / "fixtures"
-    fixdir.mkdir()
-    (fixdir / "orbits-zmod:3-4-esp-full.json").write_text(
-        json.dumps({"value": 1}))
-    monkeypatch.setenv("TRANSVECT_FIXTURES", str(fixdir))
-    code, rep = _run(["orbits", "--ring", "zmod:3", "--size", "4",
-                      "--group", "esp"], tmp_path)
-    assert code == 0
-    names = [r["name"] for r in rep["results"]]
-    assert "fixture:orbits-zmod:3-4-esp-full" in names
-    (fixdir / "orbits-zmod:3-4-esp-full.json").write_text(
-        json.dumps({"value": 2}))
-    code, rep = _run(["orbits", "--ring", "zmod:3", "--size", "4",
-                      "--group", "esp"], tmp_path, "c.json")
-    assert code == 1
-
-
 def test_malformed_ring_is_usage_error(tmp_path, capsys):
     out = tmp_path / "r.json"
     for argv in (["verify-relations", "--ring", "zmod:abc", "--symbolic"],
@@ -252,3 +234,25 @@ def test_size_outside_the_theorem_is_usage_error(argv, tmp_path, capsys):
 def test_smallest_sizes_run(argv, tmp_path):
     code, rep = _run(argv, tmp_path)
     assert code == 0 and rep["ok"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--group", "esp", "--size", "3"],
+    ["--group", "esp-rel", "--size", "3", "--ideal", "3"],
+    ["--group", "esp1", "--size", "5", "--ideal", "3"],
+    ["--group", "e-rel", "--size", "4"],
+    ["--group", "esp-rel", "--size", "4"],
+    ["--group", "e1", "--size", "4"],
+    ["--group", "esp1", "--size", "4"],
+])
+def test_orbits_group_that_does_not_fit_is_usage_error(argv, tmp_path,
+                                                       capsys):
+    """An odd size for a symplectic group, or no ideal for a group that
+    needs one, is bad input, not a mathematical failure."""
+    _assert_usage_error(["orbits", "--ring", "zmod:9"] + argv, tmp_path,
+                        capsys)
+
+
+def test_orbits_ring_of_the_wrong_kind_exits_one(tmp_path):
+    code, rep = _run(["orbits", "--ring", "dyadic", "--size", "4"], tmp_path)
+    assert code == 1 and rep["results"][0]["name"] == "error"

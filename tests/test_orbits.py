@@ -3,13 +3,14 @@ import random
 import numpy as np
 import pytest
 
+from transvect import orbits
 from transvect.orbits import (GroupSpec, check_dim0_transitivity,
                               check_orbit_equality, enumerate_unimodular,
                               generators_for, kernel_membership_test,
                               orbit_partition, square_ideal_inclusion_test,
                               subgroup_closure)
-from transvect.rings import Ideal, RingError, Zmod
-from transvect.words import GeneratorWord, lin, se
+from transvect.rings import DescriptorError, Ideal, RingError, Zmod
+from transvect.words import LINEAR, SYMPLECTIC, GeneratorWord, lin, se
 
 
 def test_unimodular_counts():
@@ -33,6 +34,74 @@ def test_generator_families():
     I = Ideal.principal(Zmod(9), 3)
     rel = generators_for(GroupSpec("symplectic-ESp-relative", 4, Zmod(9), I))
     assert rel  # deduplicated triple evaluations
+
+
+# family -> (group, universe restricted to I)
+SPEC_TABLE = {
+    "linear-E": (LINEAR, False),
+    "symplectic-ESp": (SYMPLECTIC, False),
+    "linear-E-relative": (LINEAR, True),
+    "symplectic-ESp-relative": (SYMPLECTIC, True),
+    "first-rowcol-E1": (LINEAR, False),
+    "first-rowcol-ESp1": (SYMPLECTIC, False),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SPEC_TABLE))
+def test_group_spec_decides_group_and_universe(family):
+    R = Zmod(9)
+    I = Ideal.principal(R, 3)
+    group, relative = SPEC_TABLE[family]
+    spec = GroupSpec(family, 4, R, I)
+    assert spec.group == group
+    assert spec.universe_ideal is (I if relative else None)
+    if group == SYMPLECTIC:
+        with pytest.raises(DescriptorError):
+            GroupSpec(family, 3, R, I)
+    if family in ("linear-E", "symplectic-ESp"):
+        assert spec.ideal.is_full() and GroupSpec(family, 4, R).ideal.is_full()
+    else:
+        with pytest.raises(DescriptorError):
+            GroupSpec(family, 4, R)
+
+
+def test_generators_accept_words_matrices_and_arrays():
+    """Words, SquareMatrix evaluations and arrays (unreduced too) give
+    the same partition and closure."""
+    R = Zmod(5)
+    words = [GeneratorWord(R, 2, [lin(1, 2, R.element(1))]),
+             GeneratorWord(R, 2, [lin(2, 1, R.element(3))])]
+    mats = [w.eval() for w in words]
+    arrays = [np.array([[1, 6], [0, -4]]), np.array([[1, 0], [8, 1]])]
+    universe = enumerate_unimodular(R, 2)
+    parts = [orbit_partition(universe, gens, ring=R)
+             for gens in (words, mats, arrays)]
+    assert parts[0].label_of == parts[1].label_of == parts[2].label_of
+    assert parts[0].orbit_count() == 1
+    closures = [subgroup_closure(gens, R) for gens in (words, mats, arrays)]
+    assert closures[0].keys() == closures[1].keys() == closures[2].keys()
+    assert len(closures[0]) == 120  # |SL_2(F_5)|
+
+
+@pytest.mark.parametrize("ideal", [None, Ideal.principal(Zmod(9), 3),
+                                   Ideal.zero(Zmod(9))])
+def test_orbit_equality_enumerates_the_universe_once(ideal, monkeypatch):
+    calls = []
+    real_enumerate = orbits.enumerate_unimodular
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real_enumerate(*args, **kwargs)
+    monkeypatch.setattr(orbits, "enumerate_unimodular", counted)
+    rep = check_orbit_equality(Zmod(9), 4, ideal)
+    assert len(calls) == 1 and rep["equal"]
+
+
+def test_kernel_membership_full_ideal_is_the_whole_group():
+    """For I = R the normal closure of ESp(R, R) in ESp(R) is ESp(R)."""
+    R = Zmod(3)
+    rep = kernel_membership_test(R, 4, Ideal.full(R), samples=20)
+    assert rep["ok"] and rep["closure_size"] == 51840  # |Sp_4(F_3)|
 
 
 def test_additive_reduction_gives_same_partition():

@@ -82,6 +82,21 @@ def test_ideal_membership_zmod():
     assert Ideal.zero(R).contains(R.zero())
 
 
+def test_ideal_modulus_is_the_zmod_generator():
+    R9, R45 = Zmod(9), Zmod(45)
+    assert Ideal.zero(R9).modulus() == 0
+    assert Ideal.full(R9).modulus() == 1
+    assert Ideal.principal(R9, 6).modulus() == 3
+    assert Ideal.principal(R45, 15).modulus() == 15
+    assert Ideal.principal(R45, 30).modulus() == 15
+    assert Ideal.principal(GF(5), 5).modulus() == 0
+    P = PolyRing(Zmod(9), ("x",))
+    for ideal in (Ideal.vars(P, ("x",)), Ideal.full(P),
+                  Ideal.principal(Dyadic(), 3)):
+        with pytest.raises(RingError):
+            ideal.modulus()
+
+
 def test_ideal_membership_vars():
     R = PolyRing(Dyadic(), ("a", "x"))
     I = Ideal.vars(R, ("x",))
