@@ -190,6 +190,8 @@ _GROUPS = {"e": "linear-E", "esp": "symplectic-ESp",
 
 def _cmd_orbits(args, report, ring, ideal):
     spec = GroupSpec(_GROUPS[args.group], args.size, ring, ideal)
+    if ideal is not None and spec.kind == "absolute":
+        raise _UsageError("--group %s takes no --ideal" % args.group)
     universe = enumerate_unimodular(ring, args.size, spec.universe_ideal,
                                     args.budget)
     part = orbit_partition(universe, generators_for(spec), ring=ring)

@@ -79,8 +79,25 @@ def _int_array(x, m):
     return np.asarray(x, dtype=np.int64) % m
 
 
-def _mat_key(a):
-    return a.tobytes()
+def _key_powers(width, m):
+    """Place values of base-m int64 keys of ``width`` digits mod m, most
+    significant first, so key order is lexicographic order; RingError
+    if m**width overflows int64.  A key is ``digits @ powers``."""
+    if m ** width >= 2 ** 63:
+        raise RingError("%d digits over Z/%d overflow int64 keys" % (width, m))
+    return m ** np.arange(width - 1, -1, -1, dtype=np.int64)
+
+
+def _matrix_key(x, m):
+    """The subgroup_closure key of one word, SquareMatrix or array."""
+    a = _int_array(x, m).ravel()
+    return a @ _key_powers(a.size, m)
+
+
+def _in_sorted(known, keys):
+    """Membership of ``keys`` in the sorted distinct key array ``known``."""
+    pos = np.minimum(np.searchsorted(known, keys), len(known) - 1)
+    return known[pos] == keys
 
 
 def _inverse_mod(mat, m):
@@ -146,12 +163,13 @@ def generators_for(spec):
     atom = partial(GeneratorAtom, spec.group)
     g = spec.ideal.modulus()
     eye = np.eye(size, dtype=np.int64)
+    powers = _key_powers(size, ring.m)
     out = []
     seen = set()
 
     def emit(atoms):
         mat = _int_array(GeneratorWord(ring, size, atoms), ring.m)
-        key = _mat_key(mat)
+        key = tuple((mat @ powers).tolist())  # one key per row
         if key not in seen and not (mat == eye).all():
             seen.add(key)
             out.append(mat)
@@ -266,11 +284,11 @@ def orbit_partition(universe, generators, ring, chunk=4096):
     gens = [_int_array(g, m) for g in generators]
     n_rows = len(universe)
     width = len(universe[0]) if universe else 0
-    if m ** width >= 2 ** 63 or width * (m - 1) ** 2 >= 2 ** 63:
-        raise RingError("rows of length %d over Z/%d overflow int64 keys"
+    if width * (m - 1) ** 2 >= 2 ** 63:
+        raise RingError("rows of length %d over Z/%d overflow int64 products"
                         % (width, m))
     rows = np.array(universe, dtype=np.int64).reshape(n_rows, width)
-    powers = m ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    powers = _key_powers(width, m)
     keys = rows @ powers
     if (rows < 0).any() or (rows >= m).any() or (np.diff(keys) <= 0).any():
         raise RingError("universe must be sorted distinct rows mod %d" % m)
@@ -361,10 +379,16 @@ def check_dim0_transitivity(ring, size, ideal=None, budget=10 ** 7,
 def subgroup_closure(generators, ring, conjugators=None, cap=10 ** 6):
     """BFS closure under multiplication (and conjugation, if given).
 
-    Returns (elements dict key->numpy matrix).  With ``conjugators``
-    the rounds interleave multiplication closure and conjugation by
-    each conjugator until a fixed point: the normal closure inside the
-    group the conjugators generate.
+    Returns a sorted, distinct int64 numpy array of matrix keys: an
+    n x n matrix has key sum(a_k * m**(n*n - 1 - k)) over its row-major
+    entries a_k mod m, so membership is one ``np.searchsorted``.  The
+    keys need m**(n*n) < 2**63, else RingError.  With ``conjugators``
+    every round also conjugates by each conjugator, until a fixed point:
+    the normal closure inside the group the conjugators generate.  A
+    closure larger than ``cap`` raises RingError.  Each round applies
+    one operation at a time to its (F, n, n) frontier, keeps only images
+    with unknown keys and merges their keys before the next operation,
+    so a round holds only its new elements, never all its products.
     """
     m = ring.m
     gens = [_int_array(g, m) for g in generators]
@@ -373,40 +397,41 @@ def subgroup_closure(generators, ring, conjugators=None, cap=10 ** 6):
         a = _int_array(c, m)
         conj.append((a, _inverse_mod(a, m)))
     n = gens[0].shape[0] if gens else (conj[0][0].shape[0] if conj else 1)
-    eye = np.eye(n, dtype=np.int64)
-    elements = {_mat_key(eye): eye}
-    frontier = [eye]
-    for g in gens:
-        key = _mat_key(g)
-        if key not in elements:
-            elements[key] = g
-            frontier.append(g)
+    if n * n * (m - 1) ** 3 >= 2 ** 63:
+        raise RingError("%dx%d products over Z/%d overflow int64" % (n, n, m))
 
-    def absorb(batch, sink):
-        for y in batch:
-            key = _mat_key(y)
-            if key not in elements:
-                if len(elements) >= cap:
-                    raise RingError("closure cap %d exceeded (partial size %d)"
-                                    % (cap, len(elements)))
-                elements[key] = y
-                sink.append(y)
+    powers = _key_powers(n * n, m)
 
-    while frontier:
-        block = np.stack(frontier)
-        nxt = []
+    def images(front):
         for g in gens:
-            absorb((block @ g) % m, nxt)
+            yield (front @ g) % m
         for c, cinv in conj:
-            absorb((c @ block @ cinv) % m, nxt)
-        frontier = nxt
-    return elements
+            yield (c @ front @ cinv) % m
+
+    front = np.eye(n, dtype=np.int64)[None]
+    known = front.reshape(1, n * n) @ powers
+    while len(front):
+        found = []
+        for img in images(front):
+            keys, first = np.unique(img.reshape(len(img), n * n) @ powers,
+                                    return_index=True)
+            new = ~_in_sorted(known, keys)
+            keys, first = keys[new], first[new]
+            if len(known) + len(keys) > cap:
+                raise RingError("closure cap %d exceeded (partial size %d)"
+                                % (cap, len(known)))
+            known = np.insert(known, np.searchsorted(known, keys), keys)
+            found.append(img[first])
+        front = np.concatenate(found) if found else front[:0]
+    return known
 
 
 def _random_first_rowcol_word(ring, size, ideal, rng):
     """A random word of six atoms, first-row (free args) or first-column
     (args in I), composed with its mod-I mirror so that the evaluation
-    is the identity modulo I by construction."""
+    is the identity modulo I by construction.  For I = R every word is
+    = identity mod I and the mirror would cancel the atoms exactly, so
+    the six atoms stand alone."""
     g = ideal.modulus()
     m = ring.m
     atoms = []
@@ -416,9 +441,11 @@ def _random_first_rowcol_word(ring, size, ideal, rng):
             atoms.append(se(j, 1, ring.element(g * rng.randrange(m))))
         else:
             atoms.append(se(1, j, ring.element(rng.randrange(m))))
+    if g == 1:
+        return GeneratorWord(ring, size, atoms)
     mirror = []
     for a in reversed(atoms):
-        rep = a.arg.value % (g if g > 1 else m)
+        rep = a.arg.value % (g or m)
         mirror.append(se(a.i, a.j, ring.element(-rep)))
     return GeneratorWord(ring, size, atoms + mirror)
 
@@ -441,7 +468,7 @@ def kernel_membership_test(ring, size, ideal, samples=1000, seed=0,
     hits = 0
     for _ in range(samples):
         word = _random_first_rowcol_word(ring, size, ideal, rng)
-        if _mat_key(_int_array(word, ring.m)) in closure:
+        if _in_sorted(closure, _matrix_key(word, ring.m)):
             hits += 1
     return {
         "ring": ring.descriptor(),
@@ -478,7 +505,7 @@ def square_ideal_inclusion_test(ring, size, ideal, samples=200, seed=0,
         alpha = GeneratorWord(ring, size, [se(k, l, z)])
         beta = GeneratorWord(ring, size, [se(i, j, a * b)])
         word = alpha * beta * alpha.inverse()
-        if _mat_key(_int_array(word, m)) in closure:
+        if _in_sorted(closure, _matrix_key(word, m)):
             hits += 1
         # The explicit factorization covers every pair except a long
         # target opposite its conjugator (no split of this shape).
@@ -486,7 +513,8 @@ def square_ideal_inclusion_test(ring, size, ideal, samples=200, seed=0,
             res = conjugate_square_ideal(ring, size, i, j, z, a, b, ideal,
                                          kl=(k, l))
             factored += 1
-            if res.certificate and _mat_key(_int_array(res.rhs, m)) in closure:
+            if res.certificate and _in_sorted(closure,
+                                              _matrix_key(res.rhs, m)):
                 factor_hits += 1
     return {
         "ring": ring.descriptor(),

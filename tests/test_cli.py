@@ -253,6 +253,15 @@ def test_orbits_group_that_does_not_fit_is_usage_error(argv, tmp_path,
                         capsys)
 
 
+@pytest.mark.parametrize("group", ["e", "esp"])
+def test_orbits_absolute_group_with_an_ideal_is_usage_error(group, tmp_path,
+                                                            capsys):
+    """An absolute group is E(R) = E(R, R): an --ideal would change the
+    report's parameters and nothing else."""
+    _assert_usage_error(["orbits", "--ring", "zmod:9", "--size", "4",
+                         "--group", group, "--ideal", "3"], tmp_path, capsys)
+
+
 def test_orbits_ring_of_the_wrong_kind_exits_one(tmp_path):
     code, rep = _run(["orbits", "--ring", "dyadic", "--size", "4"], tmp_path)
     assert code == 1 and rep["results"][0]["name"] == "error"

@@ -79,7 +79,7 @@ def test_generators_accept_words_matrices_and_arrays():
     assert parts[0].label_of == parts[1].label_of == parts[2].label_of
     assert parts[0].orbit_count() == 1
     closures = [subgroup_closure(gens, R) for gens in (words, mats, arrays)]
-    assert closures[0].keys() == closures[1].keys() == closures[2].keys()
+    assert all(np.array_equal(closures[0], c) for c in closures[1:])
     assert len(closures[0]) == 120  # |SL_2(F_5)|
 
 
@@ -102,6 +102,22 @@ def test_kernel_membership_full_ideal_is_the_whole_group():
     R = Zmod(3)
     rep = kernel_membership_test(R, 4, Ideal.full(R), samples=20)
     assert rep["ok"] and rep["closure_size"] == 51840  # |Sp_4(F_3)|
+
+
+def test_full_ideal_samples_are_not_the_identity():
+    """For I = R the sampled first-row/column words are not cancelled
+    by a mirror: most are not the identity, and all lie in ESp(R)."""
+    R = Zmod(3)
+    full = Ideal.full(R)
+    rng = random.Random(0)
+    words = [orbits._random_first_rowcol_word(R, 4, full, rng)
+             for _ in range(50)]
+    moved = sum(not np.array_equal(orbits._int_array(w, 3), np.eye(4))
+                for w in words)
+    assert moved >= 40
+    rep = kernel_membership_test(R, 4, full, samples=50, seed=0)
+    assert rep["ok"] and rep["members"] == 50
+    assert rep["closure_size"] == 51840  # |Sp_4(F_3)|
 
 
 def test_additive_reduction_gives_same_partition():
@@ -359,3 +375,97 @@ def test_orbit_equality_z7_size6():
     assert rep["universe_size"] == 117648
     assert rep["linear_orbits"] == rep["symplectic_orbits"] == 1
     assert rep["equal"] and rep["closed"]
+
+
+# -- the key-array closure against the former dict BFS -----------------
+
+
+def _dict_closure(generators, conjugators, m):
+    """The slow oracle: BFS over a dict of matrices keyed by their bytes,
+    one lookup per image.  Returns the sorted base-m keys, computed with
+    Python integers."""
+    gens = [np.asarray(g, dtype=np.int64) % m for g in generators]
+    conj = [(c, _inverse_by_powers(c, m))
+            for c in (np.asarray(x, dtype=np.int64) % m for x in conjugators)]
+    n = len(gens[0]) if gens else (len(conj[0][0]) if conj else 1)
+    eye = np.eye(n, dtype=np.int64)
+    elements = {eye.tobytes(): eye}
+    frontier = [eye]
+    while frontier:
+        block = np.stack(frontier)
+        frontier = []
+        images = [(block @ g) % m for g in gens]
+        images += [(c @ block @ cinv) % m for c, cinv in conj]
+        for batch in images:
+            for y in batch:
+                if y.tobytes() not in elements:
+                    elements[y.tobytes()] = y
+                    frontier.append(y)
+    keys = [sum(int(a) * m ** k for k, a in enumerate(reversed(x.ravel())))
+            for x in elements.values()]
+    return np.array(sorted(keys), dtype=np.int64)
+
+
+def _closure_inputs(kind, m, size):
+    """(generators, conjugators) for each closure the package computes."""
+    R = Zmod(m)
+    if kind in ("linear-E", "symplectic-ESp"):
+        return generators_for(GroupSpec(kind, size, R)), []
+    I = Ideal.principal(R, 3)
+    if kind == "normal":  # kernel_membership_test
+        return (generators_for(GroupSpec("symplectic-ESp-relative", size, R,
+                                         I)),
+                generators_for(GroupSpec("symplectic-ESp", size, R)))
+    # square_ideal_inclusion_test: the atoms se_ij(3)
+    return [orbits._int_array(GeneratorWord(R, size, [se(i, j, R.element(3))]),
+                              m)
+            for i, j in orbits._index_pairs(size)], []
+
+
+@pytest.mark.parametrize("kind,m,size,order", [
+    ("linear-E", 3, 2, 24),  # |SL_2(Z/3)|
+    ("linear-E", 9, 2, 648),
+    ("linear-E", 15, 2, 2880),
+    ("symplectic-ESp", 3, 4, 51840),  # |Sp_4(F_3)|
+    ("normal", 9, 4, 3 ** 10),  # the mod-3 congruence kernel
+    ("square-ideal", 9, 4, 3 ** 8),
+])
+def test_closure_matches_dict_oracle(kind, m, size, order):
+    gens, conj = _closure_inputs(kind, m, size)
+    want = _dict_closure(gens, conj, m)
+    assert len(want) == order
+    # cap = order: a closure exactly at the cap is accepted
+    closure = subgroup_closure(gens, Zmod(m), conjugators=conj, cap=order)
+    assert closure.dtype == np.int64 and np.array_equal(closure, want)
+
+
+def test_closure_one_over_the_cap_raises():
+    gens = generators_for(GroupSpec("linear-E", 2, Zmod(9)))
+    with pytest.raises(RingError, match="closure cap 647 exceeded"):
+        subgroup_closure(gens, Zmod(9), cap=647)
+
+
+def test_closure_keys_overflow_guard():
+    """Keys of n x n matrices need m**(n*n) < 2**63: Z/15 fits at size
+    4 (-I has key 6.1e18 > 2**62), Z/17 does not."""
+    minus_one = -np.eye(4, dtype=np.int64)
+    closure = subgroup_closure([minus_one], Zmod(15))
+    assert np.array_equal(closure, _dict_closure([minus_one], [], 15))
+    assert closure[-1] > 2 ** 62
+    with pytest.raises(RingError, match="overflow"):
+        subgroup_closure([minus_one], Zmod(17))
+    gens = generators_for(GroupSpec("symplectic-ESp", 4, Zmod(17)))
+    with pytest.raises(RingError, match="overflow"):
+        subgroup_closure(gens, Zmod(17))
+
+
+def test_closure_of_conjugators_alone_is_trivial():
+    R = Zmod(3)
+    conj = generators_for(GroupSpec("symplectic-ESp", 4, R))
+    closure = subgroup_closure([], R, conjugators=conj)
+    assert np.array_equal(closure, _dict_closure([], conj, 3))
+    assert len(closure) == 1
+    minus_one = -np.eye(4, dtype=np.int64)  # central: conjugation fixes it
+    closure = subgroup_closure([minus_one], R, conjugators=conj)
+    assert np.array_equal(closure, _dict_closure([minus_one], conj, 3))
+    assert len(closure) == 2
