@@ -74,7 +74,7 @@ class SquareMatrix:
         self._check(other)
         cols = list(zip(*other.rows))
         return SquareMatrix(self.ring, [
-            [_dot(row, col, self.ring) for col in cols] for row in self.rows])
+            [dot(row, col, self.ring) for col in cols] for row in self.rows])
 
     def __rmul__(self, other):
         return self * other
@@ -97,7 +97,8 @@ class SquareMatrix:
         return "SquareMatrix(%s,\n%s)" % (self.ring, body)
 
 
-def _dot(row, col, ring):
+def dot(row, col, ring):
+    """The sum of row[k] * col[k] in ring."""
     acc = ring.zero()
     for a, b in zip(row, col):
         acc = acc + a * b
@@ -110,7 +111,7 @@ def row_times(q, mat):
     if len(q) != mat.n:
         raise RingError("row length %d does not match matrix size %d"
                         % (len(q), mat.n))
-    return [_dot(q, col, mat.ring) for col in zip(*mat.rows)]
+    return [dot(q, col, mat.ring) for col in zip(*mat.rows)]
 
 
 def determinant(mat):
@@ -216,35 +217,18 @@ def is_symplectic(mat, form):
 # -- JSON interchange -------------------------------------------------
 
 
-def _entry_to_json(e):
-    ring = e.ring
-    if ring.kind in ("zmod", "gf"):
-        return e.value
-    if ring.kind == "dyadic":
-        return list(e.value)
-    return [[list(m), _entry_to_json(c)] for m, c in e.value]
-
-
-def _entry_from_json(ring, data):
-    if ring.kind in ("zmod", "gf"):
-        return ring.element(data)
-    if ring.kind == "dyadic":
-        return ring.element(tuple(data))
-    return ring._from_terms({tuple(m): _entry_from_json(ring.base, c) for m, c in data})
-
-
 def matrix_to_json(mat):
     return json.dumps({
         "ring": mat.ring.descriptor(),
         "n": mat.n,
-        "rows": [[_entry_to_json(e) for e in row] for row in mat.rows],
+        "rows": [[mat.ring.to_json(e) for e in row] for row in mat.rows],
     })
 
 
 def matrix_from_json(text):
     data = json.loads(text)
     ring = parse_ring(data["ring"])
-    rows = [[_entry_from_json(ring, e) for e in row] for row in data["rows"]]
+    rows = [[ring.from_json(e) for e in row] for row in data["rows"]]
     mat = SquareMatrix(ring, rows)
     if mat.n != data["n"]:
         raise RingError("size field does not match row data")

@@ -31,15 +31,7 @@ class LocalRingWitness:
     def __init__(self, ring):
         if not isinstance(ring, Zmod) or not _is_odd_prime_power(ring.m):
             raise RingError("%s is not GF(p) or Z/p^k with p odd" % (ring,))
-        p = prime_factors(ring.m)[0]
         self.ring = ring
-        self.maximal_ideal = Ideal.principal(ring, p)
-
-    def is_unit(self, x):
-        return self.ring.is_unit(self.ring.element(x))
-
-    def invert(self, x):
-        return self.ring.invert(self.ring.element(x))
 
     def __repr__(self):
         return "LocalRingWitness(%s)" % (self.ring,)
@@ -69,7 +61,7 @@ def complete_unimodular_local(v, L, I=None):
     ring = L.ring
     n = len(v)
     w = [ring.element(x) for x in v]
-    if not any(L.is_unit(x) for x in w):
+    if not any(ring.is_unit(x) for x in w):
         raise RingError("row is not unimodular over %s" % (ring,))
     relative = I is not None and not I.is_full()
     e1 = [ring.one()] + [ring.zero()] * (n - 1)
@@ -92,7 +84,7 @@ def complete_unimodular_local(v, L, I=None):
                 any(not I.contains(x) for x in w[1:]):
             raise RingError("row is not congruent to e_1 mod %s" % (I,))
         # w_1 = 1 + i0 is a unit (I is proper in a local ring).
-        inv1 = L.invert(w[0])
+        inv1 = ring.invert(w[0])
         triples = []
         for j in range(2, n + 1):
             if not w[j - 1].is_zero():
@@ -102,7 +94,7 @@ def complete_unimodular_local(v, L, I=None):
         if u != ring.one():
             # (u, 0) -> (1, u - 1) under E_12(1) E_21(u^{-1} - 1) E_12(-1).
             triples.append(conjugation_triple(LINEAR, 1, 2, ring.one(),
-                                              L.invert(u) - ring.one()))
+                                              ring.invert(u) - ring.one()))
             triples.append(conjugation_triple(LINEAR, 2, 1, ring.zero(),
                                               ring.one() - u))
         for t in triples:
@@ -111,13 +103,13 @@ def complete_unimodular_local(v, L, I=None):
         beta = _word_from_ops(ring, n, ops, tag="relative")
         beta.validate_tag(I)
     else:
-        pivot = min(k for k in range(1, n + 1) if L.is_unit(w[k - 1]))
+        pivot = min(k for k in range(1, n + 1) if ring.is_unit(w[k - 1]))
         if pivot == 1 and w[0] != ring.one():
             # Plant a pivot 1 at index 2, then pull it into index 1.
-            push(1, 2, L.invert(w[0]) * (ring.one() - w[1]))
+            push(1, 2, ring.invert(w[0]) * (ring.one() - w[1]))
             pivot = 2
         if pivot > 1:
-            push(pivot, 1, L.invert(w[pivot - 1]) * (ring.one() - w[0]))
+            push(pivot, 1, ring.invert(w[pivot - 1]) * (ring.one() - w[0]))
         for j in range(2, n + 1):
             if not w[j - 1].is_zero():
                 push(1, j, -w[j - 1])
@@ -142,11 +134,11 @@ def _solve_local(L, a_rows, rhs):
     perm = []
     for col in range(m):
         pivot = next((r for r in range(m) if r not in perm
-                      and L.is_unit(rows[r][col])), None)
+                      and ring.is_unit(rows[r][col])), None)
         if pivot is None:
             raise RingError("matrix is singular over %s" % (ring,))
         perm.append(pivot)
-        inv = L.invert(rows[pivot][col])
+        inv = ring.invert(rows[pivot][col])
         rows[pivot] = [x * inv for x in rows[pivot]]
         for r in range(m):
             if r != pivot and not rows[r][col].is_zero():

@@ -19,8 +19,8 @@ from __future__ import annotations
 from itertools import permutations
 
 from .matrices import sigma
-from .rings import (X, Y, PolyRing, RingError, divide_by_unit, divide_by_var,
-                    substitute, var_multiplicity)
+from .rings import (X, Y, RingError, as_constant, divide_by_unit,
+                    divide_by_var, substitute, var_multiplicity)
 from .words import (GeneratorAtom, GeneratorWord, act_on_rows, identity_rows,
                     se)
 
@@ -148,20 +148,6 @@ def comm_word(ring, size, g, h):
 # -- single-atom rewriting to first-row/column shape ------------------
 
 
-def _const_of(elt):
-    """The base-ring constant value of a constant polynomial."""
-    ring = elt.ring
-    if not isinstance(ring, PolyRing):
-        return elt
-    nz = (0,) * len(ring.names)
-    for mono, c in elt.value:
-        if mono != nz:
-            raise RewriteError("non-constant structure coefficient %r" % (elt,))
-    if not elt.value:
-        raise RewriteError("zero structure coefficient")
-    return elt.value[0][1]
-
-
 def _arg_at(atom, p, q):
     """The atom's argument read at (p, q): its own position or, by the
     mirror sign rule, its mirror position."""
@@ -178,7 +164,7 @@ def _probe_coeff(ring, size, g, h, p, q):
     coeff = None
     for c in comm_word(ring, size, g, h):
         if atom_root(c.i, c.j, n) == root:
-            coeff = _const_of(_arg_at(c, p, q))
+            coeff = as_constant(_arg_at(c, p, q))
     return coeff
 
 

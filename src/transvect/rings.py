@@ -30,14 +30,7 @@ class DescriptorError(RingError):
 
 
 def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and prime_factors(n) == [n]
 
 
 _RINGS = {}
@@ -54,7 +47,9 @@ class _Canonical(type):
 
 class RingDescriptor(metaclass=_Canonical):
     """Base class for ring descriptors.  Instances are immutable and
-    canonical, and compare by identity."""
+    canonical, and compare by identity.  Each subclass owns its elements'
+    ``value`` layout: the raw-value ``_add``, ``_neg``, ``_mul``,
+    ``_is_zero`` and ``_format`` behind ``RingElement``, JSON and sampling."""
 
     def element(self, raw):
         """Coerce ``raw`` (int, RingElement, ...) into this ring."""
@@ -96,6 +91,30 @@ class Zmod(RingDescriptor):
     def half(self):
         return self.element((self.m + 1) // 2)
 
+    def _add(self, a, b):
+        return RingElement(self, (a + b) % self.m)
+
+    def _neg(self, a):
+        return RingElement(self, -a % self.m)
+
+    def _mul(self, a, b):
+        return RingElement(self, a * b % self.m)
+
+    def _is_zero(self, a):
+        return a == 0
+
+    def _format(self, a):
+        return str(a)
+
+    def to_json(self, elt):
+        return elt.value
+
+    def from_json(self, data):
+        return self.element(data)
+
+    def sample(self, rng):
+        return self.element(rng.randrange(self.m))
+
     def is_unit(self, elt):
         return gcd(elt.value, self.m) == 1
 
@@ -120,17 +139,16 @@ class GF(Zmod):
 class Dyadic(RingDescriptor):
     """Z[1/2]: values n/2^k with n odd or zero, k >= 0."""
 
-    kind = "dyadic"
-
     def element(self, raw):
         if isinstance(raw, RingElement):
             if raw.ring is not self:
                 raise RingError("element of %s used in %s" % (raw.ring, self))
             return raw
-        if isinstance(raw, tuple):
-            num, k = raw
-        else:
-            num, k = int(raw), 0
+        num, k = raw if isinstance(raw, tuple) else (int(raw), 0)
+        return self._reduced(num, k)
+
+    def _reduced(self, num, k):
+        """The element num/2^k, brought to lowest terms."""
         if num == 0:
             return RingElement(self, (0, 0))
         while k > 0 and num % 2 == 0:
@@ -142,6 +160,32 @@ class Dyadic(RingDescriptor):
 
     def half(self):
         return self.element((1, 1))
+
+    def _add(self, a, b):
+        (x, j), (y, k) = a, b
+        n = max(j, k)
+        return self._reduced(x * (1 << (n - j)) + y * (1 << (n - k)), n)
+
+    def _neg(self, a):
+        return RingElement(self, (-a[0], a[1]))
+
+    def _mul(self, a, b):
+        return self._reduced(a[0] * b[0], a[1] + b[1])
+
+    def _is_zero(self, a):
+        return a[0] == 0
+
+    def _format(self, a):
+        return str(a[0]) if a[1] == 0 else "%d/2^%d" % a
+
+    def to_json(self, elt):
+        return list(elt.value)
+
+    def from_json(self, data):
+        return self.element(tuple(data))
+
+    def sample(self, rng):
+        return self.element((rng.randrange(-9, 10), rng.randrange(3)))
 
     def is_unit(self, elt):
         num, _ = elt.value
@@ -165,8 +209,6 @@ class PolyRing(RingDescriptor):
     Values are dicts mapping exponent tuples to nonzero base elements;
     stored canonically as sorted tuples of (monomial, coefficient).
     """
-
-    kind = "poly"
 
     def __init__(self, base, names):
         if not isinstance(base, RingDescriptor) or isinstance(base, PolyRing):
@@ -206,6 +248,59 @@ class PolyRing(RingDescriptor):
     def half(self):
         return self.element(self.base.half())
 
+    def _add(self, a, b):
+        terms = dict(a)
+        for m, c in b:
+            cur = terms.get(m)
+            terms[m] = c if cur is None else cur + c
+        return self._from_terms(terms)
+
+    def _neg(self, a):
+        return self._from_terms({m: -c for m, c in a})
+
+    def _mul(self, a, b):
+        terms = {}
+        for m1, c1 in a:
+            for m2, c2 in b:
+                m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+                c = c1 * c2
+                cur = terms.get(m)
+                terms[m] = c if cur is None else cur + c
+        return self._from_terms(terms)
+
+    def _is_zero(self, a):
+        return not a
+
+    def _format(self, a):
+        if not a:
+            return "0"
+        parts = []
+        for mono, coeff in a:
+            vars_ = "*".join(
+                n if e == 1 else "%s^%d" % (n, e)
+                for n, e in zip(self.names, mono) if e
+            )
+            cs = repr(coeff)
+            parts.append(cs if not vars_ else ("%s*%s" % (cs, vars_) if cs != "1" else vars_))
+        return " + ".join(parts)
+
+    def to_json(self, elt):
+        return [[list(m), self.base.to_json(c)] for m, c in elt.value]
+
+    def from_json(self, data):
+        return self._from_terms({tuple(m): self.base.from_json(c) for m, c in data})
+
+    def sample(self, rng):
+        nvars = len(self.names)
+        terms = {}
+        for _ in range(rng.randrange(4)):
+            mono = [0] * nvars
+            for _ in range(rng.randrange(3)):
+                mono[rng.randrange(nvars)] += 1
+            m = tuple(mono)
+            terms[m] = terms.get(m, self.base.zero()) + self.base.sample(rng)
+        return self._from_terms(terms)
+
     def descriptor(self):
         return "poly:%s:%s" % (self.base.descriptor(), ",".join(self.names))
 
@@ -222,56 +317,22 @@ class RingElement:
     def __setattr__(self, *a):
         raise AttributeError("RingElement is immutable")
 
-    # -- arithmetic -------------------------------------------------
-
     def _coerce(self, other):
         if isinstance(other, RingElement) and other.ring is self.ring:
             return other
         return self.ring.element(other)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        r = self.ring
-        if isinstance(r, Zmod):
-            return r.element(self.value + other.value)
-        if isinstance(r, Dyadic):
-            (a, j), (b, k) = self.value, other.value
-            n = max(j, k)
-            return r.element((a * (1 << (n - j)) + b * (1 << (n - k)), n))
-        terms = dict(self.value)
-        for m, c in other.value:
-            cur = terms.get(m)
-            terms[m] = c if cur is None else cur + c
-        return r._from_terms(terms)
+        return self.ring._add(self.value, self._coerce(other).value)
 
     def __neg__(self):
-        r = self.ring
-        if isinstance(r, Zmod):
-            return r.element(-self.value)
-        if isinstance(r, Dyadic):
-            n, k = self.value
-            return r.element((-n, k))
-        return r._from_terms({m: -c for m, c in self.value})
+        return self.ring._neg(self.value)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        r = self.ring
-        if isinstance(r, Zmod):
-            return r.element(self.value * other.value)
-        if isinstance(r, Dyadic):
-            (a, j), (b, k) = self.value, other.value
-            return r.element((a * b, j + k))
-        terms = {}
-        for m1, c1 in self.value:
-            for m2, c2 in other.value:
-                m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-                c = c1 * c2
-                cur = terms.get(m)
-                terms[m] = c if cur is None else cur + c
-        return r._from_terms(terms)
+        return self.ring._mul(self.value, self._coerce(other).value)
 
     def __radd__(self, other):
         return self + other
@@ -291,36 +352,14 @@ class RingElement:
         return hash((self.ring, self.value))
 
     def is_zero(self):
-        if isinstance(self.ring, Zmod):
-            return self.value == 0
-        if isinstance(self.ring, Dyadic):
-            return self.value[0] == 0
-        return not self.value
+        return self.ring._is_zero(self.value)
 
     def halve(self):
         """Exact division by 2."""
         return self * self.ring.half()
 
-    # -- printing ---------------------------------------------------
-
     def __repr__(self):
-        r = self.ring
-        if isinstance(r, Zmod):
-            return str(self.value)
-        if isinstance(r, Dyadic):
-            n, k = self.value
-            return str(n) if k == 0 else "%d/2^%d" % (n, k)
-        if not self.value:
-            return "0"
-        parts = []
-        for mono, coeff in self.value:
-            vars_ = "*".join(
-                n if e == 1 else "%s^%d" % (n, e)
-                for n, e in zip(r.names, mono) if e
-            )
-            cs = repr(coeff)
-            parts.append(cs if not vars_ else ("%s*%s" % (cs, vars_) if cs != "1" else vars_))
-        return " + ".join(parts)
+        return self.ring._format(self.value)
 
 
 # -- ideals ----------------------------------------------------------
@@ -519,6 +558,19 @@ def var_multiplicity(elt, name):
     return min(mono[idx] for mono, _ in elt.value)
 
 
+def as_constant(elt):
+    """A nonzero constant polynomial as an element of its base ring;
+    elt itself over a non-polynomial ring."""
+    ring = elt.ring
+    if not isinstance(ring, PolyRing):
+        return elt
+    if any(any(mono) for mono, _ in elt.value):
+        raise RingError("%r is not a constant polynomial" % (elt,))
+    if not elt.value:
+        raise RingError("the zero polynomial is not a nonzero constant")
+    return elt.value[0][1]
+
+
 def divide_by_var(elt, name, k=1):
     """Exact division by name^k; raises if not divisible."""
     ring = elt.ring
@@ -568,18 +620,4 @@ def sample_element(ring, rng):
     Dyadic samples are n/2^k with |n| <= 9 and k <= 2; polynomial
     samples have at most 3 terms of total degree <= 2.
     """
-    if isinstance(ring, Zmod):
-        return ring.element(rng.randrange(ring.m))
-    if isinstance(ring, Dyadic):
-        return ring.element((rng.randrange(-9, 10), rng.randrange(3)))
-    nvars = len(ring.names)
-    terms = {}
-    for _ in range(rng.randrange(4)):
-        mono = [0] * nvars
-        total = rng.randrange(3)
-        for _ in range(total):
-            mono[rng.randrange(nvars)] += 1
-        c = sample_element(ring.base, rng)
-        m = tuple(mono)
-        terms[m] = terms.get(m, ring.base.zero()) + c
-    return ring._from_terms({m: c for m, c in terms.items()})
+    return ring.sample(rng)

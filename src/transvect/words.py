@@ -7,8 +7,7 @@ from __future__ import annotations
 
 import json
 
-from .matrices import (SquareMatrix, _dot, _entry_from_json, _entry_to_json,
-                       row_times, sigma)
+from .matrices import SquareMatrix, dot, row_times, sigma
 from .rings import RingError
 
 
@@ -312,7 +311,7 @@ def decompose_mu(ring, q, beta):
 
 def _pairing(ring, u, v, phi):
     """<u, v> = u phi v^t."""
-    return _dot(row_times(u, phi), v, ring)
+    return dot(row_times(u, phi), v, ring)
 
 
 def bass_symplectic_transvection(ring, u, v, alpha, phi):
@@ -367,7 +366,7 @@ def transvection_action_mu(ring, q, beta, phi, point):
 def word_to_json(word):
     return json.dumps([
         {"fam": "L" if a.family == LINEAR else "S", "i": a.i, "j": a.j,
-         "arg": _entry_to_json(a.arg)}
+         "arg": a.arg.ring.to_json(a.arg)}
         for a in word.atoms])
 
 
@@ -376,7 +375,7 @@ def word_from_json(ring, size, text):
     for rec in json.loads(text):
         fam = LINEAR if rec["fam"] == "L" else SYMPLECTIC
         atoms.append(GeneratorAtom(fam, rec["i"], rec["j"],
-                                   _entry_from_json(ring, rec["arg"])))
+                                   ring.from_json(rec["arg"])))
     return GeneratorWord(ring, size, atoms)
 
 

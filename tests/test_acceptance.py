@@ -16,7 +16,7 @@ from transvect.orbits import (check_dim0_transitivity, check_orbit_equality,
 from transvect.relations import suite_summary, verify_relation_suite
 from transvect.rewrite import conjugate_first_rowcol, conjugate_square_ideal
 from transvect.rings import (GF, Dyadic, Ideal, PolyRing, Zmod,
-                             sample_element)
+                             prime_factors, sample_element)
 from transvect.words import (GeneratorWord, bass_symplectic_transvection,
                              decompose_mu, decompose_rho, lin, mu_matrix,
                              rho_matrix, se)
@@ -91,7 +91,7 @@ def test_criterion_4_form_reduction_roundtrip():
     ok = True
     for ring in (GF(3), GF(5), Zmod(9), Zmod(27)):
         L = LocalRingWitness(ring)
-        I = L.maximal_ideal
+        I = Ideal.principal(ring, prime_factors(ring.m)[0])
         rng = random.Random(ring.m)
         for k in range(100):
             n = 1 + k % 3

@@ -1,11 +1,14 @@
-"""Every private module-level helper in transvect has a caller, and
-every function reads each of its parameters.
+"""Every private module-level helper in transvect has a caller, every
+function reads each of its parameters, and no private name crosses a
+module.
 
 A function or class whose name starts with ``_`` is internal, so if no
 code in the package names it outside its own definition, nothing can
 reach it and it should be deleted.  A parameter that a function never
 reads is a setting no caller can use; it is deleted too, or named with
-a leading ``_`` where a fixed call signature needs it.
+a leading ``_`` where a fixed call signature needs it.  A private name
+that another module imports or reads is a layout fact with two owners;
+it is made public, or the fact moves to the module that defines it.
 """
 
 import ast
@@ -97,3 +100,48 @@ def test_a_planted_unread_parameter_is_found(tmp_path):
     assert _unread_parameters(tmp_path) == [
         "a.py:10 planted b", "a.py:10 planted rest", "a.py:10 planted kw",
         "a.py:14 <lambda> y"]
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_crossings(src_dir):
+    """``from .x import _name`` lines, and ``obj._attr`` reads of an
+    attribute that no def, class or assignment in the module names."""
+    crossings = []
+    for path in sorted(src_dir.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        own = ({n.name for n in nodes if isinstance(n, defs)}
+               | {n.id for n in nodes if isinstance(n, ast.Name)
+                  and isinstance(n.ctx, ast.Store)}
+               | {n.attr for n in nodes if isinstance(n, ast.Attribute)
+                  and isinstance(n.ctx, ast.Store)})
+        found = []
+        for n in nodes:
+            if isinstance(n, ast.ImportFrom):
+                found += [(n.lineno, n.col_offset, "imports " + a.name)
+                          for a in n.names if _is_private(a.name)]
+            elif (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+                  and _is_private(n.attr) and n.attr not in own):
+                found.append((n.lineno, n.col_offset, "reads ." + n.attr))
+        crossings += ["%s:%d %s" % (path.name, line, what)
+                      for line, _, what in sorted(found)]
+    return crossings
+
+
+def test_no_private_name_crosses_a_module():
+    assert _private_crossings(SRC) == []
+
+
+def test_a_planted_private_crossing_is_found(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "_LIMIT = 3\n\n\nclass Box:\n    def _peek(self):\n"
+        "        self._seen = True\n        return self._seen, self.__class__\n"
+        "\n\ndef _helper(box):\n    return box._peek(), _LIMIT\n")
+    (tmp_path / "b.py").write_text(
+        "from .a import Box, _helper\n\n\n"
+        "def use(box):\n    return _helper(box), box._peek(), box._seen\n")
+    assert _private_crossings(tmp_path) == [
+        "b.py:1 imports _helper", "b.py:5 reads ._peek", "b.py:5 reads ._seen"]
