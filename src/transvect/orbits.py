@@ -2,8 +2,10 @@
 
 Enumerates unimodular rows, computes orbit partitions under the
 elementary linear / elementary symplectic groups and their relative
-(ideal-congruence) subgroups, enumerates subgroup closures, and runs
-the statistical kernel-membership and square-ideal inclusion checks.
+(ideal-congruence) subgroups, builds Schreier-Sims stabilizer chains
+of generated subgroups and normal closures, and runs the statistical
+kernel-membership and square-ideal inclusion checks, which sift each
+sample through a chain instead of listing the group.
 
 Rows and matrices are carried as numpy integer arrays reduced mod m;
 orbit labels are canonical (lexicographically least row per orbit), so
@@ -86,18 +88,6 @@ def _key_powers(width, m):
     if m ** width >= 2 ** 63:
         raise RingError("%d digits over Z/%d overflow int64 keys" % (width, m))
     return m ** np.arange(width - 1, -1, -1, dtype=np.int64)
-
-
-def _matrix_key(x, m):
-    """The subgroup_closure key of one word, SquareMatrix or array."""
-    a = _int_array(x, m).ravel()
-    return a @ _key_powers(a.size, m)
-
-
-def _in_sorted(known, keys):
-    """Membership of ``keys`` in the sorted distinct key array ``known``."""
-    pos = np.minimum(np.searchsorted(known, keys), len(known) - 1)
-    return known[pos] == keys
 
 
 def _inverse_mod(mat, m):
@@ -376,54 +366,171 @@ def check_dim0_transitivity(ring, size, ideal=None, budget=10 ** 7,
     }
 
 
+def _square_arrays(generators, conjugators, m):
+    """(generators, conjugators, n): both lists as int64 arrays mod m and
+    their common size n (1 if both are empty)."""
+    gens = [_int_array(g, m) for g in generators]
+    conj = [_int_array(c, m) for c in (conjugators or [])]
+    n = (gens or conj or [np.eye(1, dtype=np.int64)])[0].shape[0]
+    return gens, conj, n
+
+
+class StabilizerChain:
+    """A base and strong generating set of a matrix group over Z/m
+    (deterministic Schreier-Sims: Sims 1970; Seress, *Permutation Group
+    Algorithms*, ch. 4).
+
+    The group acts on rows by v -> v g, with base e_1, ..., e_n: a
+    matrix is determined by the images of the base, which are its rows.
+    Level i holds the strong generators that fix e_1..e_i, as (s, s^-1)
+    pairs, and a transversal: a dict from each row of the orbit of
+    e_(i+1) to (u, u^-1) with e_(i+1) u that row.  ``contains`` sifts a
+    matrix down the levels; ``order`` is the product of the transversal
+    lengths.  With ``conjugators`` the chain is the normal closure of
+    the generators inside the group the conjugators generate.  The
+    order of the partial chain only grows and never exceeds the group
+    order, so it is checked against ``cap`` as it grows: RingError as
+    soon as it passes ``cap``, that is, exactly when the group has more
+    than ``cap`` elements.  The inverses of the generators and
+    conjugators are computed once each, by powers; every other inverse
+    is a product of inverses already known.
+    """
+
+    def __init__(self, generators, ring, conjugators=None, cap=10 ** 6):
+        m = ring.m
+        gens, conj, n = _square_arrays(generators, conjugators, m)
+        if n * (m - 1) ** 2 >= 2 ** 63:
+            raise RingError("%dx%d products over Z/%d overflow int64"
+                            % (n, n, m))
+        self.m, self.n, self.cap = m, n, cap
+        eye = np.eye(n, dtype=np.int64)
+        self._strong = [[] for _ in range(n)]
+        self._trans = [{eye[i].tobytes(): (eye, eye)} for i in range(n)]
+        self._orbit = [[eye[i].tobytes()] for i in range(n)]
+        self._done = [[0] for _ in range(n)]  # strong generators applied
+        self._order = 1
+        for g in gens:
+            self._extend(g, _inverse_mod(g, m))
+        conj = [(c, _inverse_mod(c, m)) for c in conj]
+        top = self._strong[0]  # grows while it is read
+        for s, s_inv in top:
+            for c, c_inv in conj:
+                self._extend(c @ s % m @ c_inv % m, c @ s_inv % m @ c_inv % m)
+
+    def order(self):
+        return self._order
+
+    def contains(self, x):
+        """Whether a word, SquareMatrix or array lies in the group."""
+        return self._sift(_int_array(x, self.m), 0) is None
+
+    def elements(self):
+        """Every element, as an (order, n, n) array: the products
+        u_(n-1) ... u_1 u_0 of one transversal element per level."""
+        m = self.m
+        out = None
+        for trans in reversed(self._trans):
+            level = np.stack([u for u, _ in trans.values()])
+            out = level if out is None else (out[:, None] @ level) % m
+            out = out.reshape(-1, self.n, self.n)
+        return out
+
+    def _sift(self, x, level):
+        """None if x (fixing e_1..e_level) sifts to the identity from
+        ``level``; else (residue, the transversal elements divided out,
+        the level where it stopped)."""
+        used = []
+        for i in range(level, self.n):
+            found = self._trans[i].get(x[i].tobytes())
+            if found is None:
+                return x, used, i
+            if i == self.n - 1:  # x fixes e_1..e_(n-1): x is this u
+                return None
+            used.append(found[0])
+            x = x @ found[1] % self.m
+        return None
+
+    def _extend(self, g, g_inv):
+        """Add g, whose inverse is ``g_inv``, to the group."""
+        stripped = self._sift(g, 0)
+        if stripped is not None:
+            self._add_residue(stripped, g_inv, 0)
+            self._schreier_sims(stripped[2])
+
+    def _add_residue(self, stripped, x_inv, first):
+        """Add the residue of a failed sift, whose input had inverse
+        ``x_inv``, to the strong generators of levels first..stopped."""
+        y, used, stopped = stripped
+        for u in used:
+            x_inv = u @ x_inv % self.m
+        for i in range(first, stopped + 1):
+            self._strong[i].append((y, x_inv))
+
+    def _schreier_sims(self, level):
+        """Complete the chain from ``level`` up: every Schreier generator
+        of every level sifts through the levels below it."""
+        while level >= 0:
+            stopped = self._level_pass(level)
+            level = level - 1 if stopped is None else stopped
+
+    def _level_pass(self, i):
+        """Apply each strong generator of level i to each orbit point not
+        yet done: a new image joins the orbit, a known one gives a
+        Schreier generator u_p s u_(p s)^-1, sifted from level i + 1.
+        Returns the level a residue stopped at, or None once every pair
+        is done."""
+        m = self.m
+        strong, trans = self._strong[i], self._trans[i]
+        orbit, done = self._orbit[i], self._done[i]
+        k = 0
+        while k < len(orbit):
+            u, u_inv = trans[orbit[k]]
+            while done[k] < len(strong):
+                s, s_inv = strong[done[k]]
+                done[k] += 1
+                us = u @ s % m
+                key = us[i].tobytes()
+                known = trans.get(key)
+                if known is None:
+                    self._grow(i, key, (us, s_inv @ u_inv % m))
+                    continue
+                if i + 1 == self.n:  # fixes every base row: the identity
+                    continue
+                stripped = self._sift(us @ known[1] % m, i + 1)
+                if stripped is not None:
+                    self._add_residue(stripped, known[0] @ s_inv % m
+                                      @ u_inv % m, i + 1)
+                    return stripped[2]
+            k += 1
+        return None
+
+    def _grow(self, i, key, coset):
+        trans = self._trans[i]
+        self._order = self._order // len(trans) * (len(trans) + 1)
+        if self._order > self.cap:
+            raise RingError("closure cap %d exceeded (partial size %d)"
+                            % (self.cap, self._order))
+        trans[key] = coset
+        self._orbit[i].append(key)
+        self._done[i].append(0)
+
+
 def subgroup_closure(generators, ring, conjugators=None, cap=10 ** 6):
-    """BFS closure under multiplication (and conjugation, if given).
+    """Every element of the generated group (with ``conjugators``: of
+    the normal closure inside the group they generate), listed from its
+    ``StabilizerChain``.
 
     Returns a sorted, distinct int64 numpy array of matrix keys: an
     n x n matrix has key sum(a_k * m**(n*n - 1 - k)) over its row-major
     entries a_k mod m, so membership is one ``np.searchsorted``.  The
-    keys need m**(n*n) < 2**63, else RingError.  With ``conjugators``
-    every round also conjugates by each conjugator, until a fixed point:
-    the normal closure inside the group the conjugators generate.  A
-    closure larger than ``cap`` raises RingError.  Each round applies
-    one operation at a time to its (F, n, n) frontier, keeps only images
-    with unknown keys and merges their keys before the next operation,
-    so a round holds only its new elements, never all its products.
+    keys need m**(n*n) < 2**63, else RingError; a group of more than
+    ``cap`` elements raises RingError.
     """
     m = ring.m
-    gens = [_int_array(g, m) for g in generators]
-    conj = []
-    for c in (conjugators or []):
-        a = _int_array(c, m)
-        conj.append((a, _inverse_mod(a, m)))
-    n = gens[0].shape[0] if gens else (conj[0][0].shape[0] if conj else 1)
-    if n * n * (m - 1) ** 3 >= 2 ** 63:
-        raise RingError("%dx%d products over Z/%d overflow int64" % (n, n, m))
-
+    gens, conj, n = _square_arrays(generators, conjugators, m)
     powers = _key_powers(n * n, m)
-
-    def images(front):
-        for g in gens:
-            yield (front @ g) % m
-        for c, cinv in conj:
-            yield (c @ front @ cinv) % m
-
-    front = np.eye(n, dtype=np.int64)[None]
-    known = front.reshape(1, n * n) @ powers
-    while len(front):
-        found = []
-        for img in images(front):
-            keys, first = np.unique(img.reshape(len(img), n * n) @ powers,
-                                    return_index=True)
-            new = ~_in_sorted(known, keys)
-            keys, first = keys[new], first[new]
-            if len(known) + len(keys) > cap:
-                raise RingError("closure cap %d exceeded (partial size %d)"
-                                % (cap, len(known)))
-            known = np.insert(known, np.searchsorted(known, keys), keys)
-            found.append(img[first])
-        front = np.concatenate(found) if found else front[:0]
-    return known
+    chain = StabilizerChain(gens, ring, conj, cap)
+    return np.sort(chain.elements().reshape(-1, n * n) @ powers)
 
 
 def _random_first_rowcol_word(ring, size, ideal, rng):
@@ -455,26 +562,25 @@ def kernel_membership_test(ring, size, ideal, samples=1000, seed=0,
     """Sampled check that first-row/column words trivial mod I land in
     the relative elementary symplectic group.
 
-    Enumerates ESp(R, I) as the normal closure of the relative triples
-    under conjugation by the absolute ESp generators (for I = R, ESp
-    itself), then samples
-    first-rowcol words whose evaluation is = identity mod I (by
-    construction) and counts membership.
+    Builds a stabilizer chain of ESp(R, I), the normal closure of the
+    relative triples under conjugation by the absolute ESp generators
+    (for I = R, ESp itself), then samples first-rowcol words whose
+    evaluation is = identity mod I (by construction) and sifts each.
+    ``closure_size`` is the order of ESp(R, I).
     """
     rel = generators_for(GroupSpec("symplectic-ESp-relative", size, ring, ideal))
     conj = generators_for(GroupSpec("symplectic-ESp", size, ring))
-    closure = subgroup_closure(rel, ring, conjugators=conj, cap=cap)
+    chain = StabilizerChain(rel, ring, conjugators=conj, cap=cap)
     rng = random.Random(seed)
     hits = 0
     for _ in range(samples):
-        word = _random_first_rowcol_word(ring, size, ideal, rng)
-        if _in_sorted(closure, _matrix_key(word, ring.m)):
+        if chain.contains(_random_first_rowcol_word(ring, size, ideal, rng)):
             hits += 1
     return {
         "ring": ring.descriptor(),
         "size": size,
         "ideal": ideal.descriptor(),
-        "closure_size": len(closure),
+        "closure_size": chain.order(),
         "samples": samples,
         "members": hits,
         "ok": 0 < hits == samples,
@@ -484,13 +590,14 @@ def kernel_membership_test(ring, size, ideal, samples=1000, seed=0,
 def square_ideal_inclusion_test(ring, size, ideal, samples=200, seed=0,
                                 cap=10 ** 6):
     """Sampled check of ESp(R, I^2) c ESp(I): conjugates of se_ij(ab)
-    with a, b in I land in the closure of the I-argument atoms, and the
-    explicit factorization agrees."""
+    with a, b in I land in the group the I-argument atoms generate, and
+    the explicit factorization agrees.  ``closure_size`` is the order of
+    that group."""
     g = ideal.modulus()
     spec_pairs = _index_pairs(size)
     gens = [GeneratorWord(ring, size, [se(i, j, ring.element(g))])
             for i, j in spec_pairs]
-    closure = subgroup_closure(gens, ring, cap=cap)
+    chain = StabilizerChain(gens, ring, cap=cap)
     rng = random.Random(seed)
     m = ring.m
     hits = 0
@@ -505,7 +612,7 @@ def square_ideal_inclusion_test(ring, size, ideal, samples=200, seed=0,
         alpha = GeneratorWord(ring, size, [se(k, l, z)])
         beta = GeneratorWord(ring, size, [se(i, j, a * b)])
         word = alpha * beta * alpha.inverse()
-        if _in_sorted(closure, _matrix_key(word, m)):
+        if chain.contains(word):
             hits += 1
         # The explicit factorization covers every pair except a long
         # target opposite its conjugator (no split of this shape).
@@ -513,14 +620,13 @@ def square_ideal_inclusion_test(ring, size, ideal, samples=200, seed=0,
             res = conjugate_square_ideal(ring, size, i, j, z, a, b, ideal,
                                          kl=(k, l))
             factored += 1
-            if res.certificate and _in_sorted(closure,
-                                              _matrix_key(res.rhs, m)):
+            if res.certificate and chain.contains(res.rhs):
                 factor_hits += 1
     return {
         "ring": ring.descriptor(),
         "size": size,
         "ideal": ideal.descriptor(),
-        "closure_size": len(closure),
+        "closure_size": chain.order(),
         "samples": samples,
         "members": hits,
         "factored": factored,

@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 
 from .matrices import SquareMatrix, dot, row_times, sigma
-from .rings import RingError
+from .rings import RingElement, RingError
 
 
 LINEAR = "linear"
@@ -121,6 +121,9 @@ def act_on_rows(rows, entries):
 class GeneratorWord:
     """Ordered list of atoms over a fixed ring and matrix size.
 
+    Every atom's argument is an element of ``ring``: an int or an
+    element of a polynomial ring's base ring is lifted once, here, and
+    an element of another ring raises RingError.
     ``tag`` is an optional class marker: "plain", "relative", or
     "first-rowcol"; tag invariants are checked by ``validate_tag``.
     """
@@ -130,7 +133,10 @@ class GeneratorWord:
     def __init__(self, ring, size, atoms, tag="plain"):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "size", size)
-        object.__setattr__(self, "atoms", tuple(atoms))
+        object.__setattr__(self, "atoms", tuple(
+            a if isinstance(a.arg, RingElement) and a.arg.ring is ring
+            else GeneratorAtom(a.family, a.i, a.j, ring.element(a.arg))
+            for a in atoms))
         object.__setattr__(self, "tag", tag)
 
     def __setattr__(self, *a):

@@ -265,3 +265,15 @@ def test_orbits_absolute_group_with_an_ideal_is_usage_error(group, tmp_path,
 def test_orbits_ring_of_the_wrong_kind_exits_one(tmp_path):
     code, rep = _run(["orbits", "--ring", "dyadic", "--size", "4"], tmp_path)
     assert code == 1 and rep["results"][0]["name"] == "error"
+
+
+def test_kernel_test_reaches_past_int64_matrix_keys(tmp_path):
+    """Z/25 at size 4: 25**16 overflows int64 matrix keys, which the
+    stabilizer chain does not need; the group has 5**10 elements."""
+    code, rep = _run(["kernel-test", "--ring", "zmod:25", "--size", "4",
+                      "--ideal", "5", "--samples", "200", "--cap",
+                      "10000000"], tmp_path)
+    res, = rep["results"]
+    assert code == 0 and rep["ok"] and res["ok"]
+    assert res["closure_size"] == 5 ** 10 == 9765625
+    assert res["samples"] == res["members"] == 200

@@ -469,3 +469,71 @@ def test_closure_of_conjugators_alone_is_trivial():
     closure = subgroup_closure([minus_one], R, conjugators=conj)
     assert np.array_equal(closure, _dict_closure([minus_one], conj, 3))
     assert len(closure) == 2
+
+
+# -- the stabilizer chain ----------------------------------------------
+
+
+def _normal_closure_inputs(m, size, p):
+    R = Zmod(m)
+    return (generators_for(GroupSpec("symplectic-ESp-relative", size, R,
+                                     Ideal.principal(R, p))),
+            generators_for(GroupSpec("symplectic-ESp", size, R)))
+
+
+@pytest.mark.parametrize("p,k,size", [(3, 2, 4), (5, 2, 4), (3, 2, 6)])
+def test_chain_order_is_the_congruence_kernel_order(p, k, size):
+    """ESp(Z/p^k, (p)) is the mod-p congruence kernel of Sp_2r(Z/p^k),
+    of order p^((k-1) r(2r+1)) for size 2r: an oracle that does not
+    depend on any closure engine."""
+    r = size // 2
+    rel, conj = _normal_closure_inputs(p ** k, size, p)
+    chain = orbits.StabilizerChain(rel, Zmod(p ** k), conjugators=conj,
+                                   cap=10 ** 12)
+    assert chain.order() == p ** ((k - 1) * r * (2 * r + 1))
+
+
+def test_chain_cap_is_a_bound_on_the_group_order():
+    rel, conj = _normal_closure_inputs(9, 4, 3)
+    chain = orbits.StabilizerChain(rel, Zmod(9), conjugators=conj,
+                                   cap=3 ** 10)
+    assert chain.order() == 3 ** 10
+    with pytest.raises(RingError, match="closure cap 59048 exceeded"):
+        orbits.StabilizerChain(rel, Zmod(9), conjugators=conj,
+                               cap=3 ** 10 - 1)
+
+
+def test_chain_membership_matches_dict_oracle():
+    """Random products of ESp(Z/9) generators, sifted through the chain
+    of the mod-3 congruence kernel and looked up in the dict BFS.  Some
+    products are then multiplied by the linear E_13(3): = I mod 3 but
+    not symplectic, so only the lower levels of the chain reject it."""
+    m = 9
+    rel, conj = _normal_closure_inputs(m, 4, 3)
+    want = set(_dict_closure(rel, conj, m).tolist())
+    chain = orbits.StabilizerChain(rel, Zmod(m), conjugators=conj)
+    e13 = orbits._int_array(GeneratorWord(Zmod(m), 4, [lin(1, 3, 3)]), m)
+    rng = random.Random(11)
+    verdicts = []
+    for _ in range(2000):
+        # half the samples use exponents in 3Z, which land in the kernel
+        step = rng.choice([1, 3])
+        x = np.eye(4, dtype=np.int64)
+        for _ in range(rng.randrange(1, 7)):
+            g = np.linalg.matrix_power(rng.choice(conj),
+                                       step * rng.randrange(9 // step))
+            x = (x @ g) % m
+        if rng.randrange(5) == 0:
+            x = (x @ e13) % m
+        key = sum(int(a) * m ** k for k, a in enumerate(reversed(x.ravel())))
+        assert chain.contains(x) == (key in want)
+        verdicts.append(key in want)
+    assert 400 <= sum(verdicts) <= 1600
+
+
+def test_chain_rejects_a_long_root_outside_the_kernel():
+    R = Zmod(25)
+    rel, conj = _normal_closure_inputs(25, 4, 5)
+    chain = orbits.StabilizerChain(rel, R, conjugators=conj, cap=10 ** 7)
+    assert not chain.contains(GeneratorWord(R, 4, [se(1, 2, R.element(1))]))
+    assert chain.contains(GeneratorWord(R, 4, [se(1, 2, R.element(5))]))

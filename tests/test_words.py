@@ -1,12 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from transvect.matrices import (SquareMatrix, matrix_from_json,
                                 matrix_to_json, sigma, standard_form)
 from transvect.rings import (Dyadic, GF, Ideal, PolyRing, RingError, Zmod,
                              parse_ring, sample_element)
-from transvect.words import (GeneratorWord, bass_symplectic_transvection,
+from transvect.words import (LINEAR, SYMPLECTIC, GeneratorAtom,
+                             GeneratorWord, bass_symplectic_transvection,
                              decompose_mu, decompose_rho, hyperbolic_defect,
                              lin, mu_matrix, parse_word_inline,
                              relative_generator, rho_matrix, se,
@@ -136,3 +139,44 @@ def test_json_roundtrip_for_every_ring_kind(text):
                              lin(3, 4, sample_element(R, rng)),
                              se(1, 3, sample_element(R, rng))])
     assert word_from_json(R, 4, word_to_json(w)).atoms == w.atoms
+
+
+_WORD_RINGS = [Zmod(9), GF(5), Dyadic(), PolyRing(Zmod(9), ("x",)),
+               PolyRing(Dyadic(), ("a", "b"))]
+_atom_specs = st.lists(st.tuples(
+    st.sampled_from([LINEAR, SYMPLECTIC]), st.integers(1, 4),
+    st.integers(1, 4), st.sampled_from(["int", "base", "same"]),
+    st.integers(-50, 50)), max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_WORD_RINGS), _atom_specs)
+def test_word_json_round_trip(ring, specs):
+    """Int, base-ring and same-ring arguments all become elements of
+    the word's ring, so JSON, repr and evaluation agree after a round
+    trip, for every ring kind."""
+    atoms = []
+    for family, i, j, kind, n in specs:
+        if i == j:
+            continue
+        if kind == "int":
+            arg = n
+        elif kind == "base":
+            arg = getattr(ring, "base", ring).element(n)
+        else:
+            arg = ring.sample(random.Random(n))
+        atoms.append(GeneratorAtom(family, i, j, arg))
+    word = GeneratorWord(ring, 4, atoms)
+    assert all(a.arg.ring is ring for a in word.atoms)
+    back = word_from_json(ring, 4, word_to_json(word))
+    assert back.atoms == word.atoms and repr(back) == repr(word)
+    assert back.eval() == word.eval()
+
+
+@pytest.mark.parametrize("ring,foreign", [
+    (Zmod(9), Zmod(5).one()), (Dyadic(), Zmod(9).one()),
+    (PolyRing(Dyadic(), ("a",)), Zmod(9).one()),
+    (PolyRing(Dyadic(), ("a",)), PolyRing(Dyadic(), ("b",)).var("b"))])
+def test_word_rejects_an_argument_from_another_ring(ring, foreign):
+    with pytest.raises(RingError):
+        GeneratorWord(ring, 4, [se(1, 2, foreign)])
