@@ -17,6 +17,8 @@ int.  All arithmetic is exact.
 
 from __future__ import annotations
 
+import operator
+from functools import cache
 from math import gcd
 
 
@@ -48,8 +50,9 @@ class _Canonical(type):
 class RingDescriptor(metaclass=_Canonical):
     """Base class for ring descriptors.  Instances are immutable and
     canonical, and compare by identity.  Each subclass owns its elements'
-    ``value`` layout: the raw-value ``_add``, ``_neg``, ``_mul``,
-    ``_is_zero`` and ``_format`` behind ``RingElement``, JSON and sampling."""
+    ``value`` layout: the raw-value ``_add``, ``_neg``, ``_mul`` (each
+    returns a raw value, which ``RingElement`` wraps), ``_is_zero`` and
+    ``_format``, and JSON and sampling."""
 
     def element(self, raw):
         """Coerce ``raw`` (int, RingElement, ...) into this ring."""
@@ -92,13 +95,13 @@ class Zmod(RingDescriptor):
         return self.element((self.m + 1) // 2)
 
     def _add(self, a, b):
-        return RingElement(self, (a + b) % self.m)
+        return (a + b) % self.m
 
     def _neg(self, a):
-        return RingElement(self, -a % self.m)
+        return -a % self.m
 
     def _mul(self, a, b):
-        return RingElement(self, a * b % self.m)
+        return a * b % self.m
 
     def _is_zero(self, a):
         return a == 0
@@ -145,18 +148,19 @@ class Dyadic(RingDescriptor):
                 raise RingError("element of %s used in %s" % (raw.ring, self))
             return raw
         num, k = raw if isinstance(raw, tuple) else (int(raw), 0)
-        return self._reduced(num, k)
+        return RingElement(self, self._reduced(num, k))
 
     def _reduced(self, num, k):
-        """The element num/2^k, brought to lowest terms."""
+        """The raw value of num/2^k, brought to lowest terms."""
         if num == 0:
-            return RingElement(self, (0, 0))
-        while k > 0 and num % 2 == 0:
-            num //= 2
-            k -= 1
+            return (0, 0)
+        if k > 0 and not num & 1:
+            shift = min((num & -num).bit_length() - 1, k)
+            num >>= shift
+            k -= shift
         if k < 0:
             raise RingError("negative dyadic exponent")
-        return RingElement(self, (num, k))
+        return (num, k)
 
     def half(self):
         return self.element((1, 1))
@@ -164,10 +168,10 @@ class Dyadic(RingDescriptor):
     def _add(self, a, b):
         (x, j), (y, k) = a, b
         n = max(j, k)
-        return self._reduced(x * (1 << (n - j)) + y * (1 << (n - k)), n)
+        return self._reduced((x << (n - j)) + (y << (n - k)), n)
 
     def _neg(self, a):
-        return RingElement(self, (-a[0], a[1]))
+        return (-a[0], a[1])
 
     def _mul(self, a, b):
         return self._reduced(a[0] * b[0], a[1] + b[1])
@@ -206,8 +210,9 @@ class Dyadic(RingDescriptor):
 class PolyRing(RingDescriptor):
     """Sparse multivariate polynomials over a base ring.
 
-    Values are dicts mapping exponent tuples to nonzero base elements;
-    stored canonically as sorted tuples of (monomial, coefficient).
+    A value is a tuple of (monomial, coefficient) pairs sorted by
+    ``_order``, with exponent-tuple monomials and nonzero coefficients
+    in the base ring's raw layout.
     """
 
     def __init__(self, base, names):
@@ -220,22 +225,29 @@ class PolyRing(RingDescriptor):
                             "free of ',' and ':'")
         self.base = base
         self.names = names
+        self._orders = cache(self._order)
 
     def element(self, raw):
         if isinstance(raw, RingElement):
             if raw.ring is self:
                 return raw
-            if raw.ring is self.base:
-                return self._from_terms({(0,) * len(self.names): raw})
-            raise RingError("element of %s used in %s" % (raw.ring, self))
-        if isinstance(raw, dict):
-            return self._from_terms({m: self.base.element(c) for m, c in raw.items()})
-        return self._from_terms({(0,) * len(self.names): self.base.element(raw)})
+            if raw.ring is not self.base:
+                raise RingError("element of %s used in %s" % (raw.ring, self))
+            raw = {(0,) * len(self.names): raw}
+        elif not isinstance(raw, dict):
+            raw = {(0,) * len(self.names): raw}
+        base = self.base
+        return RingElement(self, self._from_terms(
+            {m: base.element(c).value for m, c in raw.items()}))
 
     def _from_terms(self, terms):
-        clean = {m: c for m, c in terms.items() if not c.is_zero()}
-        key = tuple(sorted(clean.items(), key=lambda mc: self._order(mc[0])))
-        return RingElement(self, key)
+        """The raw value of a {monomial: raw coefficient} dict."""
+        is_zero = self.base._is_zero
+        items = [mc for mc in terms.items() if not is_zero(mc[1])]
+        if len(items) > 1:
+            orders = self._orders
+            items.sort(key=lambda mc: orders(mc[0]))
+        return tuple(items)
 
     def _order(self, mono):
         return (sum(mono), tuple(-e for e in mono))
@@ -243,29 +255,48 @@ class PolyRing(RingDescriptor):
     def var(self, name):
         idx = self.names.index(name)
         mono = tuple(1 if i == idx else 0 for i in range(len(self.names)))
-        return self._from_terms({mono: self.base.one()})
+        return RingElement(self, ((mono, self.base.one().value),))
 
     def half(self):
         return self.element(self.base.half())
 
     def _add(self, a, b):
+        if not a or not b:  # adding zero needs no merge
+            return a or b
+        add = self.base._add
         terms = dict(a)
         for m, c in b:
             cur = terms.get(m)
-            terms[m] = c if cur is None else cur + c
+            terms[m] = c if cur is None else add(cur, c)
         return self._from_terms(terms)
 
     def _neg(self, a):
-        return self._from_terms({m: -c for m, c in a})
+        # negation keeps every term nonzero and in place
+        neg = self.base._neg
+        return tuple([(m, neg(c)) for m, c in a])
 
     def _mul(self, a, b):
+        mul, add = self.base._mul, self.base._add
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:
+            # the term order is a monomial order: a term times a sorted
+            # polynomial stays sorted, with distinct monomials
+            (m1, c1), = a
+            is_zero = self.base._is_zero
+            out = []
+            for m2, c2 in b:
+                c = mul(c1, c2)
+                if not is_zero(c):
+                    out.append((tuple(map(operator.add, m1, m2)), c))
+            return tuple(out)
         terms = {}
         for m1, c1 in a:
             for m2, c2 in b:
-                m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
-                c = c1 * c2
+                m = tuple(map(operator.add, m1, m2))
+                c = mul(c1, c2)
                 cur = terms.get(m)
-                terms[m] = c if cur is None else cur + c
+                terms[m] = c if cur is None else add(cur, c)
         return self._from_terms(terms)
 
     def _is_zero(self, a):
@@ -280,17 +311,21 @@ class PolyRing(RingDescriptor):
                 n if e == 1 else "%s^%d" % (n, e)
                 for n, e in zip(self.names, mono) if e
             )
-            cs = repr(coeff)
+            cs = self.base._format(coeff)
             parts.append(cs if not vars_ else ("%s*%s" % (cs, vars_) if cs != "1" else vars_))
         return " + ".join(parts)
 
     def to_json(self, elt):
-        return [[list(m), self.base.to_json(c)] for m, c in elt.value]
+        base = self.base
+        return [[list(m), base.to_json(RingElement(base, c))] for m, c in elt.value]
 
     def from_json(self, data):
-        return self._from_terms({tuple(m): self.base.from_json(c) for m, c in data})
+        base = self.base
+        return RingElement(self, self._from_terms(
+            {tuple(m): base.from_json(c).value for m, c in data}))
 
     def sample(self, rng):
+        base = self.base
         nvars = len(self.names)
         terms = {}
         for _ in range(rng.randrange(4)):
@@ -298,41 +333,51 @@ class PolyRing(RingDescriptor):
             for _ in range(rng.randrange(3)):
                 mono[rng.randrange(nvars)] += 1
             m = tuple(mono)
-            terms[m] = terms.get(m, self.base.zero()) + self.base.sample(rng)
-        return self._from_terms(terms)
+            c = base.sample(rng).value
+            terms[m] = c if m not in terms else base._add(terms[m], c)
+        return RingElement(self, self._from_terms(terms))
 
     def descriptor(self):
         return "poly:%s:%s" % (self.base.descriptor(), ",".join(self.names))
 
 
 class RingElement:
-    """Canonical exact element of a supported ring."""
+    """Canonical exact element of a supported ring: its ring and a raw
+    value in that ring's layout."""
 
     __slots__ = ("ring", "value")
 
     def __init__(self, ring, value):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "value", value)
+        # _set_ring/_set_value (below the class) write the slots directly:
+        # the guard below stops plain assignment, and object.__setattr__
+        # is slower, since it first checks the class's own __setattr__
+        _set_ring(self, ring)
+        _set_value(self, value)
 
     def __setattr__(self, *a):
         raise AttributeError("RingElement is immutable")
 
-    def _coerce(self, other):
-        if isinstance(other, RingElement) and other.ring is self.ring:
-            return other
-        return self.ring.element(other)
-
     def __add__(self, other):
-        return self.ring._add(self.value, self._coerce(other).value)
+        ring = self.ring
+        if other.__class__ is not RingElement or other.ring is not ring:
+            other = ring.element(other)
+        return RingElement(ring, ring._add(self.value, other.value))
 
     def __neg__(self):
-        return self.ring._neg(self.value)
+        ring = self.ring
+        return RingElement(ring, ring._neg(self.value))
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        ring = self.ring
+        if other.__class__ is not RingElement or other.ring is not ring:
+            other = ring.element(other)
+        return RingElement(ring, ring._add(self.value, ring._neg(other.value)))
 
     def __mul__(self, other):
-        return self.ring._mul(self.value, self._coerce(other).value)
+        ring = self.ring
+        if other.__class__ is not RingElement or other.ring is not ring:
+            other = ring.element(other)
+        return RingElement(ring, ring._mul(self.value, other.value))
 
     def __radd__(self, other):
         return self + other
@@ -360,6 +405,11 @@ class RingElement:
 
     def __repr__(self):
         return self.ring._format(self.value)
+
+
+# the slot descriptors' setters, used by RingElement.__init__
+_set_ring = RingElement.ring.__set__
+_set_value = RingElement.value.__set__
 
 
 # -- ideals ----------------------------------------------------------
@@ -568,7 +618,7 @@ def as_constant(elt):
         raise RingError("%r is not a constant polynomial" % (elt,))
     if not elt.value:
         raise RingError("the zero polynomial is not a nonzero constant")
-    return elt.value[0][1]
+    return RingElement(ring.base, elt.value[0][1])
 
 
 def divide_by_var(elt, name, k=1):
@@ -577,12 +627,10 @@ def divide_by_var(elt, name, k=1):
     if var_multiplicity(elt, name) < k:
         raise RingError("%r is not divisible by %s^%d" % (elt, name, k))
     idx = ring.names.index(name)
-    terms = {}
-    for mono, c in elt.value:
-        m = list(mono)
-        m[idx] -= k
-        terms[tuple(m)] = c
-    return ring._from_terms(terms)
+    # lowering one exponent by k in every term keeps the term order
+    return RingElement(ring, tuple(
+        (mono[:idx] + (mono[idx] - k,) + mono[idx + 1:], c)
+        for mono, c in elt.value))
 
 
 def divide_by_unit(elt, unit):
@@ -601,11 +649,8 @@ def substitute(elt, name, value):
     idx = ring.names.index(name)
     out = ring.zero()
     for mono, c in elt.value:
-        m = list(mono)
-        k = m[idx]
-        m[idx] = 0
-        term = ring._from_terms({tuple(m): c})
-        for _ in range(k):
+        term = RingElement(ring, ((mono[:idx] + (0,) + mono[idx + 1:], c),))
+        for _ in range(mono[idx]):
             term = term * value
         out = out + term
     return out

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from transvect.rings import (GF, Dyadic, Ideal, PolyRing, RingError, Zmod,
-                             divide_by_unit, divide_by_var,
-                             localize_at_prime, parse_ideal, parse_ring,
-                             prime_factors, sample_element, substitute,
-                             var_multiplicity)
+from transvect.rings import (GF, Dyadic, Ideal, PolyRing, RingElement,
+                             RingError, Zmod, as_constant, divide_by_unit,
+                             divide_by_var, localize_at_prime, parse_ideal,
+                             parse_ring, prime_factors, sample_element,
+                             substitute, var_multiplicity)
 
 
 @given(st.integers(0, 80), st.integers(0, 80), st.integers(0, 80))
@@ -252,7 +252,8 @@ def test_equal_values_hash_equal(a, b):
 
 
 @pytest.mark.parametrize("text", ["gf:5", "dyadic", "poly:zmod:9:x",
-                                  "poly:dyadic:a,b"])
+                                  "poly:dyadic:a,b", "zmod:9", "zmod:15",
+                                  "poly:gf:5:x,y"])
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_commutative_ring_laws(text, seed):
@@ -266,3 +267,149 @@ def test_commutative_ring_laws(text, seed):
     assert x * (y + z) == x * y + x * z
     assert x - x == R.zero()
     assert R.one() * x == x
+
+
+# -- polynomial arithmetic against a slow oracle ------------------------
+# The oracle is the plain algorithm on {monomial: base RingElement} dicts,
+# with zero terms dropped and the rest sorted by _order only at the end.
+# It shares no code with PolyRing's raw-coefficient arithmetic.
+
+_ORACLE_RINGS = {"poly:dyadic:a,b": _dyadics,
+                 "poly:zmod:9:x,y": st.integers(0, 8),
+                 "poly:gf:5:x": st.integers(0, 4)}
+
+
+def _polys(text):
+    """Pairs (element, oracle dict) over the ring ``text``."""
+    ring = parse_ring(text)
+    nvars = len(ring.names)
+    monos = st.tuples(*[st.integers(0, 3)] * nvars)
+    coeffs = _ORACLE_RINGS[text].map(ring.base.element)
+    return st.dictionaries(monos, coeffs, max_size=4).map(
+        lambda d: (ring.element(d), d))
+
+
+def _canonical(ring, terms):
+    """The element value an oracle dict stands for."""
+    nonzero = [(m, c.value) for m, c in terms.items() if not c.is_zero()]
+    return tuple(sorted(nonzero, key=lambda mc: ring._order(mc[0])))
+
+
+def _oracle_add(p, q):
+    out = dict(p)
+    for m, c in q.items():
+        out[m] = out[m] + c if m in out else c
+    return out
+
+
+def _oracle_neg(p):
+    return {m: -c for m, c in p.items()}
+
+
+def _oracle_mul(p, q):
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+            out[m] = out[m] + c1 * c2 if m in out else c1 * c2
+    return out
+
+
+def _oracle_substitute(p, idx, q):
+    out = {}
+    for mono, c in p.items():
+        term = {mono[:idx] + (0,) + mono[idx + 1:]: c}
+        for _ in range(mono[idx]):
+            term = _oracle_mul(term, q)
+        out = _oracle_add(out, term)
+    return out
+
+
+@pytest.mark.parametrize("text", sorted(_ORACLE_RINGS))
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_poly_arithmetic_matches_dict_oracle(text, data):
+    ring = parse_ring(text)
+    (x, p), (y, q) = data.draw(_polys(text)), data.draw(_polys(text))
+    assert x.value == _canonical(ring, p)
+    assert (x + y).value == _canonical(ring, _oracle_add(p, q))
+    assert (-x).value == _canonical(ring, _oracle_neg(p))
+    assert (x - y).value == _canonical(
+        ring, _oracle_add(p, _oracle_neg(q)))
+    assert (x * y).value == _canonical(ring, _oracle_mul(p, q))
+    name = data.draw(st.sampled_from(ring.names))
+    idx = ring.names.index(name)
+    assert substitute(x, name, y).value == _canonical(
+        ring, _oracle_substitute(p, idx, q))
+    k = data.draw(st.integers(0, 3))
+    nonzero = {m: c for m, c in p.items() if not c.is_zero()}
+    if all(m[idx] >= k for m in nonzero):
+        shifted = {m[:idx] + (m[idx] - k,) + m[idx + 1:]: c
+                   for m, c in nonzero.items()}
+        assert divide_by_var(x, name, k).value == _canonical(ring, shifted)
+    else:
+        with pytest.raises(RingError):
+            divide_by_var(x, name, k)
+
+
+# -- the element layout contract -----------------------------------------
+
+_LAYOUT_RINGS = ["poly:dyadic:a,b", "poly:zmod:9:x,y", "poly:gf:5:x",
+                 "poly:zmod:15:x"]
+
+
+def _is_raw(base, c):
+    if isinstance(base, Zmod):
+        return type(c) is int and 0 <= c < base.m
+    return (type(c) is tuple and len(c) == 2
+            and Dyadic().element(c).value == c)
+
+
+@pytest.mark.parametrize("text", _LAYOUT_RINGS)
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_poly_value_layout(text, seed):
+    ring = parse_ring(text)
+    rng = random.Random(seed)
+    x, y = sample_element(ring, rng), sample_element(ring, rng)
+    for z in (x, y, x + y, x * y, -x, x - y):
+        monos = [m for m, _ in z.value]
+        assert monos == sorted(monos, key=ring._order)
+        assert len(set(monos)) == len(monos)
+        for m, c in z.value:
+            assert type(m) is tuple and len(m) == len(ring.names)
+            assert _is_raw(ring.base, c)
+            assert not ring.base.element(c).is_zero()
+        assert ring.element(dict(z.value)) == z
+
+
+@pytest.mark.parametrize("text", _LAYOUT_RINGS)
+def test_as_constant_is_a_base_element(text):
+    ring = parse_ring(text)
+    c = as_constant(ring.element(2))
+    assert c.ring is ring.base and c == ring.base.element(2)
+    with pytest.raises(RingError):
+        as_constant(ring.var(ring.names[0]))
+
+
+@pytest.mark.parametrize("text", ["zmod:9", "dyadic"] + _LAYOUT_RINGS)
+def test_int_coerces_and_foreign_elements_raise(text):
+    ring = parse_ring(text)
+    x = sample_element(ring, random.Random(7))
+    assert x + 1 == x + ring.one() == 1 + x
+    assert x - 1 == x + ring.element(-1)
+    assert 3 * x == x * ring.element(3)
+    foreign = Zmod(27).element(2)
+    for op in (lambda: x + foreign, lambda: x * foreign,
+               lambda: x - foreign, lambda: foreign + x):
+        with pytest.raises(RingError):
+            op()
+
+
+@pytest.mark.parametrize("text", ["zmod:9", "dyadic", "poly:dyadic:a,b"])
+def test_ring_elements_are_immutable(text):
+    x = parse_ring(text).one()
+    for attr in ("ring", "value", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, attr, None)
+    assert isinstance(x, RingElement) and x == parse_ring(text).one()
