@@ -3,7 +3,9 @@ reduction, orbit experiments, and JSON report emission for CI.
 
 Exit codes: 0 = all checks passed, 1 = a mathematical check failed,
 2 = usage error.  Reports are deterministic for fixed argv + seed
-(timing fields aside).
+(timing fields aside).  Each subcommand takes only the shared options
+(--seed, --budget, --cap) it reads, so a report's parameters and
+input-hash name real inputs only.
 """
 
 import argparse
@@ -301,16 +303,19 @@ def _build_parser():
     top = _Parser(prog="transvect")
     sub = top.add_subparsers(dest="command")
 
-    def add(name, func):
+    shared = {"seed": {"type": int, "default": 0},
+              "budget": {"type": _at_least(1), "default": 10 ** 7},
+              "cap": {"type": _at_least(1), "default": 10 ** 6}}
+
+    def add(name, func, *options):
         p = sub.add_parser(name)
         p.set_defaults(func=func)
         p.add_argument("--out")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=_at_least(1), default=10 ** 7)
-        p.add_argument("--cap", type=_at_least(1), default=10 ** 6)
+        for option in options:
+            p.add_argument("--" + option, **shared[option])
         return p
 
-    p = add("verify-relations", _cmd_verify_relations)
+    p = add("verify-relations", _cmd_verify_relations, "seed")
     p.add_argument("--ring", default="gf:5")
     p.add_argument("--n", type=_at_least(0), default=2)
     p.add_argument("--symbolic", action="store_true")
@@ -319,49 +324,49 @@ def _build_parser():
     p = add("dilate", _cmd_dilate)
     p.add_argument("--sizes", type=_sizes, default="4")
 
-    p = add("decompose", _cmd_decompose)
+    p = add("decompose", _cmd_decompose, "seed")
     p.add_argument("--ring", default="zmod:9")
     p.add_argument("--n", type=_at_least(0), default=2)
     p.add_argument("--symbolic", action="store_true")
     p.add_argument("--samples", type=_at_least(0), default=100)
 
-    p = add("reduce-form", _cmd_reduce_form)
+    p = add("reduce-form", _cmd_reduce_form, "seed")
     p.add_argument("--ring", default="zmod:27")
     p.add_argument("--ideal")
     p.add_argument("--input")
     p.add_argument("--n", type=_at_least(1), default=2)
     p.add_argument("--samples", type=_at_least(0), default=10)
 
-    p = add("orbits", _cmd_orbits)
+    p = add("orbits", _cmd_orbits, "budget")
     p.add_argument("--ring", required=True)
     p.add_argument("--size", type=_at_least(1), required=True)
     p.add_argument("--group", choices=sorted(_GROUPS), default="e")
     p.add_argument("--ideal")
 
-    p = add("orbit-equality", _cmd_orbit_equality)
+    p = add("orbit-equality", _cmd_orbit_equality, "budget")
     p.add_argument("--ring", required=True)
     p.add_argument("--size", type=_even_at_least(4), required=True)
     p.add_argument("--ideal")
 
-    p = add("transitivity", _cmd_transitivity)
+    p = add("transitivity", _cmd_transitivity, "budget")
     p.add_argument("--ring", required=True)
     p.add_argument("--size", type=_at_least(2), required=True)
     p.add_argument("--ideal")
     p.add_argument("--full-universe", action="store_true")
 
-    p = add("kernel-test", _cmd_kernel_test)
+    p = add("kernel-test", _cmd_kernel_test, "seed", "cap")
     p.add_argument("--ring", required=True)
     p.add_argument("--size", type=_even_at_least(2), required=True)
     p.add_argument("--ideal", required=True)
     p.add_argument("--samples", type=_at_least(0), default=1000)
 
-    p = add("square-ideal-test", _cmd_square_ideal_test)
+    p = add("square-ideal-test", _cmd_square_ideal_test, "seed", "cap")
     p.add_argument("--ring", required=True)
     p.add_argument("--size", type=_even_at_least(2), required=True)
     p.add_argument("--ideal", required=True)
     p.add_argument("--samples", type=_at_least(0), default=200)
 
-    p = add("splice-demo", _cmd_splice_demo)
+    p = add("splice-demo", _cmd_splice_demo, "seed")
     p.add_argument("--ring", default="zmod:9")
     p.add_argument("--k", type=_at_least(1), default=3)
     p.add_argument("--length", type=_at_least(0), default=4)

@@ -85,13 +85,6 @@ def _subst_matrix(mat, value):
         [substitute(e, X, value) for e in row] for row in mat.rows])
 
 
-def _as_matrix_pair(alpha):
-    """(alpha, alpha^{-1}) as matrices; words invert via word reversal."""
-    if isinstance(alpha, GeneratorWord):
-        return alpha.eval(), alpha.inverse().eval()
-    raise RingError("splice_telescoping needs a GeneratorWord alpha")
-
-
 def splice_telescoping(alpha, pairs):
     """Factor alpha(X) into k telescoping pieces along sum c_i b_i = 1.
 
@@ -104,7 +97,9 @@ def splice_telescoping(alpha, pairs):
     Returns the factor list (matrices); raises if sum c_i b_i != 1 or
     alpha(0) != identity.
     """
-    mat, mat_inv = _as_matrix_pair(alpha)
+    if not isinstance(alpha, GeneratorWord):
+        raise RingError("splice_telescoping needs a GeneratorWord alpha")
+    mat, mat_inv = alpha.eval(), alpha.inverse().eval()
     ring = mat.ring
     if not isinstance(ring, PolyRing) or X not in ring.names:
         raise RingError("alpha must live over a polynomial ring in %s" % X)

@@ -54,18 +54,10 @@ class SquareMatrix:
     def __hash__(self):
         return hash((self.ring, self.rows))
 
-    def __add__(self, other):
-        self._check(other)
-        return SquareMatrix(self.ring, [
-            [a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
-
     def __sub__(self, other):
         self._check(other)
         return SquareMatrix(self.ring, [
             [a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
-
-    def __neg__(self):
-        return SquareMatrix(self.ring, [[-a for a in r] for r in self.rows])
 
     def __mul__(self, other):
         if isinstance(other, RingElement) or not isinstance(other, SquareMatrix):
@@ -75,9 +67,6 @@ class SquareMatrix:
         cols = list(zip(*other.rows))
         return SquareMatrix(self.ring, [
             [dot(row, col, self.ring) for col in cols] for row in self.rows])
-
-    def __rmul__(self, other):
-        return self * other
 
     def _check(self, other):
         if not isinstance(other, SquareMatrix) or other.ring is not self.ring or other.n != self.n:

@@ -145,7 +145,8 @@ def generators_for(spec):
     atom per index pair and additive generator (atom args add in the
     same slot, so orbits are unaffected), and so do relative families
     with the full ideal; other relative families use all conjugation
-    triples ge_ij(a) ge_ji(g) ge_ij(-a) with a over the whole ring;
+    triples ge_ij(a) ge_ji(g) ge_ij(-a) with 0 <= a < m/g (a triple is
+    I + g*P(a) for integer polynomials P, so it depends on a mod m/g);
     first-row/column families mix free first-row atoms with
     first-column atoms of argument g.
     """
@@ -175,7 +176,7 @@ def generators_for(spec):
     elif g:
         x = ring.element(g)
         for i, j in _index_pairs(size):
-            for a in range(ring.m):
+            for a in range(ring.m // g):
                 emit(conjugation_triple(spec.group, i, j, ring.element(a), x))
     return out
 
@@ -448,7 +449,6 @@ class StabilizerChain:
                 return None
             used.append(found[0])
             x = x @ found[1] % self.m
-        return None
 
     def _extend(self, g, g_inv):
         """Add g, whose inverse is ``g_inv``, to the group."""

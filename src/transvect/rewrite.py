@@ -207,13 +207,11 @@ def rewrite_to_first(ring, size, atom, ideal_side):
         quad = _quad(p, q, u, ring.var(Y), ideal_side)
         assert GeneratorWord(ring, size, quad).eval() == atom.matrix(ring, size)
         return quad
-    # short root: peel the defect of [se_p1(u), se_1q(Y)] against the target
+    # short root: the quad alone is the atom, since for its roots a, b
+    # neither 2a+b nor a+2b is a root (each has three nonzero coordinates)
     quad = _quad_route(ring, size, atom, p, q, ideal_side)
-    out = list(quad)
-    for extra in _long_residue(ring, size, quad, atom):
-        out.extend(rewrite_to_first(ring, size, extra, ideal_side))
-    assert GeneratorWord(ring, size, out).eval() == atom.matrix(ring, size)
-    return out
+    assert GeneratorWord(ring, size, quad).eval() == atom.matrix(ring, size)
+    return quad
 
 
 def _emittable(ring, size, atom, ideal):

@@ -383,16 +383,3 @@ def word_from_json(ring, size, text):
         atoms.append(GeneratorAtom(fam, rec["i"], rec["j"],
                                    ring.from_json(rec["arg"])))
     return GeneratorWord(ring, size, atoms)
-
-
-def parse_word_inline(ring, size, text):
-    """Parse ``S:2,1:3;S:3,1:1`` into a word (integer args only)."""
-    atoms = []
-    for chunk in text.split(";"):
-        if not chunk:
-            continue
-        fam_s, ij, arg_s = chunk.split(":")
-        fam = LINEAR if fam_s == "L" else SYMPLECTIC
-        i_s, j_s = ij.split(",")
-        atoms.append(GeneratorAtom(fam, int(i_s), int(j_s), ring.element(int(arg_s))))
-    return GeneratorWord(ring, size, atoms)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -277,3 +278,72 @@ def test_kernel_test_reaches_past_int64_matrix_keys(tmp_path):
     assert code == 0 and rep["ok"] and res["ok"]
     assert res["closure_size"] == 5 ** 10 == 9765625
     assert res["samples"] == res["members"] == 200
+
+
+# the cheapest run of each subcommand, and its report's parameter keys
+CHEAPEST = {
+    "verify-relations": (["--symbolic", "--n", "0"],
+                         ["command", "n", "ring", "samples", "seed",
+                          "symbolic"]),
+    "dilate": ([], ["command", "sizes"]),
+    "decompose": (["--samples", "0"],
+                  ["command", "n", "ring", "samples", "seed", "symbolic"]),
+    "reduce-form": (["--samples", "0"],
+                    ["command", "ideal", "input", "n", "ring", "samples",
+                     "seed"]),
+    "orbits": (["--ring", "zmod:3", "--size", "2"],
+               ["budget", "command", "group", "ideal", "ring", "size"]),
+    "orbit-equality": (["--ring", "zmod:3", "--size", "4"],
+                       ["budget", "command", "ideal", "ring", "size"]),
+    "transitivity": (["--ring", "zmod:3", "--size", "2"],
+                     ["budget", "command", "full_universe", "ideal", "ring",
+                      "size"]),
+    "kernel-test": (["--ring", "zmod:9", "--size", "2", "--ideal", "3",
+                     "--samples", "0"],
+                    ["cap", "command", "ideal", "ring", "samples", "seed",
+                     "size"]),
+    "square-ideal-test": (["--ring", "zmod:9", "--size", "2", "--ideal", "3",
+                           "--samples", "0"],
+                          ["cap", "command", "ideal", "ring", "samples",
+                           "seed", "size"]),
+    "splice-demo": (["--k", "1"],
+                    ["command", "k", "length", "ring", "seed"]),
+}
+
+SHARED_DEFAULTS = {"seed": 0, "budget": 10 ** 7, "cap": 10 ** 6}
+
+READ = [(cmd, opt) for cmd, (_, keys) in sorted(CHEAPEST.items())
+        for opt in sorted(SHARED_DEFAULTS) if opt in keys]
+UNREAD = [(cmd, opt) for cmd, (_, keys) in sorted(CHEAPEST.items())
+          for opt in sorted(SHARED_DEFAULTS) if opt not in keys]
+
+
+@pytest.mark.parametrize("command", sorted(CHEAPEST))
+def test_parameters_name_only_what_the_command_reads(command, tmp_path):
+    argv, keys = CHEAPEST[command]
+    _, rep = _run([command] + argv, tmp_path)
+    params = rep["parameters"]
+    assert sorted(params) == keys
+    for opt, default in SHARED_DEFAULTS.items():
+        assert params.get(opt, default) == default
+    blob = json.dumps(params, sort_keys=True).encode()
+    assert rep["input-hash"] == hashlib.sha256(blob).hexdigest()
+
+
+@pytest.mark.parametrize("command,option", UNREAD)
+def test_unread_option_is_usage_error(command, option, tmp_path, capsys):
+    argv = [command] + CHEAPEST[command][0] + ["--" + option, "3"]
+    out = tmp_path / "u.json"
+    assert run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "usage error: unrecognized arguments: --%s 3\n" % option
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,option", READ)
+def test_read_option_is_accepted(command, option, tmp_path, capsys):
+    argv = [command] + CHEAPEST[command][0]
+    code, rep = _run(argv + ["--" + option, "3"], tmp_path)
+    assert code in (0, 1) and rep["parameters"][option] == 3
+    if option != "seed":  # budget and cap count, so they are >= 1
+        _assert_usage_error(argv + ["--" + option, "0"], tmp_path, capsys)

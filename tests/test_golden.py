@@ -2,9 +2,11 @@
 
 Each digest is the sha256 of a CLI report with its timing fields
 (``started``, ``elapsed``) removed, re-serialised as the CLI writes it.
-The values were frozen from the code before the canonical-ring change;
-a digest may change only with a deliberate change of behaviour, and
-that change is then recorded in CHANGES.md.
+The values were last re-frozen when each subcommand stopped taking the
+shared options it does not read, which dropped those keys from
+``parameters``; every ``results`` stayed byte-identical.  A digest may
+change only with a deliberate change of behaviour, and that change is
+then recorded in CHANGES.md.
 """
 
 import hashlib
@@ -19,42 +21,42 @@ from transvect.words import se, word_to_json
 
 GOLDEN = [
     (["verify-relations", "--ring", "gf:5", "--samples", "2", "--seed", "1"],
-     "a152f35fc47cd1aec0b3bb244c75ecbd5ac6036c0e4d2bc9e608cdc9e4d7fda1"),
+     "448eb5b4de7789d523d2d30deb442cc8c145725d7b171fbc7231fff868178553"),
     (["verify-relations", "--symbolic", "--n", "2"],
-     "a105cd1c7be0d4906359119063e90640e04d0117bf76b1ad0f8ca280dfe8db15"),
+     "51dc1465146d90e62dc6369f38c461a7330a91b9827340b7f05d61beeaf0f19c"),
     (["decompose", "--ring", "zmod:9", "--samples", "10", "--seed", "3"],
-     "c2f54813b1c61e803a96a3d5d62db1ee5edf16044b068b3ad5ab09f167951533"),
+     "953e04c9aad20afcae4e3b47606928bc362f9cfa51bd43bd7764ed99e14d3cfd"),
     (["decompose", "--symbolic", "--n", "2"],
-     "848f71c562ea229f1667827a195937685960315be2b3aef62ddaf06fc48bbb57"),
+     "a2ec790e02e095a54e46bb812c6eb43a4667f673f84202ccf396b8554ddfa153"),
     (["reduce-form", "--ring", "zmod:27", "--samples", "5", "--seed", "2"],
-     "baf7c88fb09d53fb5186d9f962dea0f439508d10cc07db69864667b99f53138f"),
+     "5fa98acb2077b425fe15883b7198793b86bf85a4eb00fa8bb2617086c69497a7"),
     (["reduce-form", "--ring", "zmod:27", "--ideal", "3", "--samples", "5",
       "--seed", "2"],
-     "b0873ea9b01310aef4b65a66ad50d04b2d0005b21dbc7144c05898a27989d197"),
+     "4967c2286f19fe19b0125f164f14a26afd1a89c5bd943f3eb98c828d1076bf2e"),
     (["reduce-form", "--ring", "zmod:45", "--samples", "5", "--seed", "2"],
-     "b18825a4a3d0f56b9dea22c5bbc1902800d027d11587850cf420856a2e9d4a2e"),
+     "d4e3a99d271bf2ef34acad6dcc4073e96f64d9683ad265f7812cbf516ef26e99"),
     (["dilate", "--sizes", "4"],
-     "6563a860d99a494ad9cb15b11ab8eb3c125769ab216b9f21dfd6ffd0dac25c5c"),
+     "c2b430e7b6f146e91f102e9e478df0b90eb6cdfe0dc5421f45a5af894ef16f81"),
     (["orbits", "--ring", "zmod:9", "--size", "4", "--group", "esp-rel",
       "--ideal", "3"],
-     "add2d9887b5b04e0b643c48a1ce5d532924f76a6e2a7385436a827e5add171ad"),
+     "a7496bba241413670e738d0b7618cb43582bf0db95bdfbb88e2eb4670fde1424"),
     (["orbit-equality", "--ring", "zmod:15", "--size", "4", "--ideal", "5"],
-     "43a41ef40cdcf01f9c1273f2d8f1c67a0f8ca1bc26a5c9ae8fef2b84c8a5187c"),
+     "5fabb85788681aebe56f11ef118fe868c5adb20e4e4c4b202393d0fddec09d1d"),
     (["transitivity", "--ring", "zmod:9", "--size", "4", "--ideal", "3"],
-     "3189e26f7698aa787feec8aada98d160c9999cf21a259fc2660c661bb4f80bcd"),
+     "0af2d2ddcf738b5baccd29cacee953a3520e57282c5a94b5b640cae188b63b29"),
     (["square-ideal-test", "--ring", "zmod:9", "--size", "4", "--ideal", "3",
       "--samples", "20", "--seed", "5"],
-     "c67bb0d06e8ed52ad9d16f06824a91d42924f592d0b53ed11f036f20318f7b34"),
+     "4e4e8e8e81e5a33821200fa5e3545aa3bf71d31b8ea0cc725bd053dcb0d06a03"),
     (["splice-demo", "--ring", "zmod:25", "--k", "5", "--seed", "4"],
-     "42f3ec40d84253eebbbab8a4d5c1142036acf404f44bfd57c1e2f260e96158ad"),
+     "17946cd31fc9a1f749079170d2e8a53bf54ee296b2b854fbc919ff60370f7e6b"),
     # the three reduce-form runs of the benchmark's finite workload, seed 0
     (["reduce-form", "--ring", "zmod:27", "--samples", "20", "--seed", "0"],
-     "8d6259f478287a8456262ac61e6826c801c5c4360ff85cbe25481b0cca5ea7cf"),
+     "af02ace88509328732c5ca41c5358174f36d4bc4207da06e5173b49338b8f3c9"),
     (["reduce-form", "--ring", "zmod:27", "--ideal", "3", "--samples", "20",
       "--seed", "0"],
-     "2ca2372d643a06db62cb960655eced631237db98bc50fbeac2213d8b3504a534"),
+     "cbdb9b3e562fc40a0d330c9fa7eff591a8c102790f9d71c45ded203934cdb659"),
     (["reduce-form", "--ring", "zmod:45", "--samples", "20", "--seed", "0"],
-     "ceade41b762e3b165907515e29eab26715fd50070726acb84e1de2196835b89e"),
+     "b47f2c6595a7ed2630566f894372edc0e1c9611bc4f679ac530f0bd9592a03ae"),
 ]
 
 

@@ -111,6 +111,14 @@ def test_splice_rejects_bad_partition():
         splice_telescoping(alpha, [(1, 2)])
 
 
+def test_splice_needs_a_word():
+    """A matrix alpha is rejected: its inverse is not the reversed word."""
+    ring = PolyRing(Zmod(5), ("X",))
+    alpha = _word_over(ring, random.Random(3))
+    with pytest.raises(RingError):
+        splice_telescoping(alpha.eval(), [(1, 1)])
+
+
 def test_splice_rejects_nonidentity_at_zero():
     ring = PolyRing(Zmod(5), ("X",))
     alpha = GeneratorWord(ring, 3, [lin(1, 2, ring.one())])

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from transvect.orbits import (GroupSpec, check_dim0_transitivity,
                               orbit_partition, square_ideal_inclusion_test,
                               subgroup_closure)
 from transvect.rings import DescriptorError, Ideal, RingError, Zmod
-from transvect.words import LINEAR, SYMPLECTIC, GeneratorWord, lin, se
+from transvect.words import (LINEAR, SYMPLECTIC, GeneratorWord,
+                             conjugation_triple, lin, se)
 
 
 def test_unimodular_counts():
@@ -34,6 +36,45 @@ def test_generator_families():
     I = Ideal.principal(Zmod(9), 3)
     rel = generators_for(GroupSpec("symplectic-ESp-relative", 4, Zmod(9), I))
     assert rel  # deduplicated triple evaluations
+
+
+def _full_range_triples(spec):
+    """The relative generators with a over all of Z/m: each distinct
+    evaluation of ge_ij(a) ge_ji(g) ge_ij(-a) in first-seen order,
+    the identity left out."""
+    ring, size, m = spec.ring, spec.size, spec.ring.m
+    g = ring.element(spec.ideal.modulus())
+    out, seen = [], set()
+    for i, j in permutations(range(1, size + 1), 2):
+        for a in range(m):
+            word = GeneratorWord(ring, size, conjugation_triple(
+                spec.group, i, j, ring.element(a), g))
+            mat = np.array([[e.value for e in row] for row in word.eval().rows],
+                           dtype=np.int64)
+            key = mat.tobytes()
+            if key not in seen and not (mat == np.eye(size)).all():
+                seen.add(key)
+                out.append(mat)
+    return out
+
+
+@pytest.mark.parametrize("m,gen,size,family", [
+    (9, 3, 4, "linear-E-relative"),
+    (9, 3, 6, "symplectic-ESp-relative"),
+    (15, 5, 3, "linear-E-relative"),
+    (25, 5, 4, "symplectic-ESp-relative"),
+    (27, 3, 4, "linear-E-relative"),
+    (27, 9, 4, "symplectic-ESp-relative"),
+    (45, 3, 4, "symplectic-ESp-relative"),
+])
+def test_relative_generators_need_a_only_mod_m_over_g(m, gen, size, family):
+    """a < m/g lists the same triples, in the same order, as a < m."""
+    ring = Zmod(m)
+    spec = GroupSpec(family, size, ring, Ideal.principal(ring, gen))
+    got = generators_for(spec)
+    want = _full_range_triples(spec)
+    assert len(got) == len(want) > 0
+    assert all((a == b).all() for a, b in zip(got, want))
 
 
 # family -> (group, universe restricted to I)

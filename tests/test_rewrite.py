@@ -1,8 +1,9 @@
 import pytest
 
+from transvect.matrices import sigma
 from transvect.rewrite import (RewriteError, comm_word,
                                conjugate_first_rowcol, conjugate_square_ideal,
-                               dilate_word)
+                               dilate_word, rewrite_to_first)
 from transvect.rings import Dyadic, Ideal, PolyRing
 from transvect.words import GeneratorWord, se
 
@@ -39,6 +40,25 @@ def test_conjugation_case_sweep(size):
                 for tgt in (se(1, j, m), se(j, 1, x1 * m)):
                     res = conjugate_first_rowcol(ring, size, conj, tgt, ideal)
                     assert res.certificate, (size, conj, tgt, res.checks)
+
+
+@pytest.mark.parametrize("side", ["col", "row"])
+def test_interior_short_root_rewrites_to_its_quad(side):
+    """se_pq with p, q not in {1, 2} and q != sigma(p) is exactly the
+    commutator [se_p1(u), se_1q(v)]: 2a+b and a+2b are not roots."""
+    ring, _ = _setup()
+    w = ring.var("x1") * ring.var("Y") * ring.var("Y") * ring.var("X")
+    cases = [(size, p, q) for size in (4, 6, 8)
+             for p in range(3, size + 1) for q in range(3, size + 1)
+             if q not in (p, sigma(p))]
+    assert len(cases) == 8 + 24  # none at size 4
+    for size, p, q in cases:
+        atom = se(p, q, w)
+        word = rewrite_to_first(ring, size, atom, side)
+        assert [(x.i, x.j) for x in word] == [(p, 1), (1, q)] * 2
+        assert word[2:] == [word[0].inverse(), word[1].inverse()]
+        assert GeneratorWord(ring, size, word).eval() == \
+            atom.matrix(ring, size)
 
 
 def test_conjugation_rejects_interior_target():

@@ -11,8 +11,8 @@ from transvect.rings import (Dyadic, GF, Ideal, PolyRing, RingError, Zmod,
 from transvect.words import (LINEAR, SYMPLECTIC, GeneratorAtom,
                              GeneratorWord, bass_symplectic_transvection,
                              decompose_mu, decompose_rho, hyperbolic_defect,
-                             lin, mu_matrix, parse_word_inline,
-                             relative_generator, rho_matrix, se,
+                             lin, mu_matrix, relative_generator,
+                             rho_matrix, se,
                              transvection_action_mu, transvection_action_rho,
                              word_from_json, word_to_json)
 
@@ -118,13 +118,11 @@ def test_bass_requires_isotropic_pair():
         bass_symplectic_transvection(R, [1, 0, 0, 0], [0, 1, 0, 0], 1, psi)
 
 
-def test_word_json_and_inline_roundtrip():
+def test_word_json_roundtrip():
     R = Zmod(9)
     w = GeneratorWord(R, 4, [se(2, 1, R.element(3)), se(3, 1, R.element(1))])
     again = word_from_json(R, 4, word_to_json(w))
     assert again.eval() == w.eval()
-    inline = parse_word_inline(R, 4, "S:2,1:3;S:3,1:1")
-    assert inline.eval() == w.eval()
 
 
 @pytest.mark.parametrize("text", ["gf:5", "dyadic", "poly:zmod:9:x",
