@@ -33,8 +33,8 @@ def form_change_conjugate(ring, eps, phi_star, q, alpha, beta,
 
         T_phi(u, v, alpha) = P^{-1} T_{phi*}(u P^t, v P^t, alpha) P.
 
-    With a proper ``ideal``, additionally validates that eps is a
-    relative word and that q' is congruent to q modulo the ideal.
+    With a proper ``ideal``, also checks that eps is made of conjugation
+    triples with cores in it (or raises) and that q' = q mod the ideal.
     Returns a report dict; ``holds`` is the conjunction of all checks.
     """
     m = phi_star.n
@@ -69,7 +69,7 @@ def form_change_conjugate(ring, eps, phi_star, q, alpha, beta,
         report["bass"] = None
 
     if ideal is not None and not ideal.is_full():
-        eps.validate_tag(ideal)
+        eps.check_relative(ideal)
         report["relative"] = all(
             ideal.contains(a - ring.element(b)) for a, b in zip(q_new, q))
     else:

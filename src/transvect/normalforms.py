@@ -15,7 +15,8 @@ Two reductions, both certified by their defining postconditions:
 from .matrices import SquareMatrix, is_alternating, pfaffian, standard_form
 from .rings import (GF, Ideal, RingError, Zmod, localize_at_prime,
                     prime_factors, sample_element)
-from .words import LINEAR, GeneratorWord, conjugation_triple, lin
+from .words import (LINEAR, GeneratorWord, act_on_columns,
+                    conjugation_triple, lin)
 
 
 def _is_odd_prime_power(m):
@@ -37,26 +38,13 @@ class LocalRingWitness:
         return "LocalRingWitness(%s)" % (self.ring,)
 
 
-def _apply_right(w, i, j, lam):
-    """Right-multiply the row w by E_ij(lam): w_j += lam * w_i."""
-    w = list(w)
-    w[j - 1] = w[j - 1] + lam * w[i - 1]
-    return w
-
-
-def _word_from_ops(ring, n, ops, tag="plain"):
-    """w * ops == e_1  =>  w == e_1 * eval(beta) with beta = ops^{-1}."""
-    atoms = [lin(a.i, a.j, -a.arg) for a in reversed(ops)]
-    return GeneratorWord(ring, n, atoms, tag=tag)
-
-
 def complete_unimodular_local(v, L, I=None):
     """Elementary word beta with v = e_1 * eval(beta) over a local ring.
 
     ``v`` is a unimodular row; with a proper ideal ``I`` (requires
-    v congruent to e_1 mod I) the word is built from conjugation
-    triples and carries the "relative" tag.  Pivots are chosen at the
-    lowest unit index, so the output is deterministic.
+    v congruent to e_1 mod I) the word is a product of conjugation
+    triples with cores in I.  Pivots are chosen at the lowest unit
+    index, so the output is deterministic.
     """
     ring = L.ring
     n = len(v)
@@ -67,17 +55,16 @@ def complete_unimodular_local(v, L, I=None):
     e1 = [ring.one()] + [ring.zero()] * (n - 1)
 
     if w == e1:
-        return GeneratorWord(ring, n, [], tag="relative" if relative else "plain")
+        return GeneratorWord(ring, n, [])
     if n == 1:
         raise RingError("no elementary 1x1 word maps e_1 to %r" % (w[0],))
 
-    ops = []
+    ops = []  # w * ops == e_1 at the end, so beta = ops^-1
 
     def push(i, j, lam):
-        nonlocal w
         if not lam.is_zero() or relative:
             ops.append(lin(i, j, lam))
-            w = _apply_right(w, i, j, lam)
+            act_on_columns([w], ops[-1].entries(ring, n))
 
     if relative:
         if not I.contains(w[0] - ring.one()) or \
@@ -100,8 +87,6 @@ def complete_unimodular_local(v, L, I=None):
         for t in triples:
             for a in t:
                 push(a.i, a.j, a.arg)
-        beta = _word_from_ops(ring, n, ops, tag="relative")
-        beta.validate_tag(I)
     else:
         pivot = min(k for k in range(1, n + 1) if ring.is_unit(w[k - 1]))
         if pivot == 1 and w[0] != ring.one():
@@ -113,9 +98,11 @@ def complete_unimodular_local(v, L, I=None):
         for j in range(2, n + 1):
             if not w[j - 1].is_zero():
                 push(1, j, -w[j - 1])
-        beta = _word_from_ops(ring, n, ops)
-        if len(beta) > 2 * n:
-            raise RingError("pivot schedule exceeded the 2n atom bound")
+    beta = GeneratorWord(ring, n, ops).inverse()
+    if relative:
+        beta.check_relative(I)
+    elif len(beta) > 2 * n:
+        raise RingError("pivot schedule exceeded the 2n atom bound")
 
     if w != e1:
         raise RingError("completion schedule failed to reach e_1")
@@ -158,7 +145,8 @@ def reduce_alternating_local(phi, L, I=None):
     normalize row 1 to the e_2 pattern with a unimodular completion of
     its tail, clear row 2 against the trailing block, split off a
     2x2 standard block and recurse.  Relative variant (proper I,
-    phi congruent to psi_n mod I) emits a relative-tagged word.
+    phi congruent to psi_n mod I) emits a product of conjugation
+    triples with cores in I.
     """
     ring = L.ring
     m = phi.n
@@ -176,13 +164,11 @@ def reduce_alternating_local(phi, L, I=None):
                 if not I.contains(phi[r, c] - psi[r, c]):
                     raise RingError("phi is not congruent to psi_n mod %s" % (I,))
 
-    atoms = _reduce_atoms(phi, L, I if relative else None)
-    # Element-wise reversal inverts the word and keeps triples triples.
+    # Inverting a product of triples keeps it a product of triples.
     eps = GeneratorWord(ring, m - 1,
-                        [a.inverse() for a in reversed(atoms)],
-                        tag="relative" if relative else "plain")
+                        _reduce_atoms(phi, L, I if relative else None)).inverse()
     if relative:
-        eps.validate_tag(I)
+        eps.check_relative(I)
     if not _postcondition_holds(phi, eps):
         raise RingError("postcondition congruence failed")
     return eps

@@ -206,7 +206,8 @@ class OrbitPartition:
         return self.label_of == other.label_of
 
     def spot_check_closed(self, generators, m, trials=1000, seed=0):
-        """Random (row, generator) pairs never escape their orbit."""
+        """Random (row, generator) pairs never escape their orbit; an
+        image outside the universe is an escape."""
         rng = random.Random(seed)
         rows = self.universe
         if not rows or not generators:
@@ -215,7 +216,7 @@ class OrbitPartition:
             row = rows[rng.randrange(len(rows))]
             g = generators[rng.randrange(len(generators))]
             img = tuple((np.array(row, dtype=np.int64) @ g) % m)
-            if self.label_of[row] != self.label_of[img]:
+            if self.label_of.get(img) != self.label_of[row]:
                 return False
         return True
 

@@ -472,7 +472,7 @@ def conjugate_first_rowcol(ring, size, conjugator, target, ideal):
     else:
         raise RewriteError("target %r is not first-row/column" % (target,))
     lhs = GeneratorWord(ring, size, [conjugator, target, conjugator.inverse()])
-    rhs = GeneratorWord(ring, size, atoms, tag="first-rowcol")
+    rhs = GeneratorWord(ring, size, atoms)
     return RewriteResult(lhs, rhs, ideal, True)
 
 
@@ -501,7 +501,7 @@ def dilate_word(eps, target, ideal):
             nxt.extend(step.rhs.atoms)
         current = nxt
     lhs = eps * GeneratorWord(ring, size, [seeded]) * eps.inverse()
-    rhs = GeneratorWord(ring, size, current, tag="first-rowcol")
+    rhs = GeneratorWord(ring, size, current)
     return RewriteResult(lhs, rhs, ideal, True)
 
 

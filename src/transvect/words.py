@@ -123,21 +123,19 @@ class GeneratorWord:
 
     Every atom's argument is an element of ``ring``: an int or an
     element of a polynomial ring's base ring is lifted once, here, and
-    an element of another ring raises RingError.
-    ``tag`` is an optional class marker: "plain", "relative", or
-    "first-rowcol"; tag invariants are checked by ``validate_tag``.
+    an element of another ring raises RingError.  Whether a word lies
+    in a relative group is read from its atoms by ``check_relative``.
     """
 
-    __slots__ = ("ring", "size", "atoms", "tag")
+    __slots__ = ("ring", "size", "atoms")
 
-    def __init__(self, ring, size, atoms, tag="plain"):
+    def __init__(self, ring, size, atoms):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "atoms", tuple(
             a if isinstance(a.arg, RingElement) and a.arg.ring is ring
             else GeneratorAtom(a.family, a.i, a.j, ring.element(a.arg))
             for a in atoms))
-        object.__setattr__(self, "tag", tag)
 
     def __setattr__(self, *a):
         raise AttributeError("GeneratorWord is immutable")
@@ -170,7 +168,7 @@ class GeneratorWord:
 
     def inverse(self):
         return GeneratorWord(self.ring, self.size,
-                             [a.inverse() for a in reversed(self.atoms)], self.tag)
+                             [a.inverse() for a in reversed(self.atoms)])
 
     def shifted(self, k):
         """The same atoms on indices k+1..k+size: eval() is I_k perp
@@ -188,30 +186,22 @@ class GeneratorWord:
     def __len__(self):
         return len(self.atoms)
 
-    def validate_tag(self, ideal=None):
-        """Check the tag's structural invariant; returns True or raises."""
-        if self.tag == "plain":
-            return True
-        if self.tag == "relative":
-            atoms = self.atoms
-            if len(atoms) % 3:
-                raise RingError("relative word length not a multiple of 3")
-            for k in range(0, len(atoms), 3):
-                g1, g2, g3 = atoms[k:k + 3]
-                if not ((g1.i, g1.j) == (g3.i, g3.j) == (g2.j, g2.i)
-                        and g1.arg == -g3.arg and g1.family == g2.family == g3.family):
-                    raise RingError("atom block %d is not a conjugation triple" % (k // 3,))
-                if ideal is not None and not ideal.contains(g2.arg):
-                    raise RingError("triple core %r not in %s" % (g2.arg, ideal))
-            return True
-        if self.tag == "first-rowcol":
-            for a in self.atoms:
-                if a.i != 1 and a.j != 1:
-                    raise RingError("atom %r is not first-row/column" % (a,))
-                if a.j == 1 and ideal is not None and not ideal.contains(a.arg):
-                    raise RingError("first-column arg %r not in %s" % (a.arg, ideal))
-            return True
-        raise RingError("unknown tag %r" % (self.tag,))
+    def check_relative(self, ideal=None):
+        """Check that each block of three atoms is a conjugation triple
+        ge_ij(a) ge_ji(x) ge_ij(-a), with every core x in ``ideal`` when
+        one is given; returns True or raises."""
+        atoms = self.atoms
+        if len(atoms) % 3:
+            raise RingError("atom block %d is not a conjugation triple"
+                            % (len(atoms) // 3,))
+        for k in range(0, len(atoms), 3):
+            g1, g2, g3 = atoms[k:k + 3]
+            if not ((g1.i, g1.j) == (g3.i, g3.j) == (g2.j, g2.i)
+                    and g1.arg == -g3.arg and g1.family == g2.family == g3.family):
+                raise RingError("atom block %d is not a conjugation triple" % (k // 3,))
+            if ideal is not None and not ideal.contains(g2.arg):
+                raise RingError("triple core %r not in %s" % (g2.arg, ideal))
+        return True
 
     def __repr__(self):
         return "Word[%s]" % "; ".join(repr(a) for a in self.atoms)
@@ -235,12 +225,10 @@ def conjugation_triple(family, i, j, a, x):
 
 def relative_generator(ring, family, size, i, j, a, x, ideal):
     """Conjugation triple ge_ij(a) ge_ji(x) ge_ij(-a), x in I."""
-    a = ring.element(a)
-    x = ring.element(x)
-    if not ideal.contains(x):
-        raise RingError("core argument %r is not in %s" % (x, ideal))
-    return GeneratorWord(ring, size, conjugation_triple(family, i, j, a, x),
-                         tag="relative")
+    word = GeneratorWord(ring, size, conjugation_triple(
+        family, i, j, ring.element(a), ring.element(x)))
+    word.check_relative(ideal)
+    return word
 
 
 # -- rho / mu transvection matrices ----------------------------------

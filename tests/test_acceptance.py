@@ -100,7 +100,7 @@ def test_criterion_4_form_reduction_roundtrip():
             if not I.is_full() and I.shape != "zero":
                 phi = random_form(ring, n, rng, I)
                 eps = reduce_alternating_local(phi, L, I)
-                ok = ok and eps.validate_tag(I)
+                ok = ok and eps.check_relative(I)
     _verdict(4, "form reduction roundtrip", ok, time.time() - t0, 120)
 
 

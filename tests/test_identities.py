@@ -63,6 +63,16 @@ def test_form_change_relative_tracks_ideal():
     assert rep["holds"] and rep["relative"]
 
 
+def test_form_change_relative_needs_conjugation_triples():
+    """A proper ideal makes eps pass the relative check, which reads the
+    atoms: a single elementary atom is not a conjugation triple."""
+    R = Zmod(9)
+    eps = GeneratorWord(R, 3, [lin(1, 2, R.element(4))])
+    with pytest.raises(RingError, match="not a conjugation triple"):
+        form_change_conjugate(R, eps, standard_form(R, 2), q=[1, 2, 3, 4],
+                              alpha=2, beta=5, ideal=Ideal.principal(R, 3))
+
+
 def test_form_change_size_mismatch():
     R = Zmod(9)
     psi = standard_form(R, 2)

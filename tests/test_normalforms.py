@@ -61,7 +61,7 @@ def test_completion_relative():
                 v = [(1 + p * rng.randrange(m)) % m] + \
                     [p * rng.randrange(m) % m for _ in range(n - 1)]
                 beta = complete_unimodular_local(v, L, I)
-                assert beta.validate_tag(I)
+                assert beta.check_relative(I)
                 assert list(beta.eval().row(0)) == [ring.element(x) for x in v]
 
 
@@ -69,7 +69,7 @@ def test_completion_relative_example():
     ring = Zmod(9)
     beta = complete_unimodular_local([1 + 3, 3, 0, 3], LocalRingWitness(ring),
                                      Ideal.principal(ring, 3))
-    assert beta.validate_tag(Ideal.principal(ring, 3))
+    assert beta.check_relative(Ideal.principal(ring, 3))
     assert [x.value for x in beta.eval().row(0)] == [4, 3, 0, 3]
 
 
@@ -104,7 +104,7 @@ def test_reduction_relative():
             for _ in range(20):
                 phi = random_form(ring, n, rng, I)
                 eps = reduce_alternating_local(phi, L, I)
-                assert eps.validate_tag(I)
+                assert eps.check_relative(I)
 
 
 def test_reduction_rejects_bad_pfaffian():
@@ -149,17 +149,27 @@ def test_semilocal_verified_flag_is_computed(monkeypatch):
 
 @pytest.mark.parametrize("gen", [3, 5, 15, 0])
 @pytest.mark.parametrize("n", [2, 3])
-def test_semilocal_reduction_with_principal_ideal(gen, n):
+def test_semilocal_reduction_with_principal_ideal(gen, n, monkeypatch):
     """Each prime's ideal is the projection of (gen): proper exactly
     where p divides gen, so that factor's epsilon is a relative word."""
     ring = Zmod(45)
     ideal = parse_ideal(ring, str(gen))
     rng = random.Random(45 * n + gen)
+    local_reduction = normalforms.reduce_alternating_local
+    ideals = {}
+
+    def spy(phi_p, witness, ideal_p):
+        ideals[witness.ring.m] = ideal_p
+        return local_reduction(phi_p, witness, ideal_p)
+    monkeypatch.setattr(normalforms, "reduce_alternating_local", spy)
     for _ in range(3):
         table = reduce_alternating_semilocal(random_form(ring, n, rng, ideal),
                                              ideal)
         assert sorted(table) == [3, 5]
         for p, rec in table.items():
             assert rec["verified"]
-            assert rec["epsilon"].tag == ("relative" if gen % p == 0
-                                          else "plain")
+            ideal_p = ideals.pop(rec["ring"].m)
+            proper = ideal_p is not None and not ideal_p.is_full()
+            assert proper == (gen % p == 0)
+            if proper:
+                assert rec["epsilon"].check_relative(ideal_p)

@@ -256,6 +256,18 @@ def test_spot_check_closed():
     assert part.spot_check_closed(gens, R.m, trials=500, seed=3)
 
 
+def test_spot_check_closed_image_outside_universe():
+    """E(R) moves rows of Um(R, I) off the congruence class e_1 mod I:
+    such an image escapes its orbit, so the check fails."""
+    R = Zmod(9)
+    I = Ideal.principal(R, 3)
+    universe = enumerate_unimodular(R, 4, I)
+    part = orbit_partition(universe, generators_for(
+        GroupSpec("symplectic-ESp-relative", 4, R, I)), ring=R)
+    assert not part.spot_check_closed(
+        generators_for(GroupSpec("linear-E", 4, R)), R.m)
+
+
 # -- the array engine against the former per-row BFS -------------------
 
 

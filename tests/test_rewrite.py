@@ -71,7 +71,7 @@ def test_conjugation_rejects_interior_target():
 def test_dilate_word_depth_one():
     ring, ideal = _setup()
     a, x = ring.var("a"), ring.var("X")
-    eps = GeneratorWord(ring, 4, [se(1, 3, a)], tag="first-rowcol")
+    eps = GeneratorWord(ring, 4, [se(1, 3, a)])
     target = se(1, 4, x * (ring.one() + x))
     res = dilate_word(eps, target, ideal)
     assert res.certificate

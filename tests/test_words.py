@@ -10,9 +10,9 @@ from transvect.rings import (Dyadic, GF, Ideal, PolyRing, RingError, Zmod,
                              parse_ring, sample_element)
 from transvect.words import (LINEAR, SYMPLECTIC, GeneratorAtom,
                              GeneratorWord, bass_symplectic_transvection,
-                             decompose_mu, decompose_rho, hyperbolic_defect,
-                             lin, mu_matrix, relative_generator,
-                             rho_matrix, se,
+                             conjugation_triple, decompose_mu, decompose_rho,
+                             hyperbolic_defect, lin, mu_matrix,
+                             relative_generator, rho_matrix, se,
                              transvection_action_mu, transvection_action_rho,
                              word_from_json, word_to_json)
 
@@ -45,9 +45,33 @@ def test_relative_generator_tag():
     R = Zmod(9)
     I = Ideal.principal(R, 3)
     w = relative_generator(R, "linear", 3, 1, 2, 5, 6, I)
-    assert w.validate_tag(I)
+    assert w.check_relative(I)
     with pytest.raises(RingError):
         relative_generator(R, "linear", 3, 1, 2, 5, 2, I)
+
+
+def test_relative_shape_follows_the_atoms():
+    """Products, shifts and inverses of relative words stay relative;
+    a word not made of conjugation triples fails however it was built."""
+    R = Zmod(9)
+    I = Ideal.principal(R, 3)
+    w = relative_generator(R, "linear", 3, 1, 2, 5, 6, I) * \
+        relative_generator(R, "linear", 3, 3, 1, 2, 3, I)
+    for word in (w * w, w.shifted(2), w.inverse()):
+        assert word.check_relative(I)
+    bad = [GeneratorWord(R, 3, [lin(1, 2, 4)]),
+           GeneratorWord(R, 3, [lin(1, 2, 4), lin(2, 1, 3), lin(1, 2, 4)]),
+           GeneratorWord(R, 3, [lin(1, 2, 4), lin(2, 3, 3), lin(1, 2, 5)]),
+           GeneratorWord(R, 3, list(w.atoms) + [lin(1, 2, 4)])]
+    bad += [b.inverse() for b in bad] + [w * bad[0], bad[0].shifted(2)]
+    for word in bad:
+        with pytest.raises(RingError, match="not a conjugation triple"):
+            word.check_relative(I)
+        with pytest.raises(RingError, match="not a conjugation triple"):
+            word.check_relative()
+    with pytest.raises(RingError, match="not in"):
+        GeneratorWord(R, 3, conjugation_triple(LINEAR, 1, 2, 4, 1)
+                      ).check_relative(I)
 
 
 def _symbolic_q_ring(m):
