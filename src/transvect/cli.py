@@ -369,7 +369,7 @@ def _build_parser():
     p = add("splice-demo", _cmd_splice_demo, "seed")
     p.add_argument("--ring", default="zmod:9")
     p.add_argument("--k", type=_at_least(1), default=3)
-    p.add_argument("--length", type=_at_least(0), default=4)
+    p.add_argument("--length", type=_at_least(1), default=4)
 
     return top
 

@@ -1,24 +1,25 @@
 """The commutator-calculus relation table for the elementary symplectic
 generators, with symbolic and sampled verification.
 
+Each relation is one row of ``_RELATIONS``: its arity, its side
+condition on the index tuple and a builder of its (lhs, rhs) words.
 Relation ids 4 and 5 are the two group-theoretic commutator identities;
 ids 6 through 15 are the ten displayed se-relations.  Four of the
 displayed rows do not hold as printed under the uniform two-branch
 definition of se_ij; the corrected arguments (derived and certified by
-evaluation) are used here and the deviations are catalogued in
+evaluation) are used here, listed in ``CORRECTIONS`` and catalogued in
 PAPER_ERRATA.md at the repository root.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import product
 
 from .matrices import sigma
 from .rings import PolyRing, Dyadic, sample_element
 from .words import (GeneratorWord, commutator_word, conjugate_word, se)
 
-
-RELATION_IDS = tuple(range(4, 16))
 
 #: corrections applied to the printed table (documented in PAPER_ERRATA.md)
 CORRECTIONS = {
@@ -30,131 +31,93 @@ CORRECTIONS = {
 }
 
 
-def _sgn(exp):
-    return 1 if exp % 2 == 0 else -1
+def _on_ghk(f):
+    """Row builder f(g, h, k) for g = se_ij(a), h = se_ji(b), k = se_ij(b)."""
+    return lambda w, a, b, i, j: f(w(se(i, j, a)), w(se(j, i, b)),
+                                   w(se(i, j, b)))
 
 
-def _word(ring, n, atoms):
-    return GeneratorWord(ring, 2 * n, atoms)
+def _bracket(f):
+    """Row builder for [g, h] = rhs: f(a, b, *indices) gives the atoms g
+    and h, then the atoms of rhs (none when g and h commute)."""
+    def sides(w, a, b, *indices):
+        g, h, *rhs = f(a, b, *indices)
+        return commutator_word(w(g), w(h)), w(*rhs)
+    return sides
+
+
+def _distinct_unpaired(i, j):
+    return i != j and i != sigma(j)
+
+
+#: rel_id -> (arity, side condition on the indices, builder of (lhs, rhs)
+#: from w = atoms -> word, the arguments a, b and the indices)
+_RELATIONS = {
+    # [g, hk] = [g, h] (^h [g, k])
+    4: (2, lambda i, j: i != j, _on_ghk(lambda g, h, k: (
+        commutator_word(g, h * k),
+        commutator_word(g, h) * conjugate_word(h, commutator_word(g, k))))),
+    # ^g [h, k] = [^g h, ^g k]
+    5: (2, lambda i, j: i != j, _on_ghk(lambda g, h, k: (
+        conjugate_word(g, commutator_word(h, k)),
+        commutator_word(conjugate_word(g, h), conjugate_word(g, k))))),
+    6: (2, _distinct_unpaired, _bracket(lambda a, b, i, j: (
+        se(i, j, a), se(sigma(i), i, b),
+        se(sigma(i), j, -(a * b)), se(sigma(j), j, (-1) ** (i + j) * a * a * b)))),
+    7: (2, _distinct_unpaired, _bracket(lambda a, b, i, j: (
+        se(i, j, a), se(j, sigma(j), b),
+        se(i, sigma(i), (-1) ** (i + j) * a * a * b), se(i, sigma(j), a * b)))),
+    8: (2, _distinct_unpaired, _bracket(lambda a, b, i, j: (
+        se(sigma(i), i, a), se(sigma(j), sigma(i), b),
+        se(sigma(j), i, -(a * b)),
+        se(sigma(j), j, (-1) ** (i + j + 1) * a * b * b)))),
+    9: (2, _distinct_unpaired, _bracket(lambda a, b, i, j: (
+        se(sigma(i), i, a), se(i, j, b),
+        se(sigma(i), j, a * b), se(sigma(j), j, (-1) ** (i + j + 1) * a * b * b)))),
+    10: (2, _distinct_unpaired, _bracket(lambda a, b, i, j: (
+        se(i, j, a), se(j, sigma(i), b), se(i, sigma(i), (a + a) * b)))),
+    11: (2, _distinct_unpaired, _bracket(lambda a, b, i, j: (
+        se(i, j, a), se(sigma(j), i, b), se(sigma(j), j, -((a + a) * b))))),
+    12: (2, lambda i, j: i != sigma(j), _bracket(lambda a, b, i, j: (
+        se(sigma(i), i, a), se(sigma(j), j, b)))),
+    13: (2, lambda i, j: i != sigma(j), _bracket(lambda a, b, i, j: (
+        se(sigma(j), j, a), se(sigma(i), j, b)))),
+    # se_{i,sigma(i)}(a) = [se_ik(a/2), se_{k,sigma(i)}(1)]
+    14: (2, _distinct_unpaired, lambda w, a, _b, i, k: (
+        w(se(i, sigma(i), a)),
+        commutator_word(w(se(i, k, a.halve())), w(se(k, sigma(i), 1))))),
+    15: (4, lambda i, j, k, l: (i != j and k != l and i != sigma(k)
+                                and i != l and j != k and j != sigma(l)),
+         _bracket(lambda a, b, i, j, k, l: (se(i, j, a), se(k, l, b)))),
+}
+
+RELATION_IDS = tuple(_RELATIONS)
+
+
+def _relation(rel_id):
+    if rel_id not in RELATION_IDS:
+        raise ValueError("unknown relation id %r" % (rel_id,))
+    return _RELATIONS[rel_id]
 
 
 def relation_sides(ring, rel_id, n, indices, a, b):
     """Build (lhs, rhs) generator words for one relation instance."""
-    a = ring.element(a)
-    b = ring.element(b)
-    if rel_id in (4, 5):
-        i, j = indices
-        g = _word(ring, n, [se(i, j, a)])
-        h = _word(ring, n, [se(j, i, b)])
-        k = _word(ring, n, [se(i, j, b)])
-        if rel_id == 4:
-            # [g, hk] = [g, h] (^h [g, k])
-            lhs = commutator_word(g, h * k)
-            rhs = commutator_word(g, h) * conjugate_word(h, commutator_word(g, k))
-        else:
-            # ^g [h, k] = [^g h, ^g k]
-            lhs = conjugate_word(g, commutator_word(h, k))
-            rhs = commutator_word(conjugate_word(g, h), conjugate_word(g, k))
-        return lhs, rhs
-    if rel_id == 6:
-        i, j = indices
-        lhs = commutator_word(_word(ring, n, [se(i, j, a)]),
-                              _word(ring, n, [se(sigma(i), i, b)]))
-        rhs = _word(ring, n, [se(sigma(i), j, -(a * b)),
-                              se(sigma(j), j, _sgn(i + j) * a * a * b)])
-        return lhs, rhs
-    if rel_id == 7:
-        i, j = indices
-        lhs = commutator_word(_word(ring, n, [se(i, j, a)]),
-                              _word(ring, n, [se(j, sigma(j), b)]))
-        rhs = _word(ring, n, [se(i, sigma(i), _sgn(i + j) * a * a * b),
-                              se(i, sigma(j), a * b)])
-        return lhs, rhs
-    if rel_id == 8:
-        i, j = indices
-        lhs = commutator_word(_word(ring, n, [se(sigma(i), i, a)]),
-                              _word(ring, n, [se(sigma(j), sigma(i), b)]))
-        rhs = _word(ring, n, [se(sigma(j), i, -(a * b)),
-                              se(sigma(j), j, _sgn(i + j + 1) * a * b * b)])
-        return lhs, rhs
-    if rel_id == 9:
-        i, j = indices
-        lhs = commutator_word(_word(ring, n, [se(sigma(i), i, a)]),
-                              _word(ring, n, [se(i, j, b)]))
-        rhs = _word(ring, n, [se(sigma(i), j, a * b),
-                              se(sigma(j), j, _sgn(i + j + 1) * a * b * b)])
-        return lhs, rhs
-    if rel_id == 10:
-        i, j = indices
-        lhs = commutator_word(_word(ring, n, [se(i, j, a)]),
-                              _word(ring, n, [se(j, sigma(i), b)]))
-        rhs = _word(ring, n, [se(i, sigma(i), (a + a) * b)])
-        return lhs, rhs
-    if rel_id == 11:
-        i, j = indices
-        lhs = commutator_word(_word(ring, n, [se(i, j, a)]),
-                              _word(ring, n, [se(sigma(j), i, b)]))
-        rhs = _word(ring, n, [se(sigma(j), j, -((a + a) * b))])
-        return lhs, rhs
-    if rel_id == 12:
-        i, j = indices
-        lhs = commutator_word(_word(ring, n, [se(sigma(i), i, a)]),
-                              _word(ring, n, [se(sigma(j), j, b)]))
-        return lhs, _word(ring, n, [])
-    if rel_id == 13:
-        i, j = indices
-        lhs = commutator_word(_word(ring, n, [se(sigma(j), j, a)]),
-                              _word(ring, n, [se(sigma(i), j, b)]))
-        return lhs, _word(ring, n, [])
-    if rel_id == 14:
-        i, k = indices
-        lhs = _word(ring, n, [se(i, sigma(i), a)])
-        rhs = commutator_word(_word(ring, n, [se(i, k, a.halve())]),
-                              _word(ring, n, [se(k, sigma(i), ring.one())]))
-        return lhs, rhs
-    if rel_id == 15:
-        i, j, k, l = indices
-        lhs = commutator_word(_word(ring, n, [se(i, j, a)]),
-                              _word(ring, n, [se(k, l, b)]))
-        return lhs, _word(ring, n, [])
-    raise ValueError("unknown relation id %r" % (rel_id,))
+    a, b = ring.element(a), ring.element(b)
+    _arity, _cond, sides = _relation(rel_id)
+    return sides(lambda *atoms: GeneratorWord(ring, 2 * n, atoms), a, b,
+                 *indices)
 
 
 def admissible_indices(rel_id, n):
     """All index tuples satisfying the relation's side conditions."""
-    rng_idx = range(1, 2 * n + 1)
-    out = []
-    if rel_id in (4, 5):
-        return [(i, j) for i in rng_idx for j in rng_idx if i != j]
-    if rel_id in (6, 7, 8, 9, 10, 11):
-        return [(i, j) for i in rng_idx for j in rng_idx
-                if i != j and i != sigma(j)]
-    if rel_id in (12, 13):
-        return [(i, j) for i in rng_idx for j in rng_idx if i != sigma(j)]
-    if rel_id == 14:
-        return [(i, k) for i in rng_idx for k in rng_idx
-                if k != i and k != sigma(i)]
-    if rel_id == 15:
-        for i in rng_idx:
-            for j in rng_idx:
-                if j == i:
-                    continue
-                for k in rng_idx:
-                    for l in rng_idx:
-                        if k == l:
-                            continue
-                        if i == sigma(k) or i == l or j == k or j == sigma(l):
-                            continue
-                        out.append((i, j, k, l))
-        return out
-    raise ValueError("unknown relation id %r" % (rel_id,))
+    arity, cond, _sides = _relation(rel_id)
+    return [t for t in product(range(1, 2 * n + 1), repeat=arity) if cond(*t)]
 
 
 def verify_relation(ring, rel_id, n, indices, a, b):
     """Evaluate one relation instance; report, never assert."""
     lhs, rhs = relation_sides(ring, rel_id, n, indices, a, b)
-    lm = lhs.eval()
-    rm = rhs.eval()
+    lm, rm = lhs.eval(), rhs.eval()
     return {
         "relation-id": rel_id,
         "n": n,
@@ -177,24 +140,18 @@ def verify_relation_suite(n, ring=None, mode="symbolic", samples=20, seed=0):
     mode "symbolic": generic args a, b over Z[1/2][a,b] (ring ignored);
     mode "sampled": `samples` random arg pairs over `ring` per tuple.
     """
-    reports = []
     if mode == "symbolic":
-        ring = symbolic_ring()
-        a, b = ring.var("a"), ring.var("b")
-        for rel_id in RELATION_IDS:
-            for idx in admissible_indices(rel_id, n):
-                reports.append(verify_relation(ring, rel_id, n, idx, a, b))
+        ring, samples = symbolic_ring(), 1
+        draw = lambda: (ring.var("a"), ring.var("b"))
     elif mode == "sampled":
         rng = random.Random(seed)
-        for rel_id in RELATION_IDS:
-            for idx in admissible_indices(rel_id, n):
-                for _ in range(samples):
-                    a = sample_element(ring, rng)
-                    b = sample_element(ring, rng)
-                    reports.append(verify_relation(ring, rel_id, n, idx, a, b))
+        draw = lambda: (sample_element(ring, rng), sample_element(ring, rng))
     else:
         raise ValueError("mode must be symbolic or sampled")
-    return reports
+    return [verify_relation(ring, rel_id, n, idx, *draw())
+            for rel_id in RELATION_IDS
+            for idx in admissible_indices(rel_id, n)
+            for _ in range(samples)]
 
 
 def suite_summary(reports):

@@ -328,30 +328,28 @@ def bass_symplectic_transvection(ring, u, v, alpha, phi):
     return first * second
 
 
+def _transvection_action(ring, q, t, phi, point, r):
+    """rho (r = 1) or mu (r = 0): coordinate r of (a, b) moves by
+    +-(t * fixed - <p,q>), fixed being the other, and p += fixed * q."""
+    a, b, p = point
+    ab = [ring.element(a), ring.element(b)]
+    p, q = _as_row(ring, p), _as_row(ring, q)
+    fixed = ab[1 - r]
+    shift = ring.element(t) * fixed - _pairing(ring, q, p, phi)
+    ab[r] = ab[r] + (shift if r else -shift)
+    return (ab[0], ab[1], tuple(pc + fixed * qc for pc, qc in zip(p, q)))
+
+
 def transvection_action_rho(ring, q, alpha, phi, point):
     """Def-style map (a, b, p) -> (a, b - <p,q> + alpha a, p + a q)
     with the pairing convention <p, q> = q phi p^t."""
-    a, b, p = point
-    a = ring.element(a)
-    b = ring.element(b)
-    p = _as_row(ring, p)
-    q = _as_row(ring, q)
-    pair = _pairing(ring, q, p, phi)
-    return (a, b - pair + ring.element(alpha) * a,
-            tuple(pc + a * qc for pc, qc in zip(p, q)))
+    return _transvection_action(ring, q, alpha, phi, point, 1)
 
 
 def transvection_action_mu(ring, q, beta, phi, point):
     """Def-style map (a, b, p) -> (a + <p,q> - beta b, b, p + b q),
     same pairing convention."""
-    a, b, p = point
-    a = ring.element(a)
-    b = ring.element(b)
-    p = _as_row(ring, p)
-    q = _as_row(ring, q)
-    pair = _pairing(ring, q, p, phi)
-    return (a + pair - ring.element(beta) * b, b,
-            tuple(pc + b * qc for pc, qc in zip(p, q)))
+    return _transvection_action(ring, q, beta, phi, point, 0)
 
 
 # -- serialization ----------------------------------------------------

@@ -129,6 +129,7 @@ def test_bad_dilate_sizes_is_usage_error(sizes, tmp_path, capsys):
     ["orbits", "--ring", "zmod:3", "--size", "2", "--budget", "0"],
     ["kernel-test", "--ring", "zmod:9", "--size", "4", "--ideal", "3",
      "--cap", "0"],
+    ["splice-demo", "--length", "0"],
 ])
 def test_negative_counts_are_usage_errors(argv, tmp_path, capsys):
     _assert_usage_error(argv, tmp_path, capsys)

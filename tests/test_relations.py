@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from transvect.matrices import sigma
@@ -5,7 +8,7 @@ from transvect.relations import (CORRECTIONS, RELATION_IDS, admissible_indices,
                                  relation_sides, suite_summary, symbolic_ring,
                                  verify_relation, verify_relation_suite)
 from transvect.rings import Zmod
-from transvect.words import GeneratorWord, commutator_word, se
+from transvect.words import GeneratorWord, commutator_word, se, word_to_json
 
 
 def test_symbolic_suite_n2_all_pass():
@@ -62,3 +65,27 @@ def test_verify_relation_reports_structure():
     rep = verify_relation(ring, 10, 2, (1, 3), ring.var("a"), ring.var("b"))
     assert rep["holds"] and rep["relation-id"] == 10
     assert not rep["corrected"]
+
+
+def test_relation_words_digest():
+    """Pin every relation's word pair at n = 1, 2, 3, not just whether it
+    holds: a change that alters a relation that still holds shows here."""
+    ring = symbolic_ring()
+    a, b = ring.var("a"), ring.var("b")
+    h = hashlib.sha256()
+    counts = {}
+    for n in (1, 2, 3):
+        counts[n] = []
+        for rel_id in RELATION_IDS:
+            tuples = admissible_indices(rel_id, n)
+            counts[n].append(len(tuples))
+            for t in tuples:
+                lhs, rhs = relation_sides(ring, rel_id, n, t, a, b)
+                h.update(json.dumps([rel_id, n, list(t), word_to_json(lhs),
+                                     word_to_json(rhs)]).encode())
+    assert counts[1] == [2, 2, 0, 0, 0, 0, 0, 0, 2, 2, 0, 2]
+    assert counts[2] == [12, 12, 8, 8, 8, 8, 8, 8, 12, 12, 8, 60]
+    assert sum(counts[2]) == 164
+    assert counts[3] == [30, 30, 24, 24, 24, 24, 24, 24, 30, 30, 24, 462]
+    assert h.hexdigest() == (
+        "19c53887028f02494eea3138fae8344fa44d85d7b754f60e8fb082e4a90834d1")
