@@ -7,15 +7,16 @@ of generated subgroups and normal closures, and runs the statistical
 kernel-membership and square-ideal inclusion checks, which sift each
 sample through a chain instead of listing the group.
 
-Rows and matrices are carried as numpy integer arrays reduced mod m;
-orbit labels are canonical (lexicographically least row per orbit), so
+Rows and matrices are carried as numpy integer arrays reduced mod m,
+and a row is found by its base-m int64 key: in a direct-address table
+of row indices when the key space is small, else by binary search.  A
+generator's images are computed only on the columns it changes.  Orbit
+labels are canonical (lexicographically least row per orbit), so
 partitions are independent of generator order and worker chunking.
 """
 
-import math
 import random
-from functools import partial
-from itertools import product
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -104,9 +105,14 @@ def _inverse_mod(mat, m):
 
 
 def enumerate_unimodular(ring, n, ideal=None, budget=10 ** 7):
-    """All rows of Um_n(Z/m); with a proper ideal, only rows = e_1 mod I.
+    """All rows of Um_n(Z/m), sorted; with a proper ideal I = gZ/m, only
+    rows = e_1 mod I.
 
     A row is unimodular over Z/m iff gcd of its entries with m is 1.
+    Candidate rows are the numbers 0 .. k**n - 1, k = m/g, read as n
+    base-k digits d: column 0 is 1 + g*d mod m, the others g*d.  The
+    columns are built one at a time, first for the running gcd with m
+    and then again for the rows that pass it.
     """
     if not isinstance(ring, Zmod):
         raise RingError("enumeration requires a finite Z/m ring")
@@ -116,21 +122,23 @@ def enumerate_unimodular(ring, n, ideal=None, budget=10 ** 7):
     g = 1 if ideal is None else ideal.modulus()
     if g == 0:
         return [tuple([1] + [0] * (n - 1))]
-    coords = range(0, m, g)
-    if len(coords) ** n > budget:
+    k = m // g
+    if k ** n > budget:
         raise RingError("universe size %d exceeds budget %d"
-                        % (len(coords) ** n, budget))
-    rows = []
-    for tail in product(coords, repeat=n - 1):
-        for lead in coords:
-            row = ((1 + lead) % m,) + tail
-            acc = m
-            for x in row:
-                acc = math.gcd(acc, x)
-            if acc == 1:
-                rows.append(row)
-    rows.sort()
-    return rows
+                        % (k ** n, budget))
+
+    def column(idx, c):
+        digit = idx // k ** (n - 1 - c) % k
+        return (1 + g * digit) % m if c == 0 else g * digit
+
+    idx = np.arange(k ** n, dtype=np.int64)
+    acc = np.full(len(idx), m, dtype=np.int64)
+    for c in range(n):
+        acc = np.gcd(acc, column(idx, c))
+    idx = idx[acc == 1]
+    cols = [column(idx, c) for c in range(n)]
+    order = np.lexsort(cols[::-1])
+    return list(zip(*(col[order].tolist() for col in cols)))
 
 
 def _index_pairs(size):
@@ -184,59 +192,107 @@ def generators_for(spec):
 class OrbitPartition:
     """Partition of a row universe under right multiplication.
 
-    ``label_of[row]`` is the lexicographically least row of its orbit,
-    so two partitions agree iff the dicts are equal.
+    ``keys`` are the base-m keys of the sorted universe and ``root[i]``
+    is the index of the least row of row i's orbit, so two partitions
+    of one universe agree iff their roots are equal.  ``label_of[row]``,
+    the least row of the orbit, is a dict built on first read.
     """
 
-    def __init__(self, universe, label_of, stats):
+    def __init__(self, universe, keys, root, stats):
         self.universe = universe
-        self.label_of = label_of
+        self.keys = keys
+        self.root = root
         self.stats = stats
 
+    @cached_property
+    def label_of(self):
+        rows = self.universe
+        return {row: rows[r] for row, r in zip(rows, self.root.tolist())}
+
     def orbit_count(self):
-        return len(set(self.label_of.values()))
+        return int(np.count_nonzero(self.root == np.arange(len(self.root))))
 
     def orbit_sizes(self):
-        sizes = {}
-        for lab in self.label_of.values():
-            sizes[lab] = sizes.get(lab, 0) + 1
-        return sorted(sizes.values(), reverse=True)
+        sizes = np.bincount(self.root)
+        return sorted(sizes[sizes > 0].tolist(), reverse=True)
 
     def same_partition(self, other):
-        return self.label_of == other.label_of
+        return (np.array_equal(self.keys, other.keys)
+                and np.array_equal(self.root, other.root))
 
     def spot_check_closed(self, generators, m, trials=1000, seed=0):
         """Random (row, generator) pairs never escape their orbit; an
-        image outside the universe is an escape."""
+        image outside the universe is an escape.  The pairs are drawn
+        first, row then generator, and their images are one batched
+        product."""
         rng = random.Random(seed)
         rows = self.universe
         if not rows or not generators:
             return True
-        for _ in range(trials):
-            row = rows[rng.randrange(len(rows))]
-            g = generators[rng.randrange(len(generators))]
-            img = tuple((np.array(row, dtype=np.int64) @ g) % m)
-            if self.label_of.get(img) != self.label_of[row]:
-                return False
-        return True
+        picks = [(rng.randrange(len(rows)), rng.randrange(len(generators)))
+                 for _ in range(trials)]
+        at, gi = np.array(picks, dtype=np.int64).reshape(-1, 2).T
+        gens = np.stack([_int_array(g, m) for g in generators])
+        width = len(rows[0])
+        block = np.array([rows[i] for i in at.tolist()],
+                         dtype=np.int64).reshape(-1, width)
+        img = (block[:, None, :] @ gens[gi])[:, 0] % m @ _key_powers(width, m)
+        pos = _search(self.keys, img)
+        return bool(((pos >= 0) & (self.root[pos] == self.root[at])).all())
 
 
-def _neighbours(rows, keys, powers, g, m, chunk):
-    """Index of ``row @ g`` for every row, ``chunk`` rows per matmul.
+# Largest key space m**width that orbit_partition indexes directly: a
+# table of that many int32 row indices (16 MiB).  Larger key spaces,
+# where the universe is a sparse subset, use np.searchsorted.
+_TABLE_SLOTS = 2 ** 22
 
-    Raises unless every image is a row and g permutes the rows.
+
+def _search(keys, img):
+    """Index in the sorted ``keys`` of each key of ``img``, -1 for a key
+    that is not there."""
+    pos = np.minimum(np.searchsorted(keys, img), len(keys) - 1)
+    return np.where(keys[pos] == img, pos, -1)
+
+
+def _lookup(keys, slots):
+    """``_search`` for image keys in 0 .. slots - 1: one read of a
+    direct-address table of row indices while ``slots`` is at most
+    _TABLE_SLOTS, else a binary search."""
+    if slots > _TABLE_SLOTS:
+        return partial(_search, keys)
+    table = np.full(slots, -1, dtype=np.int32)
+    table[keys] = np.arange(len(keys), dtype=np.int32)
+    return table.__getitem__
+
+
+def _neighbours(cols, keys, powers, g, m, chunk, find):
+    """Index of ``row @ g`` for every row, ``chunk`` rows at a time.
+
+    Only the columns C where g differs from the identity change.  With
+    D = g - I and S the rows of D that meet C, those entries of the
+    images are ``(x[C] + D[S, C].T @ x[S]) % m``, and each image key is
+    its row's key plus the change in those digits.  ``cols`` holds the
+    universe column-major (x[c] is column c), so x[C] and x[S] are
+    contiguous rows.  Raises unless every image is a row and g permutes
+    the rows.
     """
+    d = g - np.eye(len(g), dtype=np.int64)
+    changed = np.flatnonzero(d.any(axis=0))
+    srcs = np.flatnonzero(d[:, changed].any(axis=1))
+    d = d[np.ix_(srcs, changed)].T.copy()
     n_rows = len(keys)
     nbr = np.empty(n_rows, dtype=np.int64)
     for lo in range(0, n_rows, chunk):
-        img = ((rows[lo:lo + chunk] @ g) % m) @ powers
-        pos = np.minimum(np.searchsorted(keys, img), n_rows - 1)
-        miss = np.flatnonzero(keys[pos] != img)
+        span = slice(lo, lo + chunk)
+        old = cols[changed, span]
+        new = (old + d @ cols[srcs, span]) % m
+        pos = find(keys[span] + powers[changed] @ (new - old))
+        miss = np.flatnonzero(pos < 0)
         if miss.size:
-            row = (rows[lo + miss[0]] @ g) % m
+            row = (cols[:, lo + miss[0]] @ g) % m
             raise RingError("generator left the universe at %r"
                             % (tuple(int(x) for x in row),))
-        nbr[lo:lo + chunk] = pos
+        nbr[span] = pos
     hit = np.zeros(n_rows, dtype=bool)
     hit[nbr] = True
     if not hit.all():
@@ -258,17 +314,19 @@ def orbit_partition(universe, generators, ring, chunk=4096):
 
     ``generators`` are numpy matrices (or SquareMatrix) over Z/m; m is
     read from ``ring``.  Rows are encoded as base-m int64 keys, most
-    significant digit first, so key order is row order.  Each
-    generator's neighbour array comes from one matmul and
-    ``np.searchsorted`` per block of ``chunk`` rows and must be a
-    permutation of the universe, so the orbits are the connected
-    components of the neighbour graph and inverses are not needed.
-    Components are found by min-label hooking with pointer jumping
-    (Shiloach-Vishkin): each root is hooked to the smaller root, so the
-    final root of an orbit is its least index, which is its least row.
-    The chunk size only affects scheduling, never the partition.
-    ``stats["frontier_sizes"]`` holds the live edge count of each
-    hooking round, generator by generator.
+    significant digit first, so key order is row order.  A generator's
+    neighbour array comes, per block of ``chunk`` rows, from the image
+    keys of the columns it changes (see ``_neighbours``), looked up in
+    a direct-address table of the m**width keys when that has at most
+    2**22 slots and with ``np.searchsorted`` otherwise.  Each neighbour
+    array must be a permutation of the universe, so the orbits are the
+    connected components of the neighbour graph and inverses are not
+    needed.  Components are found by min-label hooking with pointer
+    jumping (Shiloach-Vishkin): each root is hooked to the smaller root,
+    so the final root of an orbit is its least index, which is its
+    least row.  The chunk size only affects scheduling, never the
+    partition.  ``stats["frontier_sizes"]`` holds the live edge count
+    of each hooking round, generator by generator.
     """
     if chunk < 1:
         raise RingError("chunk must be >= 1")
@@ -279,16 +337,20 @@ def orbit_partition(universe, generators, ring, chunk=4096):
     if width * (m - 1) ** 2 >= 2 ** 63:
         raise RingError("rows of length %d over Z/%d overflow int64 products"
                         % (width, m))
-    rows = np.array(universe, dtype=np.int64).reshape(n_rows, width)
+    cols = np.array(universe, dtype=np.int64).reshape(n_rows, width).T.copy()
     powers = _key_powers(width, m)
-    keys = rows @ powers
-    if (rows < 0).any() or (rows >= m).any() or (np.diff(keys) <= 0).any():
+    keys = powers @ cols
+    if (cols < 0).any() or (cols >= m).any() or (np.diff(keys) <= 0).any():
         raise RingError("universe must be sorted distinct rows mod %d" % m)
+    if n_rows and any(g.shape != (width, width) for g in gens):
+        raise ValueError("generators must be %d x %d to act on the rows"
+                         % (width, width))
+    find = _lookup(keys, m ** width)
     parent = np.arange(n_rows, dtype=np.int64)
     frontier_sizes = []
     for g in gens:
         a = np.arange(n_rows, dtype=np.int64)
-        b = _neighbours(rows, keys, powers, g, m, chunk)
+        b = _neighbours(cols, keys, powers, g, m, chunk, find)
         # Edges stay live while their ends have different roots.
         while True:
             ra, rb = parent[a], parent[b]
@@ -299,11 +361,9 @@ def orbit_partition(universe, generators, ring, chunk=4096):
             frontier_sizes.append(len(a))
             np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
             parent = _compress(parent)
-    roots = parent.tolist()
-    label_of = {row: universe[r] for row, r in zip(universe, roots)}
     stats = {"multiplications": n_rows * len(gens),
              "frontier_sizes": frontier_sizes, "generators": len(gens)}
-    return OrbitPartition(universe, label_of, stats)
+    return OrbitPartition(universe, keys, parent, stats)
 
 
 def check_orbit_equality(ring, size, ideal=None, budget=10 ** 7, chunk=4096):
@@ -356,15 +416,18 @@ def check_dim0_transitivity(ring, size, ideal=None, budget=10 ** 7,
         ring, size, None if full_universe else spec.universe_ideal, budget)
     part = orbit_partition(universe, generators_for(spec), ring, chunk)
     g = ideal.modulus()
-    classes = {tuple(x % g for x in row) if g else row for row in universe}
+    classes = len(universe)
+    if g:
+        rows = np.array(universe, dtype=np.int64).reshape(classes, size)
+        classes = len(np.unique((rows % g) @ _key_powers(size, g)))
     return {
         "ring": ring.descriptor(),
         "size": size,
         "ideal": ideal.descriptor(),
         "universe_size": len(universe),
         "orbit_count": part.orbit_count(),
-        "congruence_classes": len(classes),
-        "transitive": part.orbit_count() == len(classes),
+        "congruence_classes": classes,
+        "transitive": part.orbit_count() == classes,
     }
 
 

@@ -117,14 +117,11 @@ def admissible_indices(rel_id, n):
 def verify_relation(ring, rel_id, n, indices, a, b):
     """Evaluate one relation instance; report, never assert."""
     lhs, rhs = relation_sides(ring, rel_id, n, indices, a, b)
-    lm, rm = lhs.eval(), rhs.eval()
     return {
         "relation-id": rel_id,
         "n": n,
         "indices": tuple(indices),
-        "holds": lm == rm,
-        "lhs": lm,
-        "rhs": rm,
+        "holds": lhs.eval() == rhs.eval(),
         "corrected": rel_id in CORRECTIONS,
     }
 

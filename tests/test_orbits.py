@@ -1,5 +1,7 @@
+import math
 import random
-from itertools import permutations
+import tracemalloc
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -590,3 +592,125 @@ def test_chain_rejects_a_long_root_outside_the_kernel():
     chain = orbits.StabilizerChain(rel, R, conjugators=conj, cap=10 ** 7)
     assert not chain.contains(GeneratorWord(R, 4, [se(1, 2, R.element(1))]))
     assert chain.contains(GeneratorWord(R, 4, [se(1, 2, R.element(5))]))
+
+
+# -- the fast paths of the orbit engine against the slow oracles -------
+
+
+@pytest.mark.parametrize("m,size,family,gen,relative", STRUCTURED)
+def test_searchsorted_lookup_matches_bfs_oracle(m, size, family, gen,
+                                                relative, monkeypatch):
+    """With the table bound at 0 every image is found by searchsorted."""
+    monkeypatch.setattr(orbits, "_TABLE_SLOTS", 0)
+    test_partition_matches_bfs_oracle(m, size, family, gen, relative)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_searchsorted_lookup_random_generators(seed, monkeypatch):
+    monkeypatch.setattr(orbits, "_TABLE_SLOTS", 0)
+    test_random_generators_match_bfs_oracle(seed)
+
+
+def test_searchsorted_lookup_keeps_the_errors(monkeypatch):
+    monkeypatch.setattr(orbits, "_TABLE_SLOTS", 0)
+    test_generator_leaving_relative_universe_raises()
+    test_singular_generator_raises()
+
+
+def test_sparse_universe_allocates_no_table():
+    """Um_8(Z/9, (3)) has 6,561 rows among 9**8 keys: a table of the
+    key space would take 172 MB, so the partition looks images up by
+    searchsorted and its peak stays far below that."""
+    R = Zmod(9)
+    I = Ideal.principal(R, 3)
+    universe = enumerate_unimodular(R, 8, I)
+    gens = generators_for(GroupSpec("linear-E-relative", 8, R, I))
+    tracemalloc.start()
+    try:
+        part = orbit_partition(universe, gens, ring=R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert part.orbit_count() == 1
+    assert peak < 16 * 2 ** 20
+
+
+def _enumerate_by_loop(ring, n, ideal=None):
+    """The former per-row enumeration, kept as the oracle: every
+    candidate from itertools.product, its gcd with m by math.gcd, then
+    a sort."""
+    m = ring.m
+    g = 1 if ideal is None else ideal.modulus()
+    if g == 0:
+        return [tuple([1] + [0] * (n - 1))]
+    coords = range(0, m, g)
+    rows = []
+    for tail in product(coords, repeat=n - 1):
+        for lead in coords:
+            row = ((1 + lead) % m,) + tail
+            acc = m
+            for x in row:
+                acc = math.gcd(acc, x)
+            if acc == 1:
+                rows.append(row)
+    rows.sort()
+    return rows
+
+
+@pytest.mark.parametrize("m,n,ideal", [
+    (9, 1, None), (9, 1, 3), (15, 1, 5), (9, 3, "zero"), (9, 3, "full"),
+    (15, 4, 5), (15, 3, 3), (27, 4, 3), (27, 3, 9), (45, 3, 15), (9, 6, None),
+    (9, 6, 3), (7, 2, None),
+])
+def test_enumeration_matches_product_loop(m, n, ideal):
+    ring = Zmod(m)
+    if ideal == "zero":
+        ideal = Ideal.zero(ring)
+    elif ideal == "full":
+        ideal = Ideal.full(ring)
+    elif ideal is not None:
+        ideal = Ideal.principal(ring, ideal)
+    got = enumerate_unimodular(ring, n, ideal)
+    assert got == _enumerate_by_loop(ring, n, ideal)
+    assert all(type(row) is tuple for row in got)
+    assert all(type(x) is int for x in got[0] + got[-1])
+
+
+def _spot_check_by_loop(universe, label, generators, m, trials, seed):
+    """The former per-pair closedness check, on the BFS oracle's labels."""
+    rng = random.Random(seed)
+    if not universe or not generators:
+        return True
+    for _ in range(trials):
+        row = universe[rng.randrange(len(universe))]
+        g = generators[rng.randrange(len(generators))]
+        img = tuple(int(x) for x in (np.array(row) @ g) % m)
+        if label.get(img) != label[row]:
+            return False
+    return True
+
+
+def test_spot_check_closed_matches_per_pair_loop():
+    """Closed, partly closed (a partition under four of the generators)
+    and escaping cases, at several trial counts and seeds: the batched
+    check agrees with the per-pair loop, and both verdicts occur."""
+    R = Zmod(9)
+    I = Ideal.principal(R, 3)
+    full = enumerate_unimodular(R, 3)
+    rel = enumerate_unimodular(R, 3, I)
+    erel = generators_for(GroupSpec("linear-E-relative", 3, R, I))
+    e = generators_for(GroupSpec("linear-E", 3, R))
+    verdicts = set()
+    for universe, gens, checked in [(full, erel, erel), (full, erel[:4], erel),
+                                    (full, [], e), (rel, erel, e),
+                                    (rel, erel, [])]:
+        part = orbit_partition(universe, gens, ring=R)
+        label = _bfs_labels(universe, gens, 9)
+        for trials in (0, 1, 4, 1000):
+            for seed in range(8):
+                want = _spot_check_by_loop(universe, label, checked, 9,
+                                           trials, seed)
+                assert part.spot_check_closed(checked, 9, trials, seed) \
+                    == want
+                verdicts.add(want)
+    assert verdicts == {True, False}

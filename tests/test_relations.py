@@ -65,6 +65,7 @@ def test_verify_relation_reports_structure():
     rep = verify_relation(ring, 10, 2, (1, 3), ring.var("a"), ring.var("b"))
     assert rep["holds"] and rep["relation-id"] == 10
     assert not rep["corrected"]
+    assert sorted(rep) == ["corrected", "holds", "indices", "n", "relation-id"]
 
 
 def test_relation_words_digest():
