@@ -236,8 +236,8 @@ class OrbitPartition:
         width = len(rows[0])
         block = np.array([rows[i] for i in at.tolist()],
                          dtype=np.int64).reshape(-1, width)
-        img = (block[:, None, :] @ gens[gi])[:, 0] % m @ _key_powers(width, m)
-        pos = _search(self.keys, img)
+        img = np.einsum("ti,tij->tj", block, gens[gi]) % m
+        pos = _search(self.keys, img @ _key_powers(width, m))
         return bool(((pos >= 0) & (self.root[pos] == self.root[at])).all())
 
 

@@ -635,6 +635,17 @@ def test_sparse_universe_allocates_no_table():
     assert peak < 16 * 2 ** 20
 
 
+def test_generator_of_another_size_raises():
+    """Images come from the columns a generator changes, so a generator
+    smaller than the rows must be refused, not read as a corner."""
+    R = Zmod(3)
+    universe = enumerate_unimodular(R, 3)
+    for size in (2, 4):
+        gens = generators_for(GroupSpec("linear-E", size, R))
+        with pytest.raises(ValueError, match="generators must be 3 x 3"):
+            orbit_partition(universe, gens, ring=R)
+
+
 def _enumerate_by_loop(ring, n, ideal=None):
     """The former per-row enumeration, kept as the oracle: every
     candidate from itertools.product, its gcd with m by math.gcd, then
