@@ -11,6 +11,7 @@ input-hash name real inputs only.
 import argparse
 import hashlib
 import json
+import os
 import random
 import sys
 import time
@@ -413,7 +414,15 @@ def run(argv):
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (say `| head`): send what is left of
+        # stdout, flushed again at exit, to devnull instead of the pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

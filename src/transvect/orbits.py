@@ -418,7 +418,9 @@ def check_dim0_transitivity(ring, size, ideal=None, budget=10 ** 7,
     g = ideal.modulus()
     classes = len(universe)
     if g:
-        rows = np.array(universe, dtype=np.int64).reshape(classes, size)
+        # the rows, as the digits of the partition's base-m keys
+        m = ring.m
+        rows = part.keys[:, None] // _key_powers(size, m) % m
         classes = len(np.unique((rows % g) @ _key_powers(size, g)))
     return {
         "ring": ring.descriptor(),

@@ -3,9 +3,13 @@
 The engine works with the C_n root system: the index p of a generator
 se_pq corresponds to the weight w_p, where w_{2k-1} = v_k and
 w_{2k} = -v_k, and the atom se_pq sits on the root w_p - w_q.  A
-commutator of two atoms on non-opposite roots expands into atoms on the
-roots a+b, 2a+b, a+2b, with arguments read off the matrix product and
-certified by exact evaluation.  Conjugation by first-column atoms on the
+commutator of two atoms on non-opposite roots r, s expands into atoms
+on the roots r+s, 2r+s, r+2s by the Chevalley commutator formula
+[x_r(a), x_s(b)] = prod x_{ir+js}(c_ij a^i b^j) with integer structure
+constants c_ij.  The constants of each pair of index positions are
+derived once, by evaluating and peeling the commutator of generic
+arguments over Z[1/2][a, b], and memoised; an expansion then only
+multiplies arguments.  Conjugation by first-column atoms on the
 root opposite to the target needs an explicit schedule that routes the
 target through an auxiliary commutator whose pieces conjugate benignly.
 
@@ -16,11 +20,13 @@ membership of first-column arguments, and Y-divisibility.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import permutations
 
 from .matrices import sigma
-from .rings import (X, Y, RingError, as_constant, divide_by_unit,
-                    divide_by_var, substitute, var_multiplicity)
+from .rings import (X, Y, Dyadic, PolyRing, RingError, as_constant,
+                    divide_by_unit, divide_by_var, substitute,
+                    var_multiplicity)
 from .words import (GeneratorAtom, GeneratorWord, act_on_rows, identity_rows,
                     se)
 
@@ -133,16 +139,72 @@ def _long_residue(ring, size, head, target):
     return _peel(ring, size, word.eval(), _long_roots(size // 2))
 
 
-def comm_word(ring, size, g, h):
-    """[g, h] as a word of atoms on the roots a+b, 2a+b, a+2b."""
+def _comm_by_peel(ring, size, g, h):
+    """[g, h] read off its matrix: the four-atom word evaluated and
+    peeled on the roots r+s, 2r+s, r+2s of g and h.  The derivation of
+    the structure constants, and the oracle that tests hold them to."""
     n = size // 2
     ra = atom_root(g.i, g.j, n)
     rb = atom_root(h.i, h.j, n)
-    if ra == _neg(rb):
-        raise RewriteError("opposite roots: no commutator expansion")
     word = GeneratorWord(ring, size, [g, h, g.inverse(), h.inverse()])
     cands = [_addroot(ra, rb), _addroot(ra, rb, 2), _addroot(rb, ra, 2)]
     return _peel(ring, size, word.eval(), cands)
+
+
+@cache
+def _comm_shape(size, g_family, gi, gj, h_family, hi, hj):
+    """The structure constants ((p, q, c, i, j), ...) of [g(a), h(b)], for
+    g at (gi, gj) and h at (hi, hj): the product of the se_pq(c a^i b^j).
+
+    Derived on first use by peeling the commutator of the generic
+    arguments a, b over Z[1/2][a, b].  Every peeled argument must be one
+    term with an integer coefficient and both exponents >= 1, so that
+    the product specialises to every ring; anything else raises.
+    """
+    ring = PolyRing(Dyadic(), ("a", "b"))
+    g = GeneratorAtom(g_family, gi, gj, ring.var("a"))
+    h = GeneratorAtom(h_family, hi, hj, ring.var("b"))
+    shape = []
+    for atom in _comm_by_peel(ring, size, g, h):
+        terms = atom.arg.value
+        if len(terms) != 1:
+            raise RewriteError("commutator piece %r is not one term" % (atom,))
+        ((i, j), (c, k)), = terms
+        if k or i < 1 or j < 1:
+            raise RewriteError("commutator piece %r is not c a^i b^j with "
+                               "c an integer and i, j >= 1" % (atom,))
+        shape.append((atom.i, atom.j, c, i, j))
+    return tuple(shape)
+
+
+def _power(x, k):
+    out = x
+    for _ in range(k - 1):
+        out = out * x
+    return out
+
+
+def comm_word(ring, size, g, h):
+    """[g, h] as a word of atoms on the roots r+s, 2r+s, r+2s of g and h.
+
+    The atoms are se_pq(c a^i b^j) for the memoised structure constants
+    (p, q, c, i, j) of the pair's index positions (``_comm_shape``), a
+    and b being the arguments of g and h lifted into ``ring``; an atom
+    whose argument is zero in ``ring`` is dropped.  The pieces on r+s
+    and on 2r+s (or r+2s) commute, as their sum is not a root, so the
+    order is safe.
+    """
+    n = size // 2
+    if atom_root(g.i, g.j, n) == _neg(atom_root(h.i, h.j, n)):
+        raise RewriteError("opposite roots: no commutator expansion")
+    a, b = ring.element(g.arg), ring.element(h.arg)
+    out = []
+    for p, q, c, i, j in _comm_shape(size, g.family, g.i, g.j,
+                                     h.family, h.i, h.j):
+        z = _power(a, i) * _power(b, j) * c
+        if not z.is_zero():
+            out.append(se(p, q, z))
+    return out
 
 
 # -- single-atom rewriting to first-row/column shape ------------------

@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import transvect
 from transvect.cli import run
 
 
@@ -348,3 +352,22 @@ def test_read_option_is_accepted(command, option, tmp_path, capsys):
     assert code in (0, 1) and rep["parameters"][option] == 3
     if option != "seed":  # budget and cap count, so they are >= 1
         _assert_usage_error(argv + ["--" + option, "0"], tmp_path, capsys)
+
+
+def test_closed_stdout_pipe_exits_one_without_traceback():
+    """A reader that closes the pipe early (``transvect ... | head -c``)
+    makes the report's write fail: exit 1, and no traceback on stderr."""
+    src = os.path.dirname(os.path.dirname(transvect.__file__))
+    read, write = os.pipe()
+    os.close(read)  # no reader is left, so every write to the pipe fails
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "transvect.cli", "square-ideal-test",
+             "--ring", "zmod:9", "--size", "4", "--ideal", "3",
+             "--samples", "2"],
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src))
+    finally:
+        os.close(write)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.returncode == 1

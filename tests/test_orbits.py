@@ -235,6 +235,35 @@ def test_transitivity_full_universe():
     assert rep["orbit_count"] == rep["congruence_classes"] == 80
 
 
+def _classes_from_tuples(ring, size, ideal, full_universe):
+    """The congruence-class count as the tuple rows give it: the universe
+    as an int64 array, reduced mod g and keyed in base g."""
+    spec = GroupSpec("linear-E-relative", size, ring, ideal)
+    universe = enumerate_unimodular(
+        ring, size, None if full_universe else spec.universe_ideal)
+    g = ideal.modulus()
+    if not g:
+        return len(universe)
+    rows = np.array(universe, dtype=np.int64).reshape(len(universe), size)
+    return len(np.unique((rows % g) @ orbits._key_powers(size, g)))
+
+
+@pytest.mark.parametrize("full_universe", [False, True])
+@pytest.mark.parametrize("m,size,gen", [
+    (9, 4, "zero"), (9, 4, "full"), (9, 4, 3), (9, 2, 3), (15, 4, 5),
+    (15, 2, 3), (27, 2, 3), (27, 2, 9), (45, 2, 15)])
+def test_transitivity_classes_from_partition_keys(m, size, gen,
+                                                  full_universe):
+    ring = Zmod(m)
+    ideal = (Ideal.principal(ring, gen) if isinstance(gen, int)
+             else getattr(Ideal, gen)(ring))
+    rep = check_dim0_transitivity(ring, size, ideal,
+                                  full_universe=full_universe)
+    classes = _classes_from_tuples(ring, size, ideal, full_universe)
+    assert rep["congruence_classes"] == classes
+    assert rep["transitive"] == (rep["orbit_count"] == classes)
+
+
 def test_kernel_membership_sampled():
     rep = kernel_membership_test(Zmod(9), 4, Ideal.principal(Zmod(9), 3),
                                  samples=100, seed=7)

@@ -1,10 +1,15 @@
+import random
+
 import pytest
 
 from transvect.matrices import sigma
-from transvect.rewrite import (RewriteError, comm_word,
-                               conjugate_first_rowcol, conjugate_square_ideal,
-                               dilate_word, rewrite_to_first)
-from transvect.rings import Dyadic, Ideal, PolyRing
+from transvect.relations import (admissible_indices, relation_sides,
+                                 symbolic_ring)
+from transvect.rewrite import (RewriteError, _arg_at, _comm_by_peel, _neg,
+                               atom_root, comm_word, conjugate_first_rowcol,
+                               conjugate_square_ideal, dilate_word,
+                               rewrite_to_first)
+from transvect.rings import Dyadic, Ideal, PolyRing, Zmod
 from transvect.words import GeneratorWord, se
 
 
@@ -26,6 +31,61 @@ def test_commutator_word_is_exact():
     word = comm_word(ring, 4, g, h)
     lhs = GeneratorWord(ring, 4, [g, h, g.inverse(), h.inverse()]).eval()
     assert GeneratorWord(ring, 4, word).eval() == lhs
+
+
+def _non_opposite_pairs(size):
+    """Every pair of symplectic index positions on non-opposite roots."""
+    n = size // 2
+    spots = [(i, j) for i in range(1, size + 1) for j in range(1, size + 1)
+             if i != j]
+    return [(p, q) for p in spots for q in spots
+            if atom_root(*p, n) != _neg(atom_root(*q, n))]
+
+
+def _argument_pools():
+    """(ring, arguments): generic and non-monomial polynomials, and
+    zero divisors mod 9 and 27, so that some a^i b^j vanish."""
+    poly = symbolic_ring()
+    a, b = poly.var("a"), poly.var("b")
+    yield poly, [a, b, 3 * a + 1, a * b, a + b * b, poly.zero()]
+    for m, args in ((9, (1, 2, 3, 6, 0)), (27, (1, 3, 9, 5, 0))):
+        yield Zmod(m), [Zmod(m).element(x) for x in args]
+
+
+@pytest.mark.parametrize("size", [4, 6, 8])
+def test_comm_word_matches_eval_and_peel(size):
+    """The expansion from structure constants equals, atom for atom, the
+    word read off the evaluated commutator, for every non-opposite pair
+    of index positions; one argument pair is sampled per position pair."""
+    rng = random.Random(size)
+    pairs = _non_opposite_pairs(size)
+    assert len(pairs) == {4: 124, 6: 846, 8: 3032}[size]
+    for ring, args in _argument_pools():
+        for (gi, gj), (hi, hj) in pairs:
+            g = se(gi, gj, rng.choice(args))
+            h = se(hi, hj, rng.choice(args))
+            assert comm_word(ring, size, g, h) == \
+                _comm_by_peel(ring, size, g, h), (ring, g, h)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_relation_rows_agree_with_structure_constants(n):
+    """Rows 6-11 of the relation table (four of them corrected against
+    print) are Chevalley commutator formulas: each right-hand atom has
+    the argument of the derived piece on its root, read at its position.
+    Rows 12, 13 and 15 are commuting pairs: no pieces."""
+    ring = symbolic_ring()
+    a, b = ring.var("a"), ring.var("b")
+    for rel_id in (6, 7, 8, 9, 10, 11, 12, 13, 15):
+        for idx in admissible_indices(rel_id, n):
+            lhs, rhs = relation_sides(ring, rel_id, n, idx, a, b)
+            g, h = lhs.atoms[:2]
+            pieces = {atom_root(c.i, c.j, n): c
+                      for c in comm_word(ring, 2 * n, g, h)}
+            assert len(rhs) == len(pieces), (rel_id, idx)
+            for r in rhs.atoms:
+                piece = pieces[atom_root(r.i, r.j, n)]
+                assert _arg_at(piece, r.i, r.j) == r.arg, (rel_id, idx, r)
 
 
 @pytest.mark.parametrize("size", [4, 6])
