@@ -10,9 +10,10 @@ sample through a chain instead of listing the group.
 Rows and matrices are carried as numpy integer arrays reduced mod m,
 and a row is found by its base-m int64 key: in a direct-address table
 of row indices when the key space is small, else by binary search.  A
-generator's images are computed only on the columns it changes.  Orbit
-labels are canonical (lexicographically least row per orbit), so
-partitions are independent of generator order and worker chunking.
+universe is one (N, n) int64 array from enumeration to partition.
+A generator's images are computed only on the columns it changes.
+Orbit labels are canonical (lexicographically least row per orbit), so
+partitions are independent of generator order.
 """
 
 import random
@@ -105,8 +106,9 @@ def _inverse_mod(mat, m):
 
 
 def enumerate_unimodular(ring, n, ideal=None, budget=10 ** 7):
-    """All rows of Um_n(Z/m), sorted; with a proper ideal I = gZ/m, only
-    rows = e_1 mod I.
+    """All rows of Um_n(Z/m), sorted, as an (N, n) int64 array whose
+    transpose is C-contiguous; with a proper ideal I = gZ/m, only rows
+    = e_1 mod I.
 
     A row is unimodular over Z/m iff gcd of its entries with m is 1.
     Candidate rows are the numbers 0 .. k**n - 1, k = m/g, read as n
@@ -121,7 +123,7 @@ def enumerate_unimodular(ring, n, ideal=None, budget=10 ** 7):
     m = ring.m
     g = 1 if ideal is None else ideal.modulus()
     if g == 0:
-        return [tuple([1] + [0] * (n - 1))]
+        return np.eye(1, n, dtype=np.int64)
     k = m // g
     if k ** n > budget:
         raise RingError("universe size %d exceeds budget %d"
@@ -138,7 +140,7 @@ def enumerate_unimodular(ring, n, ideal=None, budget=10 ** 7):
     idx = idx[acc == 1]
     cols = [column(idx, c) for c in range(n)]
     order = np.lexsort(cols[::-1])
-    return list(zip(*(col[order].tolist() for col in cols)))
+    return np.stack([col[order] for col in cols]).T
 
 
 def _index_pairs(size):
@@ -192,10 +194,11 @@ def generators_for(spec):
 class OrbitPartition:
     """Partition of a row universe under right multiplication.
 
-    ``keys`` are the base-m keys of the sorted universe and ``root[i]``
-    is the index of the least row of row i's orbit, so two partitions
-    of one universe agree iff their roots are equal.  ``label_of[row]``,
-    the least row of the orbit, is a dict built on first read.
+    ``universe`` is the (N, n) int64 array of sorted rows, ``keys``
+    their base-m keys and ``root[i]`` the index of the least row of row
+    i's orbit, so two partitions of one universe agree iff their roots
+    are equal.  ``label_of[row]``, the least row of the orbit, is a dict
+    of int tuples built on first read.
     """
 
     def __init__(self, universe, keys, root, stats):
@@ -206,7 +209,7 @@ class OrbitPartition:
 
     @cached_property
     def label_of(self):
-        rows = self.universe
+        rows = list(map(tuple, self.universe.tolist()))
         return {row: rows[r] for row, r in zip(rows, self.root.tolist())}
 
     def orbit_count(self):
@@ -227,17 +230,14 @@ class OrbitPartition:
         product."""
         rng = random.Random(seed)
         rows = self.universe
-        if not rows or not generators:
+        if not len(rows) or not generators:
             return True
-        picks = [(rng.randrange(len(rows)), rng.randrange(len(generators)))
-                 for _ in range(trials)]
-        at, gi = np.array(picks, dtype=np.int64).reshape(-1, 2).T
+        bounds = (len(rows), len(generators)) * trials
+        at, gi = np.fromiter(map(rng.randrange, bounds), np.int64,
+                             len(bounds)).reshape(-1, 2).T
         gens = np.stack([_int_array(g, m) for g in generators])
-        width = len(rows[0])
-        block = np.array([rows[i] for i in at.tolist()],
-                         dtype=np.int64).reshape(-1, width)
-        img = np.einsum("ti,tij->tj", block, gens[gi]) % m
-        pos = _search(self.keys, img @ _key_powers(width, m))
+        img = np.einsum("ti,tij->tj", rows[at], gens[gi]) % m
+        pos = _search(self.keys, img @ _key_powers(rows.shape[1], m))
         return bool(((pos >= 0) & (self.root[pos] == self.root[at])).all())
 
 
@@ -245,6 +245,9 @@ class OrbitPartition:
 # table of that many int32 row indices (16 MiB).  Larger key spaces,
 # where the universe is a sparse subset, use np.searchsorted.
 _TABLE_SLOTS = 2 ** 22
+# Rows per block of a generator's image computation; the partition does
+# not depend on it.
+_CHUNK_ROWS = 4096
 
 
 def _search(keys, img):
@@ -265,8 +268,8 @@ def _lookup(keys, slots):
     return table.__getitem__
 
 
-def _neighbours(cols, keys, powers, g, m, chunk, find):
-    """Index of ``row @ g`` for every row, ``chunk`` rows at a time.
+def _neighbours(cols, keys, powers, g, m, find):
+    """Index of ``row @ g`` for every row, _CHUNK_ROWS rows at a time.
 
     Only the columns C where g differs from the identity change.  With
     D = g - I and S the rows of D that meet C, those entries of the
@@ -282,8 +285,8 @@ def _neighbours(cols, keys, powers, g, m, chunk, find):
     d = d[np.ix_(srcs, changed)].T.copy()
     n_rows = len(keys)
     nbr = np.empty(n_rows, dtype=np.int64)
-    for lo in range(0, n_rows, chunk):
-        span = slice(lo, lo + chunk)
+    for lo in range(0, n_rows, _CHUNK_ROWS):
+        span = slice(lo, lo + _CHUNK_ROWS)
         old = cols[changed, span]
         new = (old + d @ cols[srcs, span]) % m
         pos = find(keys[span] + powers[changed] @ (new - old))
@@ -309,14 +312,16 @@ def _compress(parent):
         parent = up
 
 
-def orbit_partition(universe, generators, ring, chunk=4096):
+def orbit_partition(universe, generators, ring):
     """Orbits of a sorted row universe under the generated group.
 
-    ``generators`` are numpy matrices (or SquareMatrix) over Z/m; m is
-    read from ``ring``.  Rows are encoded as base-m int64 keys, most
-    significant digit first, so key order is row order.  A generator's
-    neighbour array comes, per block of ``chunk`` rows, from the image
-    keys of the columns it changes (see ``_neighbours``), looked up in
+    ``universe`` is an (N, n) int array, as ``enumerate_unimodular``
+    returns it, and is read column-major without a copy when its
+    transpose is C-contiguous.  ``generators`` are numpy matrices (or
+    SquareMatrix) over Z/m; m is read from ``ring``.  Rows are encoded
+    as base-m int64 keys, most significant digit first, so key order is
+    row order.  A generator's neighbour array comes from the image keys
+    of the columns it changes (see ``_neighbours``), looked up in
     a direct-address table of the m**width keys when that has at most
     2**22 slots and with ``np.searchsorted`` otherwise.  Each neighbour
     array must be a permutation of the universe, so the orbits are the
@@ -324,20 +329,16 @@ def orbit_partition(universe, generators, ring, chunk=4096):
     needed.  Components are found by min-label hooking with pointer
     jumping (Shiloach-Vishkin): each root is hooked to the smaller root,
     so the final root of an orbit is its least index, which is its
-    least row.  The chunk size only affects scheduling, never the
-    partition.  ``stats["frontier_sizes"]`` holds the live edge count
+    least row.  ``stats["frontier_sizes"]`` holds the live edge count
     of each hooking round, generator by generator.
     """
-    if chunk < 1:
-        raise RingError("chunk must be >= 1")
     m = ring.m
     gens = [_int_array(g, m) for g in generators]
-    n_rows = len(universe)
-    width = len(universe[0]) if universe else 0
+    n_rows, width = universe.shape
     if width * (m - 1) ** 2 >= 2 ** 63:
         raise RingError("rows of length %d over Z/%d overflow int64 products"
                         % (width, m))
-    cols = np.array(universe, dtype=np.int64).reshape(n_rows, width).T.copy()
+    cols = np.ascontiguousarray(universe.T)
     powers = _key_powers(width, m)
     keys = powers @ cols
     if (cols < 0).any() or (cols >= m).any() or (np.diff(keys) <= 0).any():
@@ -350,7 +351,7 @@ def orbit_partition(universe, generators, ring, chunk=4096):
     frontier_sizes = []
     for g in gens:
         a = np.arange(n_rows, dtype=np.int64)
-        b = _neighbours(cols, keys, powers, g, m, chunk, find)
+        b = _neighbours(cols, keys, powers, g, m, find)
         # Edges stay live while their ends have different roots.
         while True:
             ra, rb = parent[a], parent[b]
@@ -366,7 +367,7 @@ def orbit_partition(universe, generators, ring, chunk=4096):
     return OrbitPartition(universe, keys, parent, stats)
 
 
-def check_orbit_equality(ring, size, ideal=None, budget=10 ** 7, chunk=4096):
+def check_orbit_equality(ring, size, ideal=None, budget=10 ** 7):
     """Compare Um(R, I) partitions under relative E and relative ESp.
 
     Both families share one universe, enumerated once.
@@ -382,7 +383,7 @@ def check_orbit_equality(ring, size, ideal=None, budget=10 ** 7, chunk=4096):
     closed = True
     for spec in specs:
         gens = generators_for(spec)
-        part = orbit_partition(universe, gens, ring, chunk)
+        part = orbit_partition(universe, gens, ring)
         closed = part.spot_check_closed(gens, ring.m) and closed
         parts.append(part)
     lpart, spart = parts
@@ -400,7 +401,7 @@ def check_orbit_equality(ring, size, ideal=None, budget=10 ** 7, chunk=4096):
 
 
 def check_dim0_transitivity(ring, size, ideal=None, budget=10 ** 7,
-                            full_universe=False, chunk=4096):
+                            full_universe=False):
     """Orbits under relative E(I) coincide with mod-I congruence classes.
 
     Over a finite (dimension zero) ring, two unimodular rows congruent
@@ -414,14 +415,11 @@ def check_dim0_transitivity(ring, size, ideal=None, budget=10 ** 7,
     spec = GroupSpec("linear-E-relative", size, ring, ideal)
     universe = enumerate_unimodular(
         ring, size, None if full_universe else spec.universe_ideal, budget)
-    part = orbit_partition(universe, generators_for(spec), ring, chunk)
+    part = orbit_partition(universe, generators_for(spec), ring)
     g = ideal.modulus()
     classes = len(universe)
     if g:
-        # the rows, as the digits of the partition's base-m keys
-        m = ring.m
-        rows = part.keys[:, None] // _key_powers(size, m) % m
-        classes = len(np.unique((rows % g) @ _key_powers(size, g)))
+        classes = len(np.unique((universe % g) @ _key_powers(size, g)))
     return {
         "ring": ring.descriptor(),
         "size": size,

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from transvect import orbits
 from transvect.identities import splice_telescoping
 from transvect.matrices import standard_form
 from transvect.normalforms import (LocalRingWitness, random_form,
@@ -186,13 +187,15 @@ def test_criterion_10_telescoping_splice():
     _verdict(10, "telescoping splice", ok, time.time() - t0, 30)
 
 
-def test_criterion_11_determinism():
+def test_criterion_11_determinism(monkeypatch):
     t0 = time.time()
     I9 = Ideal.principal(Zmod(9), 3)
-    a = check_orbit_equality(Zmod(9), 4, I9, chunk=4096)
-    b = check_orbit_equality(Zmod(9), 4, I9, chunk=17)
-    c1 = check_dim0_transitivity(Zmod(9), 4, I9, chunk=4096)
-    c2 = check_dim0_transitivity(Zmod(9), 4, I9, chunk=13)
+    a = check_orbit_equality(Zmod(9), 4, I9)
+    c1 = check_dim0_transitivity(Zmod(9), 4, I9)
+    monkeypatch.setattr(orbits, "_CHUNK_ROWS", 17)
+    b = check_orbit_equality(Zmod(9), 4, I9)
+    monkeypatch.setattr(orbits, "_CHUNK_ROWS", 13)
+    c2 = check_dim0_transitivity(Zmod(9), 4, I9)
     k1 = kernel_membership_test(Zmod(9), 4, I9, samples=200, seed=7)
     k2 = kernel_membership_test(Zmod(9), 4, I9, samples=200, seed=7)
     ok = a == b and c1 == c2 and k1 == k2

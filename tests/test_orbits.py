@@ -184,14 +184,25 @@ def test_empty_generators_give_singletons():
     assert part.orbit_count() == len(universe)
 
 
-def test_partition_chunk_independent():
+def test_partition_chunk_independent(monkeypatch):
     R = Zmod(9)
     I = Ideal.principal(R, 3)
     universe = enumerate_unimodular(R, 4, I)
     gens = generators_for(GroupSpec("linear-E-relative", 4, R, I))
-    p1 = orbit_partition(universe, gens, ring=R, chunk=4096)
-    p2 = orbit_partition(universe, gens, ring=R, chunk=7)
+    p1 = orbit_partition(universe, gens, ring=R)
+    monkeypatch.setattr(orbits, "_CHUNK_ROWS", 7)
+    p2 = orbit_partition(universe, gens, ring=R)
     assert p1.same_partition(p2)
+
+
+def test_partition_keeps_the_enumerated_array():
+    """The enumerated universe is read column-major in place: the
+    partition holds that array, not a copy."""
+    R = Zmod(9)
+    universe = enumerate_unimodular(R, 4)
+    part = orbit_partition(universe, generators_for(
+        GroupSpec("linear-E", 4, R)), ring=R)
+    assert np.shares_memory(part.universe, universe)
 
 
 def test_sp4_f3_closure_order():
@@ -236,16 +247,15 @@ def test_transitivity_full_universe():
 
 
 def _classes_from_tuples(ring, size, ideal, full_universe):
-    """The congruence-class count as the tuple rows give it: the universe
-    as an int64 array, reduced mod g and keyed in base g."""
+    """The congruence-class count as the tuple rows give it: the set of
+    rows reduced mod g, entry by entry."""
     spec = GroupSpec("linear-E-relative", size, ring, ideal)
     universe = enumerate_unimodular(
         ring, size, None if full_universe else spec.universe_ideal)
     g = ideal.modulus()
     if not g:
         return len(universe)
-    rows = np.array(universe, dtype=np.int64).reshape(len(universe), size)
-    return len(np.unique((rows % g) @ orbits._key_powers(size, g)))
+    return len({tuple(x % g for x in row) for row in universe.tolist()})
 
 
 @pytest.mark.parametrize("full_universe", [False, True])
@@ -316,6 +326,7 @@ def _bfs_labels(universe, generators, m):
     """The slow oracle: BFS from each unlabelled row under the
     generators and their inverses, one dict lookup per image; every
     row is labelled by the least row of its orbit."""
+    universe = list(map(tuple, universe.tolist()))
     gens = []
     for g in generators:
         g = np.asarray(g) % m
@@ -348,7 +359,9 @@ def _bfs_labels(universe, generators, m):
 def _assert_matches_oracle(universe, gens, ring):
     want = _bfs_labels(universe, gens, ring.m)
     for chunk in (1, 7, 4096):
-        part = orbit_partition(universe, gens, ring=ring, chunk=chunk)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(orbits, "_CHUNK_ROWS", chunk)
+            part = orbit_partition(universe, gens, ring=ring)
         assert part.label_of == want
         assert part.stats["multiplications"] == len(universe) * len(gens)
         assert part.stats["generators"] == len(gens)
@@ -429,17 +442,15 @@ def test_malformed_universe_raises():
     universe = enumerate_unimodular(R, 2)
     with pytest.raises(RingError):
         orbit_partition(universe[::-1], [], ring=R)
-    with pytest.raises(RingError):
-        orbit_partition(universe, [], ring=R, chunk=0)
     with pytest.raises(RingError, match="overflow"):
-        orbit_partition([(0, 1)], [], ring=Zmod(3 ** 20))
+        orbit_partition(np.array([[0, 1]]), [], ring=Zmod(3 ** 20))
 
 
 def test_empty_universe_and_generators():
     R = Zmod(3)
     gens = generators_for(GroupSpec("linear-E", 2, R))
     for g in (gens, []):
-        part = orbit_partition([], g, ring=R)
+        part = orbit_partition(np.empty((0, 2), dtype=np.int64), g, ring=R)
         assert part.label_of == {} and part.orbit_count() == 0
         assert part.stats["multiplications"] == 0
     part = orbit_partition(enumerate_unimodular(R, 2), [], ring=R)
@@ -711,14 +722,16 @@ def test_enumeration_matches_product_loop(m, n, ideal):
     elif ideal is not None:
         ideal = Ideal.principal(ring, ideal)
     got = enumerate_unimodular(ring, n, ideal)
-    assert got == _enumerate_by_loop(ring, n, ideal)
-    assert all(type(row) is tuple for row in got)
-    assert all(type(x) is int for x in got[0] + got[-1])
+    want = _enumerate_by_loop(ring, n, ideal)
+    assert got.dtype == np.int64 and got.shape == (len(want), n)
+    assert got.T.flags.c_contiguous
+    assert list(map(tuple, got.tolist())) == want
 
 
 def _spot_check_by_loop(universe, label, generators, m, trials, seed):
     """The former per-pair closedness check, on the BFS oracle's labels."""
     rng = random.Random(seed)
+    universe = list(map(tuple, universe.tolist()))
     if not universe or not generators:
         return True
     for _ in range(trials):
