@@ -18,6 +18,7 @@ partitions are independent of generator order.
 
 import random
 from functools import cached_property, partial
+from itertools import cycle
 
 import numpy as np
 
@@ -597,28 +598,56 @@ def subgroup_closure(generators, ring, conjugators=None, cap=10 ** 6):
     return np.sort(chain.elements().reshape(-1, n * n) @ powers)
 
 
-def _random_first_rowcol_word(ring, size, ideal, rng):
-    """A random word of six atoms, first-row (free args) or first-column
-    (args in I), composed with its mod-I mirror so that the evaluation
-    is the identity modulo I by construction.  For I = R every word is
-    = identity mod I and the mirror would cancel the atoms exactly, so
-    the six atoms stand alone."""
-    g = ideal.modulus()
-    m = ring.m
-    atoms = []
-    for _ in range(6):
-        j = rng.randrange(2, size + 1)
-        if rng.randrange(2) and g:
-            atoms.append(se(j, 1, ring.element(g * rng.randrange(m))))
-        else:
-            atoms.append(se(1, j, ring.element(rng.randrange(m))))
-    if g == 1:
-        return GeneratorWord(ring, size, atoms)
-    mirror = []
-    for a in reversed(atoms):
-        rep = a.arg.value % (g or m)
-        mirror.append(se(a.i, a.j, ring.element(-rep)))
-    return GeneratorWord(ring, size, atoms + mirror)
+def _first_rowcol_atoms(size, m, g, rng, count):
+    """``count`` random first-row/column words over Z/m with I = gZ/m,
+    as a (count, L, 3) int64 array of atoms (i, j, arg mod m), 1-based
+    as for ``se``.  Each of the first six atoms draws j in 2..size, a
+    coin and r in 0..m-1 from ``rng``, in that order: a first-column
+    atom se_j1(g*r) on heads when g != 0, else a first-row atom
+    se_1j(r).  The word is then composed with its mod-I mirror, the six
+    atoms in reverse with arguments -(arg mod (g or m)), so that it is
+    = identity mod I by construction (L = 12); for I = R the mirror
+    would cancel the atoms exactly, so the six stand alone (L = 6)."""
+    out = np.empty((count, 6 if g == 1 else 12, 3), dtype=np.int64)
+    draws = map(rng.randrange, cycle((2, 0, 0)), cycle((size + 1, 2, m)))
+    out[:, :6] = np.fromiter(draws, np.int64, 18 * count).reshape(count, 6, 3)
+    # views of the first six atoms, which hold the draws (j, coin, r)
+    # until they are rewritten in place
+    i, j, arg = out[:, :6].transpose(2, 0, 1)
+    col = (j == 1) & (g != 0)  # heads: a first-column atom
+    arg[col] = arg[col] * g % m
+    j[:] = np.where(col, 1, i)
+    i[~col] = 1
+    if g != 1:
+        out[:, 6:] = out[:, 5::-1]
+        out[:, 6:, 2] = -(out[:, 6:, 2] % (g or m)) % m
+    return out
+
+
+def _eval_atoms(atoms, size, m):
+    """The words of an (S, L, 3) table of symplectic atoms (i, j, arg
+    mod m) as an (S, n, n) int64 array mod m, one atom position at a
+    time across all S words, by the word kernel's rule: right-
+    multiplying by I + z*e_ab adds z * column a to column b, and a short
+    root (i != sigma(j)) also applies its mirror entry (sigma(j),
+    sigma(i)), with sign -z when i + j is even.  Entries stay below
+    (m-1) + (m-1)**2 before each reduction."""
+    out = np.tile(np.eye(size, dtype=np.int64), (len(atoms), 1, 1))
+    s = np.arange(len(atoms))
+    for i, j, z in atoms.transpose(1, 2, 0):
+        a, b = i - 1, j - 1  # 0-based, where sigma is x ^ 1
+        mirror_z = np.where((i + j) % 2, z, -z % m) * (a != b ^ 1)
+        for src, dst, w in ((a, b, z), (b ^ 1, a ^ 1, mirror_z)):
+            out[s, :, dst] = (out[s, :, dst] + w[:, None] * out[s, :, src]) % m
+    return out
+
+
+def _first_rowcol_samples(size, m, g, rng, samples):
+    """The evaluated sample words of ``_first_rowcol_atoms``, drawn in
+    order from ``rng``, as (k, n, n) blocks of at most _CHUNK_ROWS."""
+    for lo in range(0, samples, _CHUNK_ROWS):
+        count = min(_CHUNK_ROWS, samples - lo)
+        yield _eval_atoms(_first_rowcol_atoms(size, m, g, rng, count), size, m)
 
 
 def kernel_membership_test(ring, size, ideal, samples=1000, seed=0,
@@ -629,17 +658,18 @@ def kernel_membership_test(ring, size, ideal, samples=1000, seed=0,
     Builds a stabilizer chain of ESp(R, I), the normal closure of the
     relative triples under conjugation by the absolute ESp generators
     (for I = R, ESp itself), then samples first-rowcol words whose
-    evaluation is = identity mod I (by construction) and sifts each.
-    ``closure_size`` is the order of ESp(R, I).
+    evaluation is = identity mod I (by construction).  The samples are
+    drawn as int64 atom blocks of at most _CHUNK_ROWS words, each block
+    is evaluated by batched column operations, and each matrix is sifted
+    through the chain.  The chain's int64 overflow guard runs before
+    any sample is drawn.  ``closure_size`` is the order of ESp(R, I).
     """
     rel = generators_for(GroupSpec("symplectic-ESp-relative", size, ring, ideal))
     conj = generators_for(GroupSpec("symplectic-ESp", size, ring))
     chain = StabilizerChain(rel, ring, conjugators=conj, cap=cap)
     rng = random.Random(seed)
-    hits = 0
-    for _ in range(samples):
-        if chain.contains(_random_first_rowcol_word(ring, size, ideal, rng)):
-            hits += 1
+    blocks = _first_rowcol_samples(size, ring.m, ideal.modulus(), rng, samples)
+    hits = sum(sum(map(chain.contains, block)) for block in blocks)
     return {
         "ring": ring.descriptor(),
         "size": size,

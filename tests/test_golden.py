@@ -57,6 +57,30 @@ GOLDEN = [
      "cbdb9b3e562fc40a0d330c9fa7eff591a8c102790f9d71c45ded203934cdb659"),
     (["reduce-form", "--ring", "zmod:45", "--samples", "20", "--seed", "0"],
      "b47f2c6595a7ed2630566f894372edc0e1c9611bc4f679ac530f0bd9592a03ae"),
+    # kernel-test: the finite workload's run at seeds 0 and 1, the full
+    # and zero ideals, no samples, 5,000 samples (more than one block of
+    # orbits._CHUNK_ROWS) and Z/25 past the default cap
+    (["kernel-test", "--ring", "zmod:9", "--size", "4", "--ideal", "3",
+      "--samples", "1000", "--seed", "0"],
+     "e54692e2cea38df71d79a94af7d8b42754f389ae7f0bda579e31aedfd07a6a49"),
+    (["kernel-test", "--ring", "zmod:9", "--size", "4", "--ideal", "3",
+      "--samples", "1000", "--seed", "1"],
+     "c0a1440bb5753b7b829a43d3638c1dd639a7ae0629aa7ed9e2a8a7d67ad7ac6c"),
+    (["kernel-test", "--ring", "zmod:3", "--size", "4", "--ideal", "1",
+      "--samples", "50"],
+     "112449597a5e10846901bd694e5f4391ba5c483f714138eed342fb67d0a7c520"),
+    (["kernel-test", "--ring", "zmod:9", "--size", "4", "--ideal", "0",
+      "--samples", "3"],
+     "e8b7ad7bdec30cc5bbc70331c1af04aa6a88ca5746bd609318303ad5b45dfb34"),
+    (["kernel-test", "--ring", "zmod:9", "--size", "4", "--ideal", "3",
+      "--samples", "0"],
+     "c31cf2352744cf0ad329fe4f07601da302888ed3ee1582f26ee6ca37b0f76a64"),
+    (["kernel-test", "--ring", "zmod:9", "--size", "2", "--ideal", "3",
+      "--samples", "5000"],
+     "d4fcaed224ca7f6944e7dc55a334ad27cb601ff2b291f5a619d77b32ddb268f1"),
+    (["kernel-test", "--ring", "zmod:25", "--size", "4", "--ideal", "5",
+      "--samples", "50", "--cap", "10000000"],
+     "4f306b83ba4b70da4c46ed39d06c0593f362eb5e0e945c66cd62757016c65bb4"),
 ]
 
 

@@ -152,11 +152,9 @@ def test_full_ideal_samples_are_not_the_identity():
     by a mirror: most are not the identity, and all lie in ESp(R)."""
     R = Zmod(3)
     full = Ideal.full(R)
-    rng = random.Random(0)
-    words = [orbits._random_first_rowcol_word(R, 4, full, rng)
-             for _ in range(50)]
-    moved = sum(not np.array_equal(orbits._int_array(w, 3), np.eye(4))
-                for w in words)
+    atoms = orbits._first_rowcol_atoms(4, 3, 1, random.Random(0), 50)
+    mats = orbits._eval_atoms(atoms, 4, 3)
+    moved = sum(not np.array_equal(mat, np.eye(4)) for mat in mats)
     assert moved >= 40
     rep = kernel_membership_test(R, 4, full, samples=50, seed=0)
     assert rep["ok"] and rep["members"] == 50
@@ -767,3 +765,146 @@ def test_spot_check_closed_matches_per_pair_loop():
                     == want
                 verdicts.add(want)
     assert verdicts == {True, False}
+
+
+def _random_first_rowcol_word(ring, size, ideal, rng):
+    """The former per-word sample draw, kept as the oracle: six atoms,
+    first-row (free args) or first-column (args in I), composed with
+    their mod-I mirror unless I = R."""
+    g = ideal.modulus()
+    m = ring.m
+    atoms = []
+    for _ in range(6):
+        j = rng.randrange(2, size + 1)
+        if rng.randrange(2) and g:
+            atoms.append(se(j, 1, ring.element(g * rng.randrange(m))))
+        else:
+            atoms.append(se(1, j, ring.element(rng.randrange(m))))
+    if g == 1:
+        return GeneratorWord(ring, size, atoms)
+    mirror = []
+    for a in reversed(atoms):
+        rep = a.arg.value % (g or m)
+        mirror.append(se(a.i, a.j, ring.element(-rep)))
+    return GeneratorWord(ring, size, atoms + mirror)
+
+
+def _exact(ring, size, atoms):
+    """The word of each atom row, evaluated by ``GeneratorWord.eval``."""
+    words = [GeneratorWord(ring, size, [se(i, j, z) for i, j, z in row])
+             for row in atoms.tolist()]
+    return np.array([orbits._int_array(w, ring.m) for w in words],
+                    dtype=np.int64).reshape(len(atoms), size, size)
+
+
+_SAMPLE_CASES = [(m, size, g) for m, gs in [(3, (0, 1)), (9, (0, 1, 3)),
+                                            (15, (0, 1, 3, 5)),
+                                            (25, (0, 1, 5)),
+                                            (27, (0, 1, 3, 9))]
+                 for size in (2, 4, 6) for g in gs]
+
+
+@pytest.mark.parametrize("m,size,g", _SAMPLE_CASES)
+def test_block_draw_matches_the_word_draw(m, size, g):
+    """The block draw gives the oracle's atoms, word by word, and leaves
+    the Random in the same state."""
+    ring = Zmod(m)
+    ideal = Ideal.principal(ring, g)
+    block, loop = random.Random(m * size + g), random.Random(m * size + g)
+    atoms = orbits._first_rowcol_atoms(size, m, g, block, 40)
+    assert atoms.dtype == np.int64
+    assert atoms.shape == (40, 6 if g == 1 else 12, 3)
+    for row in atoms:
+        word = _random_first_rowcol_word(ring, size, ideal, loop)
+        assert [(a.i, a.j, a.arg.value) for a in word.atoms] == \
+            [tuple(atom) for atom in row.tolist()]
+    assert block.getstate() == loop.getstate()
+    assert orbits._first_rowcol_atoms(size, m, g, block, 0).shape[0] == 0
+    assert block.getstate() == loop.getstate()
+
+
+def _random_atom_table(rng, count, length, size, m):
+    """Symplectic atoms at every (i, j), i != j, long and short roots
+    alike; about one argument in four is zero."""
+    pairs = [(i, j) for i in range(1, size + 1)
+             for j in range(1, size + 1) if i != j]
+    table = np.empty((count, length, 3), dtype=np.int64)
+    for row in table:
+        for atom in row:
+            i, j = pairs[rng.randrange(len(pairs))]
+            z = 0 if rng.randrange(4) == 0 else rng.randrange(m)
+            atom[:] = (i, j, z)
+    return table
+
+
+@pytest.mark.parametrize("m", [3, 9, 15, 25, 27])
+@pytest.mark.parametrize("size", [2, 4, 6, 8])
+def test_atom_block_evaluation_matches_word_eval(m, size):
+    """The batched evaluator against ``GeneratorWord.eval`` on random
+    atom tables: every root shape, zero arguments, words of 1, 6 and 12
+    atoms, and a table of no words."""
+    ring = Zmod(m)
+    rng = random.Random(100 * m + size)
+    long_roots = short_roots = zeros = 0
+    for length in (1, 6, 12):
+        atoms = _random_atom_table(rng, 25, length, size, m)
+        got = orbits._eval_atoms(atoms, size, m)
+        assert got.dtype == np.int64 and got.shape == (25, size, size)
+        assert np.array_equal(got, _exact(ring, size, atoms))
+        i, j, z = atoms.reshape(-1, 3).T
+        long_roots += np.count_nonzero(i == (j - 1 ^ 1) + 1)
+        short_roots += np.count_nonzero(i != (j - 1 ^ 1) + 1)
+        zeros += np.count_nonzero(z == 0)
+    assert long_roots and zeros and bool(short_roots) == (size > 2)
+    assert orbits._eval_atoms(atoms[:0], size, m).shape == (0, size, size)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+@pytest.mark.parametrize("m,size,g", [(3, 2, 0), (3, 4, 1), (9, 4, 3),
+                                      (9, 6, 3), (15, 4, 5), (25, 2, 5),
+                                      (27, 8, 9), (27, 4, 1)])
+def test_sample_blocks_match_the_word_oracle(m, size, g, chunk, monkeypatch):
+    """Drawn and evaluated block by block, the samples are the oracle's
+    words evaluated exactly, in order, whatever the block size, and the
+    Random ends in the same state."""
+    monkeypatch.setattr(orbits, "_CHUNK_ROWS", chunk)
+    ring = Zmod(m)
+    ideal = Ideal.principal(ring, g)
+    block, loop = random.Random(size + g), random.Random(size + g)
+    blocks = list(orbits._first_rowcol_samples(size, m, g, block, 30))
+    assert all(1 <= len(b) <= chunk for b in blocks)
+    got = np.concatenate(blocks)
+    want = [orbits._int_array(_random_first_rowcol_word(ring, size, ideal, loop),
+                              m) for _ in range(30)]
+    assert np.array_equal(got, np.array(want))
+    assert block.getstate() == loop.getstate()
+    if g != 1:  # = identity mod I by construction
+        assert (got % (g or m) == np.eye(size, dtype=np.int64) % (g or m)).all()
+
+
+def test_kernel_samples_stay_within_one_block():
+    """20,000 samples over Z/3 at size 2 with the zero ideal are drawn
+    and evaluated one block of _CHUNK_ROWS words at a time: the traced
+    peak stays well below the 5.8 MB that one (20000, 12, 3) int64
+    atom table alone would take."""
+    R = Zmod(3)
+    whole_table = 20000 * 12 * 3 * 8
+    tracemalloc.start()
+    try:
+        rep = kernel_membership_test(R, 2, Ideal.zero(R), samples=20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["members"] == rep["samples"] == 20000
+    assert peak < whole_table / 2
+
+
+def test_kernel_test_overflow_guard_runs_before_any_draw(monkeypatch):
+    """4 * (m-1)**2 >= 2**63 for m = 2**31 + 1: the chain refuses the
+    ring before a single sample is drawn or evaluated."""
+    def no_draw(*args):
+        raise AssertionError("a sample was drawn")
+    monkeypatch.setattr(orbits, "_first_rowcol_atoms", no_draw)
+    R = Zmod(2 ** 31 + 1)
+    with pytest.raises(RingError, match="overflow int64"):
+        kernel_membership_test(R, 4, Ideal.full(R), samples=10)
