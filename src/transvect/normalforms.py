@@ -13,7 +13,7 @@ Two reductions, both certified by their defining postconditions:
 """
 
 from .matrices import SquareMatrix, is_alternating, pfaffian, standard_form
-from .rings import (GF, Ideal, RingError, Zmod, localize_at_prime,
+from .rings import (Ideal, RingError, Zmod, localize_at_prime,
                     prime_factors, sample_element)
 from .words import (LINEAR, GeneratorWord, act_on_columns,
                     conjugation_triple, lin)

@@ -7,13 +7,14 @@ of generated subgroups and normal closures, and runs the statistical
 kernel-membership and square-ideal inclusion checks, which sift each
 sample through a chain instead of listing the group.
 
-Rows and matrices are carried as numpy integer arrays reduced mod m,
-and a row is found by its base-m int64 key: in a direct-address table
-of row indices when the key space is small, else by binary search.  A
-universe is one (N, n) int64 array from enumeration to partition.
-A generator's images are computed only on the columns it changes.
-Orbit labels are canonical (lexicographically least row per orbit), so
-partitions are independent of generator order.
+Rows and matrices are int64 arrays mod m, the only input the orbit
+functions take; every word built here is a row of an int64 atom table
+evaluated by ``_eval_atoms``.  A row is found by its base-m int64 key:
+in a direct-address table of row indices when the key space is small,
+else by binary search.  A universe is one (N, n) int64 array from
+enumeration to partition.  A generator's images are computed only on
+the columns it changes.  Orbit labels are canonical (lexicographically
+least row per orbit), so partitions are independent of generator order.
 """
 
 import random
@@ -22,11 +23,10 @@ from itertools import cycle
 
 import numpy as np
 
-from .matrices import SquareMatrix, sigma
+from .matrices import sigma
 from .rewrite import conjugate_square_ideal
-from .rings import DescriptorError, Ideal, RingError, Zmod, sample_element
-from .words import (LINEAR, SYMPLECTIC, GeneratorAtom, GeneratorWord,
-                    conjugation_triple, se)
+from .rings import DescriptorError, Ideal, RingError, Zmod
+from .words import LINEAR, SYMPLECTIC
 
 # family -> (group it generates, kind), read only by GroupSpec
 FAMILIES = {
@@ -73,15 +73,6 @@ class GroupSpec:
     def __repr__(self):
         return "GroupSpec(%s, n=%d, %s, %s)" % (
             self.family, self.size, self.ring, self.ideal)
-
-
-def _int_array(x, m):
-    """A word, SquareMatrix or array over Z/m as an int64 array mod m."""
-    if isinstance(x, GeneratorWord):
-        x = x.eval()
-    if isinstance(x, SquareMatrix):
-        x = [[e.value for e in row] for row in x.rows]
-    return np.asarray(x, dtype=np.int64) % m
 
 
 def _key_powers(width, m):
@@ -150,7 +141,7 @@ def _index_pairs(size):
 
 
 def generators_for(spec):
-    """Generator matrices for the family, additively reduced.
+    """Generator matrices for the family, additively reduced, as int64 arrays.
 
     With I = gZ/m the spec's ideal: absolute families (g = 1) use one
     atom per index pair and additive generator (atom args add in the
@@ -158,38 +149,24 @@ def generators_for(spec):
     with the full ideal; other relative families use all conjugation
     triples ge_ij(a) ge_ji(g) ge_ij(-a) with 0 <= a < m/g (a triple is
     I + g*P(a) for integer polynomials P, so it depends on a mod m/g);
-    first-row/column families mix free first-row atoms with
-    first-column atoms of argument g.
+    first-row/column families alternate free first-row atoms with
+    first-column atoms of argument g.  The family is one atom table;
+    identities (g = 0) and repeats are dropped, first ones kept in order.
     """
-    ring, size = spec.ring, spec.size
-    atom = partial(GeneratorAtom, spec.group)
-    g = spec.ideal.modulus()
-    eye = np.eye(size, dtype=np.int64)
-    powers = _key_powers(size, ring.m)
-    out = []
-    seen = set()
-
-    def emit(atoms):
-        mat = _int_array(GeneratorWord(ring, size, atoms), ring.m)
-        key = tuple((mat @ powers).tolist())  # one key per row
-        if key not in seen and not (mat == eye).all():
-            seen.add(key)
-            out.append(mat)
-
+    size, m, g = spec.size, spec.ring.m, spec.ideal.modulus()
+    powers = _key_powers(size, m)
     if spec.kind == "first-rowcol":
-        for j in range(2, size + 1):
-            emit([atom(1, j, ring.one())])
-            if g:
-                emit([atom(j, 1, ring.element(g))])
+        words = [[atom] for j in range(2, size + 1)
+                 for atom in ((1, j, 1), (j, 1, g))]
     elif g == 1:
-        for i, j in _index_pairs(size):
-            emit([atom(i, j, ring.one())])
-    elif g:
-        x = ring.element(g)
-        for i, j in _index_pairs(size):
-            for a in range(ring.m // g):
-                emit(conjugation_triple(spec.group, i, j, ring.element(a), x))
-    return out
+        words = [[(i, j, 1)] for i, j in _index_pairs(size)]
+    else:
+        words = [[(i, j, a), (j, i, g), (i, j, -a % m)]
+                 for i, j in _index_pairs(size) for a in range(m // (g or m))]
+    mats = _eval_atoms(_word_table(words), size, m, spec.group)
+    first = np.sort(np.unique(mats @ powers, axis=0, return_index=True)[1])
+    moved = (mats[first] != np.eye(size, dtype=np.int64)).any(axis=(1, 2))
+    return list(mats[first[moved]])
 
 
 class OrbitPartition:
@@ -236,7 +213,7 @@ class OrbitPartition:
         bounds = (len(rows), len(generators)) * trials
         at, gi = np.fromiter(map(rng.randrange, bounds), np.int64,
                              len(bounds)).reshape(-1, 2).T
-        gens = np.stack([_int_array(g, m) for g in generators])
+        gens = np.asarray(generators, dtype=np.int64) % m
         img = np.einsum("ti,tij->tj", rows[at], gens[gi]) % m
         pos = _search(self.keys, img @ _key_powers(rows.shape[1], m))
         return bool(((pos >= 0) & (self.root[pos] == self.root[at])).all())
@@ -318,8 +295,8 @@ def orbit_partition(universe, generators, ring):
 
     ``universe`` is an (N, n) int array, as ``enumerate_unimodular``
     returns it, and is read column-major without a copy when its
-    transpose is C-contiguous.  ``generators`` are numpy matrices (or
-    SquareMatrix) over Z/m; m is read from ``ring``.  Rows are encoded
+    transpose is C-contiguous.  ``generators`` are (n, n) integer arrays,
+    read mod m; m is read from ``ring``.  Rows are encoded
     as base-m int64 keys, most significant digit first, so key order is
     row order.  A generator's neighbour array comes from the image keys
     of the columns it changes (see ``_neighbours``), looked up in
@@ -334,7 +311,7 @@ def orbit_partition(universe, generators, ring):
     of each hooking round, generator by generator.
     """
     m = ring.m
-    gens = [_int_array(g, m) for g in generators]
+    gens = [np.asarray(g, dtype=np.int64) % m for g in generators]
     n_rows, width = universe.shape
     if width * (m - 1) ** 2 >= 2 ** 63:
         raise RingError("rows of length %d over Z/%d overflow int64 products"
@@ -433,10 +410,10 @@ def check_dim0_transitivity(ring, size, ideal=None, budget=10 ** 7,
 
 
 def _square_arrays(generators, conjugators, m):
-    """(generators, conjugators, n): both lists as int64 arrays mod m and
-    their common size n (1 if both are empty)."""
-    gens = [_int_array(g, m) for g in generators]
-    conj = [_int_array(c, m) for c in (conjugators or [])]
+    """(generators, conjugators, n): both lists of integer arrays as
+    int64 arrays mod m and their common size n (1 if both are empty)."""
+    gens = [np.asarray(g, dtype=np.int64) % m for g in generators]
+    conj = [np.asarray(c, dtype=np.int64) % m for c in (conjugators or [])]
     n = (gens or conj or [np.eye(1, dtype=np.int64)])[0].shape[0]
     return gens, conj, n
 
@@ -487,8 +464,8 @@ class StabilizerChain:
         return self._order
 
     def contains(self, x):
-        """Whether a word, SquareMatrix or array lies in the group."""
-        return self._sift(_int_array(x, self.m), 0) is None
+        """Whether an integer array, read mod m, lies in the group."""
+        return self._sift(np.asarray(x, dtype=np.int64) % self.m, 0) is None
 
     def elements(self):
         """Every element, as an (order, n, n) array: the products
@@ -624,20 +601,34 @@ def _first_rowcol_atoms(size, m, g, rng, count):
     return out
 
 
-def _eval_atoms(atoms, size, m):
-    """The words of an (S, L, 3) table of symplectic atoms (i, j, arg
-    mod m) as an (S, n, n) int64 array mod m, one atom position at a
+def _word_table(words):
+    """Lists of atoms (i, j, arg mod m) as one (S, L, 3) int64 table, L
+    the longest length: shorter words end in (1, 2, 0), the identity."""
+    length = max(map(len, words), default=0)
+    return np.array([w + [(1, 2, 0)] * (length - len(w)) for w in words],
+                    dtype=np.int64).reshape(len(words), length, 3)
+
+
+def _eval_atoms(atoms, size, m, group):
+    """The words of an (S, L, 3) table of atoms (i, j, arg mod m) of
+    ``group`` as an (S, n, n) int64 array mod m, one atom position at a
     time across all S words, by the word kernel's rule: right-
     multiplying by I + z*e_ab adds z * column a to column b, and a short
-    root (i != sigma(j)) also applies its mirror entry (sigma(j),
-    sigma(i)), with sign -z when i + j is even.  Entries stay below
-    (m-1) + (m-1)**2 before each reduction."""
+    symplectic root (i != sigma(j)) also applies its mirror entry
+    (sigma(j), sigma(i)), with sign -z when i + j is even, so symplectic
+    atoms need an even n.  An atom of argument 0 pads a word.  Entries
+    stay below (m-1) + (m-1)**2."""
+    if group == SYMPLECTIC and size % 2:
+        raise RingError("symplectic atoms need even size")
     out = np.tile(np.eye(size, dtype=np.int64), (len(atoms), 1, 1))
     s = np.arange(len(atoms))
     for i, j, z in atoms.transpose(1, 2, 0):
         a, b = i - 1, j - 1  # 0-based, where sigma is x ^ 1
-        mirror_z = np.where((i + j) % 2, z, -z % m) * (a != b ^ 1)
-        for src, dst, w in ((a, b, z), (b ^ 1, a ^ 1, mirror_z)):
+        entries = [(a, b, z)]
+        if group == SYMPLECTIC:
+            mirror_z = np.where((i + j) % 2, z, -z % m) * (a != b ^ 1)
+            entries.append((b ^ 1, a ^ 1, mirror_z))
+        for src, dst, w in entries:
             out[s, :, dst] = (out[s, :, dst] + w[:, None] * out[s, :, src]) % m
     return out
 
@@ -647,7 +638,8 @@ def _first_rowcol_samples(size, m, g, rng, samples):
     order from ``rng``, as (k, n, n) blocks of at most _CHUNK_ROWS."""
     for lo in range(0, samples, _CHUNK_ROWS):
         count = min(_CHUNK_ROWS, samples - lo)
-        yield _eval_atoms(_first_rowcol_atoms(size, m, g, rng, count), size, m)
+        yield _eval_atoms(_first_rowcol_atoms(size, m, g, rng, count), size, m,
+                          SYMPLECTIC)
 
 
 def kernel_membership_test(ring, size, ideal, samples=1000, seed=0,
@@ -681,41 +673,48 @@ def kernel_membership_test(ring, size, ideal, samples=1000, seed=0,
     }
 
 
+def _square_ideal_samples(ring, size, ideal, rng, samples):
+    """Per block of at most _CHUNK_ROWS samples, drawn in order from
+    ``rng``: the conjugates se_kl(z) se_ij(ab) se_kl(-z), a, b in I, and
+    the right sides of their certified factorizations, each evaluated
+    as one atom table, and how many were factored: all but a long
+    target opposite its conjugator (no split of that shape)."""
+    m, g = ring.m, ideal.modulus()
+    pairs = _index_pairs(size)
+    for lo in range(0, samples, _CHUNK_ROWS):
+        draws = [(*rng.choice(pairs), *rng.choice(pairs), rng.randrange(m),
+                  g * rng.randrange(m) % m, g * rng.randrange(m) % m)
+                 for _ in range(min(_CHUNK_ROWS, samples - lo))]
+        conj = [[(k, l, z), (i, j, a * b % m), (k, l, -z % m)]
+                for i, j, k, l, z, a, b in draws]
+        factors = [conjugate_square_ideal(ring, size, i, j, ring.element(z),
+                                          ring.element(a), ring.element(b),
+                                          ideal, kl=(k, l))
+                   for i, j, k, l, z, a, b in draws
+                   if not (i == sigma(j) and (k, l) == (j, i))]
+        rhs = [[(x.i, x.j, x.arg.value) for x in res.rhs.atoms]
+               for res in factors if res.certificate]
+        yield (_eval_atoms(_word_table(conj), size, m, SYMPLECTIC),
+               _eval_atoms(_word_table(rhs), size, m, SYMPLECTIC),
+               len(factors))
+
+
 def square_ideal_inclusion_test(ring, size, ideal, samples=200, seed=0,
                                 cap=10 ** 6):
     """Sampled check of ESp(R, I^2) c ESp(I): conjugates of se_ij(ab)
-    with a, b in I land in the group the I-argument atoms generate, and
-    the explicit factorization agrees.  ``closure_size`` is the order of
-    that group."""
+    with a, b in I land in the group of the atoms se_ij(g), and their
+    factorization agrees; ``closure_size`` is that group's order."""
     g = ideal.modulus()
-    spec_pairs = _index_pairs(size)
-    gens = [GeneratorWord(ring, size, [se(i, j, ring.element(g))])
-            for i, j in spec_pairs]
-    chain = StabilizerChain(gens, ring, cap=cap)
+    gens = _word_table([[(i, j, g)] for i, j in _index_pairs(size)])
+    chain = StabilizerChain(_eval_atoms(gens, size, ring.m, SYMPLECTIC), ring,
+                            cap=cap)
     rng = random.Random(seed)
-    m = ring.m
-    hits = 0
-    factor_hits = 0
-    factored = 0
-    for _ in range(samples):
-        i, j = spec_pairs[rng.randrange(len(spec_pairs))]
-        k, l = spec_pairs[rng.randrange(len(spec_pairs))]
-        z = ring.element(rng.randrange(m))
-        a = ring.element(g * rng.randrange(m))
-        b = ring.element(g * rng.randrange(m))
-        alpha = GeneratorWord(ring, size, [se(k, l, z)])
-        beta = GeneratorWord(ring, size, [se(i, j, a * b)])
-        word = alpha * beta * alpha.inverse()
-        if chain.contains(word):
-            hits += 1
-        # The explicit factorization covers every pair except a long
-        # target opposite its conjugator (no split of this shape).
-        if not (i == sigma(j) and (k, l) == (j, i)):
-            res = conjugate_square_ideal(ring, size, i, j, z, a, b, ideal,
-                                         kl=(k, l))
-            factored += 1
-            if res.certificate and chain.contains(res.rhs):
-                factor_hits += 1
+    hits = factored = factor_hits = 0
+    for conj, rhs, count in _square_ideal_samples(ring, size, ideal, rng,
+                                                  samples):
+        hits += sum(map(chain.contains, conj))
+        factor_hits += sum(map(chain.contains, rhs))
+        factored += count
     return {
         "ring": ring.descriptor(),
         "size": size,

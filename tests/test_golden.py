@@ -81,6 +81,54 @@ GOLDEN = [
     (["kernel-test", "--ring", "zmod:25", "--size", "4", "--ideal", "5",
       "--samples", "50", "--cap", "10000000"],
      "4f306b83ba4b70da4c46ed39d06c0593f362eb5e0e945c66cd62757016c65bb4"),
+    # square-ideal-test where the conjugates are not the identity (Z/15,
+    # Z/27), the cap and error exits, size 2, the zero ideal and no
+    # samples; the kernel-test cap exit, whose partial size depends on
+    # generator order; and orbits for each family over Z/9, with an empty
+    # generator family at size 1
+    (["square-ideal-test", "--ring", "zmod:15", "--size", "4", "--ideal", "5",
+      "--seed", "0"],
+     "68a59ac9ba5e5a5dae1ab4fb9ad2dc867015977130af76eef0955a03bcaf374e"),
+    (["square-ideal-test", "--ring", "zmod:15", "--size", "4", "--ideal", "5",
+      "--seed", "3"],
+     "0ab992a17d42810419a891c8ea31bc9dbb45ffbf182ab97f1e7eb4735f198dcf"),
+    (["square-ideal-test", "--ring", "zmod:27", "--size", "4", "--ideal", "3",
+      "--samples", "20", "--cap", "387420489"],
+     "94c64c3fdbad4f95c7285bf52ee9b77ab9dedc99a39e8c1170966fb87ef200ee"),
+    (["square-ideal-test", "--ring", "zmod:9", "--size", "4", "--ideal", "3",
+      "--cap", "100"],
+     "7e27c159fc8f424f29f7215538c7cdef5c87571e64565a01892e19b53933e397"),
+    (["square-ideal-test", "--ring", "zmod:9", "--size", "2", "--ideal", "3"],
+     "f5e6084623d210aa1a351abf662a398fedcfdb1c01b26576bf0388fa38a593d9"),
+    (["square-ideal-test", "--ring", "zmod:9", "--size", "4", "--ideal", "0",
+      "--samples", "20"],
+     "a5b620b1f8511880ac27e9303d8b81302ceee05a4cb54a8bd5e9567fc17eb8cd"),
+    (["square-ideal-test", "--ring", "zmod:9", "--size", "4", "--ideal", "3",
+      "--samples", "0"],
+     "71875def8c4bed32453d4249f9a6c6c217c148463cefbe3cd5c496c89f12a115"),
+    (["square-ideal-test", "--ring", "dyadic", "--size", "4", "--ideal", "3"],
+     "b5286259e4644d801c978897e42229e5d4ff32c9ab70c9aca9206592512fe0b5"),
+    (["kernel-test", "--ring", "zmod:9", "--size", "4", "--ideal", "3",
+      "--cap", "1000"],
+     "df36b2ccdd3c6640cbf1258b3bcb228adb5b115713cff3a9f4e97a5d52720e65"),
+    (["orbits", "--ring", "zmod:9", "--size", "4", "--group", "e"],
+     "ea94be7bc1ff06a8e24d37f3a0575c8006a1f40735337b01451566327622f747"),
+    (["orbits", "--ring", "zmod:9", "--size", "4", "--group", "esp"],
+     "08eb1fafd91d0ae41871848cfe598a97e9d421d6af9897328b2d6e82ae547cdb"),
+    (["orbits", "--ring", "zmod:9", "--size", "4", "--group", "e-rel",
+      "--ideal", "3"],
+     "be8a887327b49ff9593935f2d2b80a0428cb97e98a18fcfbe16d2e0c7134a4b3"),
+    (["orbits", "--ring", "zmod:9", "--size", "4", "--group", "e1",
+      "--ideal", "3"],
+     "e171f4d1b8d64346de8952335916c0361f2f9804c94ecf81693203f1d52a14eb"),
+    (["orbits", "--ring", "zmod:9", "--size", "4", "--group", "esp1",
+      "--ideal", "3"],
+     "96baa4e1b2244dbef37dad2e78cb86a335cb74e1e200e5566685efe5a8d838a9"),
+    (["orbits", "--ring", "zmod:9", "--size", "4", "--group", "e1",
+      "--ideal", "0"],
+     "dd29abd32e65f5d77ee54148d414e5ccbe2b7eeb0f08ececbe23601d48532a61"),
+    (["orbits", "--ring", "zmod:5", "--size", "1", "--group", "e"],
+     "8bd036e99de36aee19cc56073b1edb6cfde9c0bc9cc7cb6d3ee93c8ead31fc30"),
 ]
 
 

@@ -12,8 +12,10 @@ from transvect.orbits import (GroupSpec, check_dim0_transitivity,
                               generators_for, kernel_membership_test,
                               orbit_partition, square_ideal_inclusion_test,
                               subgroup_closure)
+from transvect.matrices import sigma
+from transvect.rewrite import conjugate_square_ideal
 from transvect.rings import DescriptorError, Ideal, RingError, Zmod
-from transvect.words import (LINEAR, SYMPLECTIC, GeneratorWord,
+from transvect.words import (LINEAR, SYMPLECTIC, GeneratorAtom, GeneratorWord,
                              conjugation_triple, lin, se)
 
 
@@ -27,6 +29,13 @@ def test_unimodular_counts():
 def test_unimodular_budget():
     with pytest.raises(RingError):
         enumerate_unimodular(Zmod(9), 8, budget=10 ** 6)
+
+
+def _word_array(word, m):
+    """A word evaluated exactly by ``GeneratorWord.eval``, as an int64
+    array mod m: the orbit functions take only integer arrays."""
+    return np.array([[e.value for e in row] for row in word.eval().rows],
+                    dtype=np.int64) % m
 
 
 def test_generator_families():
@@ -51,8 +60,7 @@ def _full_range_triples(spec):
         for a in range(m):
             word = GeneratorWord(ring, size, conjugation_triple(
                 spec.group, i, j, ring.element(a), g))
-            mat = np.array([[e.value for e in row] for row in word.eval().rows],
-                           dtype=np.int64)
+            mat = _word_array(word, m)
             key = mat.tobytes()
             if key not in seen and not (mat == np.eye(size)).all():
                 seen.add(key)
@@ -77,6 +85,63 @@ def test_relative_generators_need_a_only_mod_m_over_g(m, gen, size, family):
     want = _full_range_triples(spec)
     assert len(got) == len(want) > 0
     assert all((a == b).all() for a, b in zip(got, want))
+
+
+def _generators_by_loop(spec):
+    """The former per-word ``generators_for``, kept as the oracle: each
+    word built as a GeneratorWord and evaluated exactly, the identity
+    and repeats left out, first occurrences in order."""
+    ring, size, g = spec.ring, spec.size, spec.ideal.modulus()
+    out, seen = [], set()
+
+    def emit(atoms):
+        mat = _word_array(GeneratorWord(ring, size, atoms), ring.m)
+        if mat.tobytes() not in seen and not (mat == np.eye(size)).all():
+            seen.add(mat.tobytes())
+            out.append(mat)
+
+    pairs = list(permutations(range(1, size + 1), 2))
+    if spec.kind == "first-rowcol":
+        for j in range(2, size + 1):
+            emit([GeneratorAtom(spec.group, 1, j, ring.one())])
+            if g:
+                emit([GeneratorAtom(spec.group, j, 1, ring.element(g))])
+    elif g == 1:
+        for i, j in pairs:
+            emit([GeneratorAtom(spec.group, i, j, ring.one())])
+    elif g:
+        for i, j in pairs:
+            for a in range(ring.m // g):
+                emit(conjugation_triple(spec.group, i, j, ring.element(a),
+                                        ring.element(g)))
+    return out
+
+
+@pytest.mark.parametrize("family", sorted(orbits.FAMILIES))
+@pytest.mark.parametrize("m", [3, 9, 15, 27])
+def test_generators_match_the_per_word_loop(m, family):
+    """The atom-table families against the per-word oracle, as ordered
+    lists: sizes 1 to 6 (even ones for the symplectic families), and
+    for the families that take one, the zero, every proper and the full
+    ideal.  The symplectic families repeat matrices, and g = 0 leaves a
+    relative family empty."""
+    ring = Zmod(m)
+    group, kind = orbits.FAMILIES[family]
+    ideals = [None]
+    if kind != "absolute":
+        ideals = [Ideal.zero(ring), Ideal.full(ring)] + [
+            Ideal.principal(ring, d) for d in range(2, m) if m % d == 0]
+    step = 2 if group == SYMPLECTIC else 1
+    for size in range(step, 7, step):
+        for ideal in ideals:
+            spec = GroupSpec(family, size, ring, ideal)
+            got = generators_for(spec)
+            want = _generators_by_loop(spec)
+            assert isinstance(got, list) and len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.dtype == np.int64 and np.array_equal(a, b)
+            if size == 1 or (kind == "relative" and not ideal.modulus()):
+                assert got == []
 
 
 # family -> (group, universe restricted to I)
@@ -108,22 +173,30 @@ def test_group_spec_decides_group_and_universe(family):
             GroupSpec(family, 4, R)
 
 
-def test_generators_accept_words_matrices_and_arrays():
-    """Words, SquareMatrix evaluations and arrays (unreduced too) give
-    the same partition and closure."""
+def test_generators_are_int_arrays_and_words_raise():
+    """Arrays, unreduced too, give the same partition and closure as
+    the exact evaluations of the words; a word itself is refused, since
+    the orbit functions take integer arrays only."""
     R = Zmod(5)
     words = [GeneratorWord(R, 2, [lin(1, 2, R.element(1))]),
              GeneratorWord(R, 2, [lin(2, 1, R.element(3))])]
-    mats = [w.eval() for w in words]
+    evaluated = [_word_array(w, 5) for w in words]
     arrays = [np.array([[1, 6], [0, -4]]), np.array([[1, 0], [8, 1]])]
     universe = enumerate_unimodular(R, 2)
     parts = [orbit_partition(universe, gens, ring=R)
-             for gens in (words, mats, arrays)]
-    assert parts[0].label_of == parts[1].label_of == parts[2].label_of
+             for gens in (evaluated, arrays)]
+    assert parts[0].label_of == parts[1].label_of
     assert parts[0].orbit_count() == 1
-    closures = [subgroup_closure(gens, R) for gens in (words, mats, arrays)]
-    assert all(np.array_equal(closures[0], c) for c in closures[1:])
+    closures = [subgroup_closure(gens, R) for gens in (evaluated, arrays)]
+    assert np.array_equal(closures[0], closures[1])
     assert len(closures[0]) == 120  # |SL_2(F_5)|
+    chain = orbits.StabilizerChain(arrays, R)
+    for call in (lambda: orbit_partition(universe, words, ring=R),
+                 lambda: subgroup_closure(words, R),
+                 lambda: chain.contains(words[0]),
+                 lambda: parts[0].spot_check_closed(words, 5)):
+        with pytest.raises(TypeError):
+            call()
 
 
 @pytest.mark.parametrize("ideal", [None, Ideal.principal(Zmod(9), 3),
@@ -153,7 +226,7 @@ def test_full_ideal_samples_are_not_the_identity():
     R = Zmod(3)
     full = Ideal.full(R)
     atoms = orbits._first_rowcol_atoms(4, 3, 1, random.Random(0), 50)
-    mats = orbits._eval_atoms(atoms, 4, 3)
+    mats = orbits._eval_atoms(atoms, 4, 3, SYMPLECTIC)
     moved = sum(not np.array_equal(mat, np.eye(4)) for mat in mats)
     assert moved >= 40
     rep = kernel_membership_test(R, 4, full, samples=50, seed=0)
@@ -169,7 +242,8 @@ def test_additive_reduction_gives_same_partition():
     full = []
     for i, j in ((1, 2), (2, 1)):
         for a in range(1, 5):
-            full.append(GeneratorWord(R, 2, [lin(i, j, R.element(a))]).eval())
+            full.append(_word_array(
+                GeneratorWord(R, 2, [lin(i, j, R.element(a))]), 5))
     p1 = orbit_partition(universe, reduced, ring=R)
     p2 = orbit_partition(universe, full, ring=R)
     assert p1.same_partition(p2)
@@ -284,6 +358,14 @@ def test_square_ideal_sampled():
                                       samples=60, seed=1)
     assert rep["ok"]
     assert rep["factored_members"] == rep["factored"] > 0
+
+
+def test_square_ideal_odd_size_raises():
+    """Symplectic atoms need an even size: the evaluator refuses an odd
+    one with the word kernel's RingError, not an index error."""
+    R = Zmod(9)
+    with pytest.raises(RingError, match="symplectic atoms need even size"):
+        square_ideal_inclusion_test(R, 3, Ideal.principal(R, 3), samples=5)
 
 
 def test_spot_check_closed():
@@ -510,8 +592,7 @@ def _closure_inputs(kind, m, size):
                                          I)),
                 generators_for(GroupSpec("symplectic-ESp", size, R)))
     # square_ideal_inclusion_test: the atoms se_ij(3)
-    return [orbits._int_array(GeneratorWord(R, size, [se(i, j, R.element(3))]),
-                              m)
+    return [_word_array(GeneratorWord(R, size, [se(i, j, R.element(3))]), m)
             for i, j in orbits._index_pairs(size)], []
 
 
@@ -605,7 +686,7 @@ def test_chain_membership_matches_dict_oracle():
     rel, conj = _normal_closure_inputs(m, 4, 3)
     want = set(_dict_closure(rel, conj, m).tolist())
     chain = orbits.StabilizerChain(rel, Zmod(m), conjugators=conj)
-    e13 = orbits._int_array(GeneratorWord(Zmod(m), 4, [lin(1, 3, 3)]), m)
+    e13 = _word_array(GeneratorWord(Zmod(m), 4, [lin(1, 3, 3)]), m)
     rng = random.Random(11)
     verdicts = []
     for _ in range(2000):
@@ -628,8 +709,10 @@ def test_chain_rejects_a_long_root_outside_the_kernel():
     R = Zmod(25)
     rel, conj = _normal_closure_inputs(25, 4, 5)
     chain = orbits.StabilizerChain(rel, R, conjugators=conj, cap=10 ** 7)
-    assert not chain.contains(GeneratorWord(R, 4, [se(1, 2, R.element(1))]))
-    assert chain.contains(GeneratorWord(R, 4, [se(1, 2, R.element(5))]))
+    assert not chain.contains(
+        _word_array(GeneratorWord(R, 4, [se(1, 2, R.element(1))]), 25))
+    assert chain.contains(
+        _word_array(GeneratorWord(R, 4, [se(1, 2, R.element(5))]), 25))
 
 
 # -- the fast paths of the orbit engine against the slow oracles -------
@@ -789,11 +872,12 @@ def _random_first_rowcol_word(ring, size, ideal, rng):
     return GeneratorWord(ring, size, atoms + mirror)
 
 
-def _exact(ring, size, atoms):
+def _exact(ring, size, atoms, family=SYMPLECTIC):
     """The word of each atom row, evaluated by ``GeneratorWord.eval``."""
-    words = [GeneratorWord(ring, size, [se(i, j, z) for i, j, z in row])
+    words = [GeneratorWord(ring, size, [GeneratorAtom(family, i, j, z)
+                                        for i, j, z in row])
              for row in atoms.tolist()]
-    return np.array([orbits._int_array(w, ring.m) for w in words],
+    return np.array([_word_array(w, ring.m) for w in words],
                     dtype=np.int64).reshape(len(atoms), size, size)
 
 
@@ -824,8 +908,8 @@ def test_block_draw_matches_the_word_draw(m, size, g):
 
 
 def _random_atom_table(rng, count, length, size, m):
-    """Symplectic atoms at every (i, j), i != j, long and short roots
-    alike; about one argument in four is zero."""
+    """Atoms at every (i, j), i != j, long and short roots alike for the
+    symplectic family; about one argument in four is zero."""
     pairs = [(i, j) for i in range(1, size + 1)
              for j in range(1, size + 1) if i != j]
     table = np.empty((count, length, 3), dtype=np.int64)
@@ -841,22 +925,32 @@ def _random_atom_table(rng, count, length, size, m):
 @pytest.mark.parametrize("size", [2, 4, 6, 8])
 def test_atom_block_evaluation_matches_word_eval(m, size):
     """The batched evaluator against ``GeneratorWord.eval`` on random
-    atom tables: every root shape, zero arguments, words of 1, 6 and 12
-    atoms, and a table of no words."""
+    atom tables of each family, linear ones at the odd size ``size + 1``
+    too: every root shape, zero arguments, words of 1, 6 and 12 atoms, a
+    table of no words, and words of unequal length padded with
+    zero-argument atoms into one table."""
     ring = Zmod(m)
     rng = random.Random(100 * m + size)
-    long_roots = short_roots = zeros = 0
-    for length in (1, 6, 12):
-        atoms = _random_atom_table(rng, 25, length, size, m)
-        got = orbits._eval_atoms(atoms, size, m)
-        assert got.dtype == np.int64 and got.shape == (25, size, size)
-        assert np.array_equal(got, _exact(ring, size, atoms))
-        i, j, z = atoms.reshape(-1, 3).T
-        long_roots += np.count_nonzero(i == (j - 1 ^ 1) + 1)
-        short_roots += np.count_nonzero(i != (j - 1 ^ 1) + 1)
-        zeros += np.count_nonzero(z == 0)
-    assert long_roots and zeros and bool(short_roots) == (size > 2)
-    assert orbits._eval_atoms(atoms[:0], size, m).shape == (0, size, size)
+    for family, n in ((SYMPLECTIC, size), (LINEAR, size), (LINEAR, size + 1)):
+        long_roots = short_roots = zeros = 0
+        for length in (1, 6, 12):
+            atoms = _random_atom_table(rng, 25, length, n, m)
+            got = orbits._eval_atoms(atoms, n, m, family)
+            assert got.dtype == np.int64 and got.shape == (25, n, n)
+            assert np.array_equal(got, _exact(ring, n, atoms, family))
+            i, j, z = atoms.reshape(-1, 3).T
+            long_roots += np.count_nonzero(i == (j - 1 ^ 1) + 1)
+            short_roots += np.count_nonzero(i != (j - 1 ^ 1) + 1)
+            zeros += np.count_nonzero(z == 0)
+        assert long_roots and zeros and bool(short_roots) == (n > 2)
+        assert orbits._eval_atoms(atoms[:0], n, m, family).shape == (0, n, n)
+        words = [row[:rng.randrange(1, 13)].tolist() for row in atoms]
+        padded = orbits._word_table(words)
+        assert padded.shape == (25, max(map(len, words)), 3)
+        want = [_word_array(GeneratorWord(ring, n, [
+            GeneratorAtom(family, i, j, z) for i, j, z in w]), m)
+            for w in words]
+        assert np.array_equal(orbits._eval_atoms(padded, n, m, family), want)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 4096])
@@ -874,12 +968,65 @@ def test_sample_blocks_match_the_word_oracle(m, size, g, chunk, monkeypatch):
     blocks = list(orbits._first_rowcol_samples(size, m, g, block, 30))
     assert all(1 <= len(b) <= chunk for b in blocks)
     got = np.concatenate(blocks)
-    want = [orbits._int_array(_random_first_rowcol_word(ring, size, ideal, loop),
-                              m) for _ in range(30)]
+    want = [_word_array(_random_first_rowcol_word(ring, size, ideal, loop), m)
+            for _ in range(30)]
     assert np.array_equal(got, np.array(want))
     assert block.getstate() == loop.getstate()
     if g != 1:  # = identity mod I by construction
         assert (got % (g or m) == np.eye(size, dtype=np.int64) % (g or m)).all()
+
+
+def _square_ideal_by_loop(ring, size, ideal, rng, samples):
+    """The former per-sample draw of ``square_ideal_inclusion_test``,
+    kept as the oracle: each conjugate se_kl(z) se_ij(ab) se_kl(-z) as a
+    GeneratorWord, with its ``conjugate_square_ideal`` factorization or
+    None where that has no split."""
+    g, m = ideal.modulus(), ring.m
+    pairs = list(permutations(range(1, size + 1), 2))
+    for _ in range(samples):
+        i, j = pairs[rng.randrange(len(pairs))]
+        k, l = pairs[rng.randrange(len(pairs))]
+        z = ring.element(rng.randrange(m))
+        a = ring.element(g * rng.randrange(m))
+        b = ring.element(g * rng.randrange(m))
+        alpha = GeneratorWord(ring, size, [se(k, l, z)])
+        word = alpha * GeneratorWord(ring, size, [se(i, j, a * b)]) \
+            * alpha.inverse()
+        res = None
+        if not (i == sigma(j) and (k, l) == (j, i)):
+            res = conjugate_square_ideal(ring, size, i, j, z, a, b, ideal,
+                                         kl=(k, l))
+        yield word, res
+
+
+@pytest.mark.parametrize("chunk", [7, 4096])
+@pytest.mark.parametrize("m,g,size", [(15, 5, 4), (27, 3, 4), (15, 3, 6),
+                                      (9, 3, 2)])
+def test_square_ideal_blocks_match_the_word_oracle(m, g, size, chunk,
+                                                   monkeypatch):
+    """The conjugates and the padded right-hand sides of the
+    factorizations, evaluated block by block, are the oracle's words
+    evaluated exactly, in order; the factored count agrees and the
+    Random ends in the same state.  The right-hand sides have unequal
+    lengths, so their tables are padded."""
+    monkeypatch.setattr(orbits, "_CHUNK_ROWS", chunk)
+    ring = Zmod(m)
+    ideal = Ideal.principal(ring, g)
+    block, loop = random.Random(m + size), random.Random(m + size)
+    blocks = list(orbits._square_ideal_samples(ring, size, ideal, block, 40))
+    assert all(1 <= len(conj) <= chunk for conj, _, _ in blocks)
+    oracle = list(_square_ideal_by_loop(ring, size, ideal, loop, 40))
+    assert block.getstate() == loop.getstate()
+    conj = np.concatenate([c for c, _, _ in blocks])
+    assert np.array_equal(conj, [_word_array(w, m) for w, _ in oracle])
+    factored = [res for _, res in oracle if res is not None]
+    assert sum(count for _, _, count in blocks) == len(factored)
+    assert all(res.certificate for res in factored)
+    rhs = np.concatenate([r for _, r, _ in blocks])
+    assert np.array_equal(rhs, [_word_array(res.rhs, m) for res in factored])
+    if size > 2:
+        assert len({len(res.rhs) for res in factored}) > 1
+        assert (conj != np.eye(size, dtype=np.int64)).any(axis=(1, 2)).any()
 
 
 def test_kernel_samples_stay_within_one_block():

@@ -1,6 +1,6 @@
 """Every private module-level helper in transvect has a caller, every
-function reads each of its parameters, and no private name crosses a
-module.
+function reads each of its parameters, every name a module imports is
+read in it, and no private name crosses a module.
 
 A function or class whose name starts with ``_`` is internal, so if no
 code in the package names it outside its own definition, nothing can
@@ -53,6 +53,41 @@ def test_a_planted_orphan_is_found(tmp_path):
         "def _caller():\n    pass\n\n\nVALUE = _caller\n")
     (tmp_path / "b.py").write_text("class _Lonely:\n    _Lonely = 1\n")
     assert _orphans(tmp_path) == ["a.py:1 _used", "b.py:1 _Lonely"]
+
+
+def _unread_imports(src_dir):
+    """Names that a module other than ``__init__`` imports and never
+    reads; ``__future__`` imports are switches, not names."""
+    unread = []
+    for path in sorted(src_dir.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        reads = {n.id for n in ast.walk(tree)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"):
+                continue
+            names = [(a.asname or a.name).split(".")[0] for a in node.names]
+            unread += ["%s:%d %s" % (path.name, node.lineno, name)
+                       for name in names if name not in reads]
+    return unread
+
+
+def test_every_import_is_read():
+    assert _unread_imports(SRC) == []
+
+
+def test_a_planted_unread_import_is_found(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\nimport json as js\n"
+        "from .b import used, unused\nfrom .c import (kept,\n    dropped)\n"
+        "\n\ndef f():\n    return used, kept, os.path\n")
+    (tmp_path / "__init__.py").write_text("from .a import f\n")
+    assert _unread_imports(tmp_path) == [
+        "a.py:3 js", "a.py:4 unused", "a.py:5 dropped"]
 
 
 def _only_raises(body):
