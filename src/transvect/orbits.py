@@ -12,13 +12,15 @@ functions take; every word built here is a row of an int64 atom table
 evaluated by ``_eval_atoms``.  A row is found by its base-m int64 key:
 in a direct-address table of row indices when the key space is small,
 else by binary search.  A universe is one (N, n) int64 array from
-enumeration to partition.  A generator's images are computed only on
-the columns it changes.  Orbit labels are canonical (lexicographically
-least row per orbit), so partitions are independent of generator order.
+enumeration to partition.  A generator changes a row's key by one
+term per group of changed columns, each a function of the few digits
+the group depends on, read from a table over those digits.  Orbit
+labels are canonical (lexicographically least row per orbit), so
+partitions are independent of generator order.
 """
 
 import random
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import cycle
 
 import numpy as np
@@ -246,31 +248,59 @@ def _lookup(keys, slots):
     return table.__getitem__
 
 
-def _neighbours(cols, keys, powers, g, m, find):
+def _digit_points(cols, m, deps):
+    """Where a key change over the digits ``deps`` (k of them) is
+    evaluated, as (stats key, points, index): the m**k digit tuples as
+    a (k, m**k) array and each row's base-m number over ``deps``, when
+    there are no more tuples than rows; else the rows' own digits and
+    the identity index.  An index has the smallest unsigned dtype that
+    holds it."""
+    k, n_rows = len(deps), cols.shape[1]
+    if m ** k <= n_rows:
+        index = _key_powers(k, m) @ cols[list(deps)]
+        return ("table_columns", np.indices((m,) * k).reshape(k, -1),
+                index.astype(np.min_scalar_type(m ** k - 1)))
+    return ("row_columns", cols[list(deps)],
+            np.arange(n_rows, dtype=np.min_scalar_type(n_rows)))
+
+
+def _neighbours(cols, keys, powers, g, m, find, points, stats):
     """Index of ``row @ g`` for every row, _CHUNK_ROWS rows at a time.
 
-    Only the columns C where g differs from the identity change.  With
-    D = g - I and S the rows of D that meet C, those entries of the
-    images are ``(x[C] + D[S, C].T @ x[S]) % m``, and each image key is
-    its row's key plus the change in those digits.  ``cols`` holds the
-    universe column-major (x[c] is column c), so x[C] and x[S] are
-    contiguous rows.  Raises unless every image is a row and g permutes
-    the rows.
+    Only the columns c where g differs from the identity change, and
+    image column c is ``(g[deps, c] @ x[deps]) % m``, deps being c and
+    the rows where g[:, c] differs from the identity.  The changed
+    columns C with one deps change the key by ``powers[C] @ (new[C] -
+    x[C])``, a function of x[deps] alone: it is evaluated once on
+    ``points(deps)`` (see ``_digit_points``), and each row reads its
+    value through the index.  An image key is its row's key plus the
+    change of each such group.  ``cols`` holds the universe
+    column-major (x[c] is column c); ``stats`` counts the changed
+    columns by where their change was evaluated.  Raises unless every
+    image is a row and g permutes the rows.
     """
-    d = g - np.eye(len(g), dtype=np.int64)
-    changed = np.flatnonzero(d.any(axis=0))
-    srcs = np.flatnonzero(d[:, changed].any(axis=1))
-    d = d[np.ix_(srcs, changed)].T.copy()
+    groups = {}
+    for c, col in enumerate((g != np.eye(len(g), dtype=np.int64)).T.tolist()):
+        if any(col):
+            deps = tuple(r for r, moved in enumerate(col) if moved or r == c)
+            groups.setdefault(deps, []).append(c)
+    reads = []
+    for deps, cs in groups.items():
+        side, pts, index = points(deps)
+        here = [deps.index(c) for c in cs]
+        new = (g.T[cs][:, deps] @ pts) % m
+        reads.append((powers[cs] @ (new - pts[here]), index))
+        stats[side] += len(cs)
     n_rows = len(keys)
     nbr = np.empty(n_rows, dtype=np.int64)
     for lo in range(0, n_rows, _CHUNK_ROWS):
         span = slice(lo, lo + _CHUNK_ROWS)
-        old = cols[changed, span]
-        new = (old + d @ cols[srcs, span]) % m
-        pos = find(keys[span] + powers[changed] @ (new - old))
-        miss = np.flatnonzero(pos < 0)
-        if miss.size:
-            row = (cols[:, lo + miss[0]] @ g) % m
+        img = keys[span].copy()
+        for change, index in reads:
+            img += change.take(index[span])
+        pos = find(img)
+        if pos.min() < 0:
+            row = (cols[:, lo + np.argmax(pos < 0)] @ g) % m
             raise RingError("generator left the universe at %r"
                             % (tuple(int(x) for x in row),))
         nbr[span] = pos
@@ -296,19 +326,26 @@ def orbit_partition(universe, generators, ring):
     ``universe`` is an (N, n) int array, as ``enumerate_unimodular``
     returns it, and is read column-major without a copy when its
     transpose is C-contiguous.  ``generators`` are (n, n) integer arrays,
-    read mod m; m is read from ``ring``.  Rows are encoded
-    as base-m int64 keys, most significant digit first, so key order is
-    row order.  A generator's neighbour array comes from the image keys
-    of the columns it changes (see ``_neighbours``), looked up in
-    a direct-address table of the m**width keys when that has at most
-    2**22 slots and with ``np.searchsorted`` otherwise.  Each neighbour
-    array must be a permutation of the universe, so the orbits are the
-    connected components of the neighbour graph and inverses are not
-    needed.  Components are found by min-label hooking with pointer
-    jumping (Shiloach-Vishkin): each root is hooked to the smaller root,
-    so the final root of an orbit is its least index, which is its
-    least row.  ``stats["frontier_sizes"]`` holds the live edge count
-    of each hooking round, generator by generator.
+    read mod m; m is read from ``ring``.  Rows are encoded as base-m
+    int64 keys, most significant digit first, so key order is row
+    order.  An image key is its row's key plus one key change per group
+    of the columns g changes, a function of the few digits the group
+    depends on: ``_neighbours`` evaluates it once on the smaller of the
+    digit tuples and the rows, and each row reads its value through an
+    index over those digits.  The index arrays are kept for the call,
+    one per digit set.  Image keys are looked up in a direct-address
+    table of the m**width keys when that has at most 2**22 slots and
+    with ``np.searchsorted`` otherwise.  Each neighbour array must be a
+    permutation of the universe, so the orbits are the connected
+    components of the neighbour graph and inverses are not needed.
+    Components are found by min-label hooking with pointer jumping
+    (Shiloach-Vishkin): each root is hooked to the smaller root, so the
+    final root of an orbit is its least index, which is its least row.
+    ``stats["frontier_sizes"]`` holds the live edge count of each
+    hooking round, generator by generator; ``stats["table_columns"]``
+    and ``stats["row_columns"]`` count the changed columns, over all
+    generators, whose key change was read from a table of digit tuples
+    and evaluated on the rows.  An empty universe maps nothing.
     """
     m = ring.m
     gens = [np.asarray(g, dtype=np.int64) % m for g in generators]
@@ -325,11 +362,13 @@ def orbit_partition(universe, generators, ring):
         raise ValueError("generators must be %d x %d to act on the rows"
                          % (width, width))
     find = _lookup(keys, m ** width)
+    points = cache(partial(_digit_points, cols, m))
     parent = np.arange(n_rows, dtype=np.int64)
     frontier_sizes = []
-    for g in gens:
+    sides = {"table_columns": 0, "row_columns": 0}
+    for g in gens if n_rows else ():
         a = np.arange(n_rows, dtype=np.int64)
-        b = _neighbours(cols, keys, powers, g, m, find)
+        b = _neighbours(cols, keys, powers, g, m, find, points, sides)
         # Edges stay live while their ends have different roots.
         while True:
             ra, rb = parent[a], parent[b]
@@ -341,7 +380,8 @@ def orbit_partition(universe, generators, ring):
             np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
             parent = _compress(parent)
     stats = {"multiplications": n_rows * len(gens),
-             "frontier_sizes": frontier_sizes, "generators": len(gens)}
+             "frontier_sizes": frontier_sizes, "generators": len(gens),
+             **sides}
     return OrbitPartition(universe, keys, parent, stats)
 
 
@@ -409,6 +449,12 @@ def check_dim0_transitivity(ring, size, ideal=None, budget=10 ** 7,
     }
 
 
+def _check_products(n, m):
+    """RingError unless products of n x n matrices mod m fit in int64."""
+    if n * (m - 1) ** 2 >= 2 ** 63:
+        raise RingError("%dx%d products over Z/%d overflow int64" % (n, n, m))
+
+
 def _square_arrays(generators, conjugators, m):
     """(generators, conjugators, n): both lists of integer arrays as
     int64 arrays mod m and their common size n (1 if both are empty)."""
@@ -442,9 +488,7 @@ class StabilizerChain:
     def __init__(self, generators, ring, conjugators=None, cap=10 ** 6):
         m = ring.m
         gens, conj, n = _square_arrays(generators, conjugators, m)
-        if n * (m - 1) ** 2 >= 2 ** 63:
-            raise RingError("%dx%d products over Z/%d overflow int64"
-                            % (n, n, m))
+        _check_products(n, m)
         self.m, self.n, self.cap = m, n, cap
         eye = np.eye(n, dtype=np.int64)
         self._strong = [[] for _ in range(n)]
@@ -703,8 +747,10 @@ def square_ideal_inclusion_test(ring, size, ideal, samples=200, seed=0,
                                 cap=10 ** 6):
     """Sampled check of ESp(R, I^2) c ESp(I): conjugates of se_ij(ab)
     with a, b in I land in the group of the atoms se_ij(g), and their
-    factorization agrees; ``closure_size`` is that group's order."""
+    factorization agrees; ``closure_size`` is that group's order.  The
+    chain's int64 overflow guard runs before any matrix is built."""
     g = ideal.modulus()
+    _check_products(size, ring.m)
     gens = _word_table([[(i, j, g)] for i, j in _index_pairs(size)])
     chain = StabilizerChain(_eval_atoms(gens, size, ring.m, SYMPLECTIC), ring,
                             cap=cap)

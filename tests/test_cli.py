@@ -273,6 +273,19 @@ def test_orbits_ring_of_the_wrong_kind_exits_one(tmp_path):
     assert code == 1 and rep["results"][0]["name"] == "error"
 
 
+@pytest.mark.parametrize("command", ["kernel-test", "square-ideal-test"])
+def test_ring_past_int64_is_an_error_result(command, tmp_path):
+    """Z/(2**63 + 1) overflows int64: a one-line error result, no
+    traceback."""
+    code, rep = _run([command, "--ring", "zmod:9223372036854775809",
+                      "--size", "4", "--ideal", "3", "--samples", "5"],
+                     tmp_path)
+    res, = rep["results"]
+    assert code == 1 and res["name"] == "error"
+    assert "overflow int64" in res["message"]
+    assert "\n" not in res["message"]
+
+
 def test_kernel_test_reaches_past_int64_matrix_keys(tmp_path):
     """Z/25 at size 4: 25**16 overflows int64 matrix keys, which the
     stabilizer chain does not need; the group has 5**10 elements."""

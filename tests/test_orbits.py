@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from functools import partial
 from itertools import permutations, product
 
 import numpy as np
@@ -496,6 +497,104 @@ def test_random_generators_match_bfs_oracle(seed):
     gens = [_random_invertible(ring, size, rng)
             for _ in range(rng.randrange(1, 4))]
     _assert_matches_oracle(universe, gens, ring)
+
+
+# -- the neighbour kernel against a direct (rows @ g) % m lookup ------
+
+
+def _kernel(universe, g, m):
+    """``orbits._neighbours`` on one generator, set up as in
+    ``orbit_partition``, and the stats it counts."""
+    cols = np.ascontiguousarray(universe.T)
+    powers = orbits._key_powers(universe.shape[1], m)
+    keys = powers @ cols
+    find = orbits._lookup(keys, m ** universe.shape[1])
+    stats = {"table_columns": 0, "row_columns": 0}
+    nbr = orbits._neighbours(cols, keys, powers, g % m, m, find,
+                             partial(orbits._digit_points, cols, m), stats)
+    return nbr, stats
+
+
+def _assert_kernel_matches_lookup(universe, gens, m):
+    """For every generator, at every block size: the neighbour array
+    is the index of each row's image (rows @ g) % m among the sorted
+    keys, and each changed column c counts as read from a table exactly
+    when m**k <= rows, k the size of c's deps (c and the rows where
+    g[:, c] is not the identity's column)."""
+    powers = orbits._key_powers(universe.shape[1], m)
+    keys = universe @ powers
+    eye = np.eye(universe.shape[1], dtype=np.int64)
+    for g in gens:
+        want_keys = (universe @ g) % m @ powers
+        want = np.searchsorted(keys, want_keys)
+        assert (keys[want] == want_keys).all()
+        moved = g % m != eye
+        deps = (moved | (eye == 1)).sum(axis=0)[moved.any(axis=0)]
+        table = sum(m ** int(k) <= len(universe) for k in deps)
+        for chunk in (1, 7, 4096):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(orbits, "_CHUNK_ROWS", chunk)
+                nbr, stats = _kernel(universe, g, m)
+            assert np.array_equal(nbr, want)
+            assert stats == {"table_columns": table,
+                             "row_columns": len(deps) - table}
+
+
+@pytest.mark.parametrize("m,size,family,gen,relative", STRUCTURED)
+def test_kernel_matches_direct_lookup_on_families(m, size, family, gen,
+                                                  relative):
+    ring = Zmod(m)
+    ideal = None if gen is None else Ideal.principal(ring, gen)
+    universe = enumerate_unimodular(ring, size, ideal if relative else None)
+    gens = generators_for(GroupSpec(family, size, ring, ideal))
+    _assert_kernel_matches_lookup(universe, gens, m)
+
+
+def _dense_invertible(m, size, rng):
+    """A random matrix over Z/m with a unit determinant and no zero off
+    the diagonal, so every column depends on every digit."""
+    while True:
+        g = np.array([[rng.randrange(m) for _ in range(size)]
+                      for _ in range(size)], dtype=np.int64)
+        off = ~np.eye(size, dtype=bool)
+        det = round(np.linalg.det(g.astype(float)))
+        if (g[off] != 0).all() and math.gcd(det, m) == 1:
+            return g
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_kernel_matches_direct_lookup_on_dense_generators(seed):
+    """|deps| = n for every column: m**n > rows on any Um_n(Z/m), so
+    every column is evaluated on the rows."""
+    rng = random.Random(seed)
+    m, size = rng.choice([(3, 3), (5, 2), (5, 3), (7, 2), (9, 3), (15, 2)])
+    universe = enumerate_unimodular(Zmod(m), size)
+    gens = [_dense_invertible(m, size, rng) for _ in range(3)]
+    _assert_kernel_matches_lookup(universe, gens, m)
+    assert _kernel(universe, gens[0], m)[1] == {"table_columns": 0,
+                                                "row_columns": size}
+
+
+def test_kernel_switches_to_the_rows_past_the_row_count():
+    """Um_2(Z/243, (81)) has 9 rows, fewer than the 243**2 digit pairs
+    of a relative triple, which is evaluated on the rows; Um_2(Z/9, (3))
+    also has 9 rows, as many as the digits of a one-digit column, which
+    is read from a table."""
+    ring = Zmod(243)
+    universe = enumerate_unimodular(ring, 2, Ideal.principal(ring, 81))
+    gens = generators_for(GroupSpec("linear-E-relative", 2, ring,
+                                    Ideal.principal(ring, 81)))
+    assert len(universe) == 9 and gens
+    _assert_kernel_matches_lookup(universe, gens, 243)
+    stats = orbit_partition(universe, gens, ring).stats
+    assert stats["table_columns"] == 0 and stats["row_columns"] > 0
+    ring = Zmod(9)
+    universe = enumerate_unimodular(ring, 2, Ideal.principal(ring, 3))
+    scale = np.diag([1, 2]).astype(np.int64)
+    assert len(universe) == 9
+    _assert_kernel_matches_lookup(universe, [scale], 9)
+    stats = orbit_partition(universe, [scale], ring).stats
+    assert stats["table_columns"] == 1 and stats["row_columns"] == 0
 
 
 def test_generator_leaving_relative_universe_raises():
@@ -1055,3 +1154,19 @@ def test_kernel_test_overflow_guard_runs_before_any_draw(monkeypatch):
     R = Zmod(2 ** 31 + 1)
     with pytest.raises(RingError, match="overflow int64"):
         kernel_membership_test(R, 4, Ideal.full(R), samples=10)
+
+
+def test_square_ideal_overflow_guard_runs_before_any_matrix(monkeypatch):
+    """Z/(2**63 + 1) does not fit in int64: the chain's guard refuses the
+    ring before an atom table is evaluated, while Z/100003 at size 4,
+    whose products fit, still runs though its keys would not."""
+    def no_eval(*args):
+        raise AssertionError("an atom table was evaluated")
+    with monkeypatch.context() as mp:
+        mp.setattr(orbits, "_eval_atoms", no_eval)
+        R = Zmod(2 ** 63 + 1)
+        with pytest.raises(RingError, match="4x4 products .* overflow int64"):
+            square_ideal_inclusion_test(R, 4, Ideal.principal(R, 3), samples=5)
+    R = Zmod(100003)
+    rep = square_ideal_inclusion_test(R, 4, Ideal.zero(R), samples=5)
+    assert rep["ok"] and rep["members"] == rep["factored_members"] == 5
