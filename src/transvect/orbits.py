@@ -20,7 +20,7 @@ partitions are independent of generator order.
 """
 
 import random
-from functools import cache, cached_property, partial
+from functools import cached_property, lru_cache, partial
 from itertools import cycle
 
 import numpy as np
@@ -248,36 +248,50 @@ def _lookup(keys, slots):
     return table.__getitem__
 
 
-def _digit_points(cols, m, deps):
-    """Where a key change over the digits ``deps`` (k of them) is
-    evaluated, as (stats key, points, index): the m**k digit tuples as
-    a (k, m**k) array and each row's base-m number over ``deps``, when
-    there are no more tuples than rows; else the rows' own digits and
-    the identity index.  An index has the smallest unsigned dtype that
-    holds it."""
-    k, n_rows = len(deps), cols.shape[1]
-    if m ** k <= n_rows:
-        index = _key_powers(k, m) @ cols[list(deps)]
-        return ("table_columns", np.indices((m,) * k).reshape(k, -1),
-                index.astype(np.min_scalar_type(m ** k - 1)))
-    return ("row_columns", cols[list(deps)],
-            np.arange(n_rows, dtype=np.min_scalar_type(n_rows)))
+def _digit_index(cols, m, deps):
+    """Each row's base-m number over the digits ``deps`` (k of them),
+    in the smallest unsigned dtype that holds m**k, when there are no
+    more digit tuples than rows; else None, and a key change over
+    ``deps`` is evaluated on the rows themselves."""
+    k = len(deps)
+    if m ** k > cols.shape[1]:
+        return None
+    index = _key_powers(k, m) @ cols[list(deps)]
+    return index.astype(np.min_scalar_type(m ** k - 1))
 
 
-def _neighbours(cols, keys, powers, g, m, find, points, stats):
+def _key_reader(cols, powers, g, m, deps, cs, index):
+    """The key change of g's columns ``cs``, which depend on the digits
+    ``deps``, as a function of a block of rows: the one formula
+    ``powers[cs] @ (new[cs] - x[cs])`` with new = (g.T @ x) % m on
+    x[deps], evaluated once on the m**k digit tuples and read through
+    ``index``, or, when ``index`` is None, on each block of rows."""
+    here = [deps.index(c) for c in cs]
+    mix = g.T[cs][:, deps]
+
+    def change(x):
+        return powers[cs] @ ((mix @ x) % m - x[here])
+    if index is None:
+        return lambda span: change(cols[list(deps), span])
+    table = change(np.indices((m,) * len(deps)).reshape(len(deps), -1))
+    return lambda span: table.take(index[span])
+
+
+def _neighbours(cols, keys, powers, g, m, find, digit_index, stats):
     """Index of ``row @ g`` for every row, _CHUNK_ROWS rows at a time.
 
     Only the columns c where g differs from the identity change, and
     image column c is ``(g[deps, c] @ x[deps]) % m``, deps being c and
     the rows where g[:, c] differs from the identity.  The changed
     columns C with one deps change the key by ``powers[C] @ (new[C] -
-    x[C])``, a function of x[deps] alone: it is evaluated once on
-    ``points(deps)`` (see ``_digit_points``), and each row reads its
-    value through the index.  An image key is its row's key plus the
-    change of each such group.  ``cols`` holds the universe
-    column-major (x[c] is column c); ``stats`` counts the changed
-    columns by where their change was evaluated.  Raises unless every
-    image is a row and g permutes the rows.
+    x[C])``, a function of x[deps] alone (see ``_key_reader``): a table
+    over the digit tuples, read through ``digit_index(deps)``, or the
+    same formula on each block of rows when that index is None.  An
+    image key is its row's key plus the change of each such group.
+    ``cols`` holds the universe column-major (x[c] is column c);
+    ``stats`` counts the changed columns by where their change was
+    evaluated.  Raises unless every image is a row and g permutes the
+    rows.
     """
     groups = {}
     for c, col in enumerate((g != np.eye(len(g), dtype=np.int64)).T.tolist()):
@@ -286,18 +300,16 @@ def _neighbours(cols, keys, powers, g, m, find, points, stats):
             groups.setdefault(deps, []).append(c)
     reads = []
     for deps, cs in groups.items():
-        side, pts, index = points(deps)
-        here = [deps.index(c) for c in cs]
-        new = (g.T[cs][:, deps] @ pts) % m
-        reads.append((powers[cs] @ (new - pts[here]), index))
-        stats[side] += len(cs)
+        index = digit_index(deps)
+        reads.append(_key_reader(cols, powers, g, m, deps, cs, index))
+        stats["row_columns" if index is None else "table_columns"] += len(cs)
     n_rows = len(keys)
     nbr = np.empty(n_rows, dtype=np.int64)
     for lo in range(0, n_rows, _CHUNK_ROWS):
         span = slice(lo, lo + _CHUNK_ROWS)
         img = keys[span].copy()
-        for change, index in reads:
-            img += change.take(index[span])
+        for read in reads:
+            img += read(span)
         pos = find(img)
         if pos.min() < 0:
             row = (cols[:, lo + np.argmax(pos < 0)] @ g) % m
@@ -330,10 +342,11 @@ def orbit_partition(universe, generators, ring):
     int64 keys, most significant digit first, so key order is row
     order.  An image key is its row's key plus one key change per group
     of the columns g changes, a function of the few digits the group
-    depends on: ``_neighbours`` evaluates it once on the smaller of the
-    digit tuples and the rows, and each row reads its value through an
-    index over those digits.  The index arrays are kept for the call,
-    one per digit set.  Image keys are looked up in a direct-address
+    depends on: ``_neighbours`` evaluates it on the digit tuples, each
+    row reading its value through an index over those digits, or on the
+    rows, block by block, when there are more tuples than rows.  The
+    ``width`` index arrays last used are kept, since a family visits
+    its digit sets in runs.  Image keys are looked up in a direct-address
     table of the m**width keys when that has at most 2**22 slots and
     with ``np.searchsorted`` otherwise.  Each neighbour array must be a
     permutation of the universe, so the orbits are the connected
@@ -362,13 +375,15 @@ def orbit_partition(universe, generators, ring):
         raise ValueError("generators must be %d x %d to act on the rows"
                          % (width, width))
     find = _lookup(keys, m ** width)
-    points = cache(partial(_digit_points, cols, m))
+    # At most width index arrays of at most 4 bytes a row (below 2**32
+    # rows): half the universe's own 8 * width bytes a row.
+    digit_index = lru_cache(width)(partial(_digit_index, cols, m))
     parent = np.arange(n_rows, dtype=np.int64)
     frontier_sizes = []
     sides = {"table_columns": 0, "row_columns": 0}
     for g in gens if n_rows else ():
         a = np.arange(n_rows, dtype=np.int64)
-        b = _neighbours(cols, keys, powers, g, m, find, points, sides)
+        b = _neighbours(cols, keys, powers, g, m, find, digit_index, sides)
         # Edges stay live while their ends have different roots.
         while True:
             ra, rb = parent[a], parent[b]

@@ -511,7 +511,7 @@ def _kernel(universe, g, m):
     find = orbits._lookup(keys, m ** universe.shape[1])
     stats = {"table_columns": 0, "row_columns": 0}
     nbr = orbits._neighbours(cols, keys, powers, g % m, m, find,
-                             partial(orbits._digit_points, cols, m), stats)
+                             partial(orbits._digit_index, cols, m), stats)
     return nbr, stats
 
 
