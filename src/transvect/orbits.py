@@ -470,13 +470,13 @@ def _check_products(n, m):
         raise RingError("%dx%d products over Z/%d overflow int64" % (n, n, m))
 
 
-def _square_arrays(generators, conjugators, m):
-    """(generators, conjugators, n): both lists of integer arrays as
-    int64 arrays mod m and their common size n (1 if both are empty)."""
-    gens = [np.asarray(g, dtype=np.int64) % m for g in generators]
-    conj = [np.asarray(c, dtype=np.int64) % m for c in (conjugators or [])]
-    n = (gens or conj or [np.eye(1, dtype=np.int64)])[0].shape[0]
-    return gens, conj, n
+def _matrix_size(generators, conjugators):
+    """The common size n of two sequences of square integer arrays, read
+    before any is converted (1 if both are empty)."""
+    for mats in (generators, conjugators or ()):
+        if len(mats):
+            return len(mats[0])
+    return 1
 
 
 class StabilizerChain:
@@ -501,9 +501,10 @@ class StabilizerChain:
     """
 
     def __init__(self, generators, ring, conjugators=None, cap=10 ** 6):
-        m = ring.m
-        gens, conj, n = _square_arrays(generators, conjugators, m)
+        m, n = ring.m, _matrix_size(generators, conjugators)
         _check_products(n, m)
+        gens = [np.asarray(g, dtype=np.int64) % m for g in generators]
+        conj = [np.asarray(c, dtype=np.int64) % m for c in (conjugators or [])]
         self.m, self.n, self.cap = m, n, cap
         eye = np.eye(n, dtype=np.int64)
         self._strong = [[] for _ in range(n)]
@@ -627,10 +628,9 @@ def subgroup_closure(generators, ring, conjugators=None, cap=10 ** 6):
     keys need m**(n*n) < 2**63, else RingError; a group of more than
     ``cap`` elements raises RingError.
     """
-    m = ring.m
-    gens, conj, n = _square_arrays(generators, conjugators, m)
-    powers = _key_powers(n * n, m)
-    chain = StabilizerChain(gens, ring, conj, cap)
+    n = _matrix_size(generators, conjugators)
+    powers = _key_powers(n * n, ring.m)  # before a chain hits the cap
+    chain = StabilizerChain(generators, ring, conjugators, cap)
     return np.sort(chain.elements().reshape(-1, n * n) @ powers)
 
 

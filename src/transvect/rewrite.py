@@ -9,13 +9,19 @@ on the roots r+s, 2r+s, r+2s by the Chevalley commutator formula
 constants c_ij.  The constants of each pair of index positions are
 derived once, by evaluating and peeling the commutator of generic
 arguments over Z[1/2][a, b], and memoised; an expansion then only
-multiplies arguments.  Conjugation by first-column atoms on the
-root opposite to the target needs an explicit schedule that routes the
-target through an auxiliary commutator whose pieces conjugate benignly.
+multiplies arguments.  The same constants give the long-root residue
+left when a target is written as a commutator, and the integer read by
+a probe commutator of unit arguments.  Conjugation by first-column
+atoms on the root opposite to the target needs an explicit schedule
+that routes the target through an auxiliary commutator whose pieces
+conjugate benignly.
 
 Everything returns a RewriteResult carrying a mechanically checked
 certificate: evaluation equality, first-row/column shape, ideal
-membership of first-column arguments, and Y-divisibility.
+membership of first-column arguments, and Y-divisibility.  A word is
+evaluated in three places only: that certificate, the derivation of
+the structure constants (``_comm_by_peel``), and the Eichler correction
+of ``_monster_long_row``.
 """
 
 from __future__ import annotations
@@ -24,11 +30,10 @@ from functools import cache
 from itertools import permutations
 
 from .matrices import sigma
-from .rings import (X, Y, Dyadic, PolyRing, RingError, as_constant,
-                    divide_by_unit, divide_by_var, substitute,
-                    var_multiplicity)
-from .words import (GeneratorAtom, GeneratorWord, act_on_rows, identity_rows,
-                    se)
+from .rings import (X, Y, Dyadic, PolyRing, RingError, divide_by_unit,
+                    divide_by_var, substitute, var_multiplicity)
+from .words import (SYMPLECTIC, GeneratorAtom, GeneratorWord, act_on_rows,
+                    identity_rows, se)
 
 
 class RewriteError(RingError):
@@ -97,12 +102,6 @@ def _quad(p, q, u, y, ideal_side):
     return [se(p, 1, u), se(1, q, y), se(p, 1, -u), se(1, q, -y)]
 
 
-def _long_roots(n):
-    """The long roots: every +2e_k, then every -2e_k."""
-    plus = [tuple(2 if c == k else 0 for c in range(n)) for k in range(n)]
-    return plus + [_neg(r) for r in plus]
-
-
 def _peel(ring, size, matrix, roots):
     """Write `matrix` as a product of atoms on the candidate roots.
 
@@ -131,12 +130,6 @@ def _peel(ring, size, matrix, roots):
         if resid == identity:
             return atoms
     raise RewriteError("matrix does not peel on roots %r" % (roots,))
-
-
-def _long_residue(ring, size, head, target):
-    """The long-root atoms r with target = head · r."""
-    word = GeneratorWord(ring, size, _inverse_atoms(head) + [target])
-    return _peel(ring, size, word.eval(), _long_roots(size // 2))
 
 
 def _comm_by_peel(ring, size, g, h):
@@ -207,6 +200,17 @@ def comm_word(ring, size, g, h):
     return out
 
 
+def _long_residue(ring, size, g, h, target):
+    """The atoms r with target = [g, h] · r, for a commutator whose piece
+    on the target's root is the target: the inverses, in reverse order,
+    of its other pieces.  Those sit on the long root 2r+s (or r+2s),
+    which commutes with the target's piece, so the order is safe."""
+    n = size // 2
+    root = atom_root(target.i, target.j, n)
+    return _inverse_atoms([x for x in comm_word(ring, size, g, h)
+                           if atom_root(x.i, x.j, n) != root])
+
+
 # -- single-atom rewriting to first-row/column shape ------------------
 
 
@@ -218,16 +222,16 @@ def _arg_at(atom, p, q):
     return -atom.arg if (atom.i + atom.j) % 2 == 0 else atom.arg
 
 
-def _probe_coeff(ring, size, g, h, p, q):
-    """The constant argument of the piece of [g, h] on the root of
-    se_pq, read at position (p, q); None if [g, h] has no such piece."""
+def _probe_coeff(size, g, h, p, q):
+    """The integer structure constant of the piece of [se_g(1), se_h(1)]
+    on the root of se_pq, g and h index pairs, read at position (p, q);
+    None if the commutator has no such piece."""
     n = size // 2
     root = atom_root(p, q, n)
-    coeff = None
-    for c in comm_word(ring, size, g, h):
-        if atom_root(c.i, c.j, n) == root:
-            coeff = as_constant(_arg_at(c, p, q))
-    return coeff
+    for i, j, c, _, _ in _comm_shape(size, SYMPLECTIC, *g, SYMPLECTIC, *h):
+        if atom_root(i, j, n) == root:
+            return _arg_at(se(i, j, c), p, q)
+    return None
 
 
 def _divide(arg, const, ypow):
@@ -238,8 +242,7 @@ def _divide(arg, const, ypow):
 def _quad_route(ring, size, atom, p, q, ideal_side):
     """The quad [se_p1(u), se_1q(Y)] whose piece at (p, q) carries the
     atom's argument there (u, Y swapped on the "row" side)."""
-    one = ring.one()
-    coeff = _probe_coeff(ring, size, se(p, 1, one), se(1, q, one), p, q)
+    coeff = _probe_coeff(size, (p, 1), (1, q), p, q)
     if coeff is None:
         raise RewriteError("no (%d, %d) component in the probe commutator"
                            % (p, q))
@@ -265,15 +268,10 @@ def rewrite_to_first(ring, size, atom, ideal_side):
         return []
     if q == sigma(p):
         # long root: se_p,sigma(p)(w) = [se_p1(u), se_1,sigma(p)(Y)], w = 2uY
-        u = _divide(w, 2, 1)
-        quad = _quad(p, q, u, ring.var(Y), ideal_side)
-        assert GeneratorWord(ring, size, quad).eval() == atom.matrix(ring, size)
-        return quad
+        return _quad(p, q, _divide(w, 2, 1), ring.var(Y), ideal_side)
     # short root: the quad alone is the atom, since for its roots a, b
     # neither 2a+b nor a+2b is a root (each has three nonzero coordinates)
-    quad = _quad_route(ring, size, atom, p, q, ideal_side)
-    assert GeneratorWord(ring, size, quad).eval() == atom.matrix(ring, size)
-    return quad
+    return _quad_route(ring, size, atom, p, q, ideal_side)
 
 
 def _emittable(ring, size, atom, ideal):
@@ -302,7 +300,7 @@ def _expand_avoiding(ring, size, atom, avoid, ideal_side, process):
     if any(atom_root(x.i, x.j, n) == _neg(avoid) for x in quad):
         raise RewriteError("quad route still clashes")
     out = list(quad)
-    for extra in _long_residue(ring, size, quad, atom):
+    for extra in _long_residue(ring, size, quad[0], quad[1], atom):
         out.extend(process(extra))
     return out
 
@@ -355,14 +353,13 @@ def _monster(ring, size, g, t, ideal, ideal_side):
         raise RewriteError("schedule needs size >= 4")
     y = ring.var(Y)
     y2 = y * y
-    coeff = _probe_coeff(ring, size, se(1, r, ring.one()),
-                         se(r, j, ring.one()), 1, j)
+    coeff = _probe_coeff(size, (1, r), (r, j), 1, j)
     if coeff is None:
         raise RewriteError("route %d does not reach the target root" % r)
     u = _divide(m, coeff, 2)
     a0 = se(1, r, u)
     b0 = se(r, j, y2)
-    corr = _long_residue(ring, size, [a0, b0, a0.inverse(), b0.inverse()], t)
+    corr = _long_residue(ring, size, a0, b0, t)
     n = size // 2
     rb0 = atom_root(b0.i, b0.j, n)
 
@@ -583,8 +580,8 @@ def conjugate_square_ideal(ring, size, i, j, z, a, b, ideal, kl):
     else:
         p1 = se(sigma(i), j, b)
         p2 = se(i, sigma(i), -a)
-        quad = [p1, p2, p1.inverse(), p2.inverse()]
-        factors = quad + _long_residue(ring, size, quad, target)
+        factors = ([p1, p2, p1.inverse(), p2.inverse()]
+                   + _long_residue(ring, size, p1, p2, target))
     out = []
     for x in factors:
         out.extend(comm_word(ring, size, alpha, x))

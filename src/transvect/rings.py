@@ -608,19 +608,6 @@ def var_multiplicity(elt, name):
     return min(mono[idx] for mono, _ in elt.value)
 
 
-def as_constant(elt):
-    """A nonzero constant polynomial as an element of its base ring;
-    elt itself over a non-polynomial ring."""
-    ring = elt.ring
-    if not isinstance(ring, PolyRing):
-        return elt
-    if any(any(mono) for mono, _ in elt.value):
-        raise RingError("%r is not a constant polynomial" % (elt,))
-    if not elt.value:
-        raise RingError("the zero polynomial is not a nonzero constant")
-    return RingElement(ring.base, elt.value[0][1])
-
-
 def divide_by_var(elt, name, k=1):
     """Exact division by name^k; raises if not divisible."""
     ring = elt.ring

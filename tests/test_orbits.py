@@ -1170,3 +1170,14 @@ def test_square_ideal_overflow_guard_runs_before_any_matrix(monkeypatch):
     R = Zmod(100003)
     rep = square_ideal_inclusion_test(R, 4, Ideal.zero(R), samples=5)
     assert rep["ok"] and rep["members"] == rep["factored_members"] == 5
+
+
+@pytest.mark.parametrize("m", [2 ** 62 + 1, 2 ** 63 + 1])
+def test_chain_overflow_guard_runs_before_conversion(m):
+    """The chain and the closure refuse a modulus whose products (or
+    keys) overflow int64 before they reduce their inputs mod m, which
+    for m >= 2**63 would raise OverflowError instead of RingError."""
+    with pytest.raises(RingError, match="overflow int64"):
+        orbits.StabilizerChain([np.eye(4, dtype=np.int64)], Zmod(m))
+    with pytest.raises(RingError, match="overflow int64"):
+        subgroup_closure([np.eye(2, dtype=np.int64)], Zmod(m))

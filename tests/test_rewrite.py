@@ -2,13 +2,16 @@ import random
 
 import pytest
 
+from transvect import rewrite
+from transvect.cli import run
 from transvect.matrices import sigma
+from transvect.orbits import square_ideal_inclusion_test
 from transvect.relations import (admissible_indices, relation_sides,
                                  symbolic_ring)
 from transvect.rewrite import (RewriteError, _arg_at, _comm_by_peel, _neg,
-                               atom_root, comm_word, conjugate_first_rowcol,
-                               conjugate_square_ideal, dilate_word,
-                               rewrite_to_first)
+                               _peel, atom_root, comm_word,
+                               conjugate_first_rowcol, conjugate_square_ideal,
+                               dilate_word, rewrite_to_first)
 from transvect.rings import Dyadic, Ideal, PolyRing, Zmod
 from transvect.words import GeneratorWord, se
 
@@ -158,3 +161,111 @@ def test_conjugate_square_ideal_trivial_cases():
     res = conjugate_square_ideal(ring, 4, 1, 3, ring.zero(), ring.var("a"),
                                  b, ideal, kl=(3, 1))
     assert res.certificate
+
+
+def _peeled_residue(ring, size, g, h, target):
+    """The oracle for ``_long_residue``: [g, h]^-1 · target evaluated as
+    a word and peeled over the long roots +-2e_k."""
+    n = size // 2
+    plus = [tuple(2 if c == k else 0 for c in range(n)) for k in range(n)]
+    head = [g, h, g.inverse(), h.inverse()]
+    word = [x.inverse() for x in reversed(head)] + [target]
+    return _peel(ring, size, GeneratorWord(ring, size, word).eval(),
+                 plus + [_neg(r) for r in plus])
+
+
+def _expanded_probe(ring, size, g, h, p, q):
+    """The oracle for ``_probe_coeff``: [se_g(1), se_h(1)] expanded over
+    ``ring`` and its piece on the root of se_pq read at (p, q)."""
+    n = size // 2
+    one = ring.one()
+    coeff = None
+    for c in comm_word(ring, size, se(*g, one), se(*h, one)):
+        if atom_root(c.i, c.j, n) == atom_root(p, q, n):
+            coeff = _arg_at(c, p, q)
+    return coeff
+
+
+@pytest.fixture
+def derived_reads(monkeypatch):
+    """Records, for every residue and probe the calculus takes, the
+    derived read next to its evaluated oracle."""
+    seen = {"residues": [], "probes": []}
+    residue, probe = rewrite._long_residue, rewrite._probe_coeff
+    probe_ring = PolyRing(Dyadic(), ("a",))
+
+    def checked_residue(ring, size, g, h, target):
+        out = residue(ring, size, g, h, target)
+        seen["residues"].append(
+            (out, _peeled_residue(ring, size, g, h, target)))
+        return out
+
+    def checked_probe(size, g, h, p, q):
+        out = probe(size, g, h, p, q)
+        want = _expanded_probe(probe_ring, size, g, h, p, q)
+        seen["probes"].append(
+            (None if out is None else probe_ring.element(out), want))
+        return out
+
+    monkeypatch.setattr(rewrite, "_long_residue", checked_residue)
+    monkeypatch.setattr(rewrite, "_probe_coeff", checked_probe)
+    return seen
+
+
+def test_derived_reads_match_evaluation_on_dilate(derived_reads, tmp_path):
+    """Every long residue and probe constant of `dilate` at sizes 4, 6
+    and 8 equals, atom for atom, the one read off an evaluated word."""
+    assert run(["dilate", "--sizes", "4,6,8",
+                "--out", str(tmp_path / "r.json")]) == 0
+    residues, probes = derived_reads["residues"], derived_reads["probes"]
+    assert any(got for got, _ in residues)
+    assert probes and all(want is not None for _, want in probes)
+    for got, want in residues + probes:
+        assert got == want
+
+
+def test_derived_residues_match_evaluation_on_square_ideal(derived_reads):
+    """The same for the residues of `square-ideal-test` samples; over
+    Z/9 and Z/27 with (3) each residue a*b^2 lies in (27) and vanishes,
+    over Z/15 with (5) it does not."""
+    for m, g in ((9, 3), (15, 5), (27, 3)):
+        R = Zmod(m)
+        rep = square_ideal_inclusion_test(R, 4, Ideal.principal(R, g),
+                                          cap=3 ** 18)
+        assert rep["ok"]
+    residues = derived_reads["residues"]
+    assert any(got for got, _ in residues)
+    assert all(got == want for got, want in residues)
+
+
+@pytest.mark.parametrize("target", ["direct", "opposite"])
+def test_a_perturbed_quad_fails_the_certificate(monkeypatch, target):
+    """A quad with one argument doubled emits a word that is not the
+    conjugate: the certificate says so, and nothing raises."""
+    quad = rewrite._quad
+    monkeypatch.setattr(rewrite, "_quad", lambda p, q, u, y, side:
+                        quad(p, q, u + u, y, side))
+    ring, ideal = _setup()
+    x1 = ring.var("x1")
+    tgt = se(2 if target == "direct" else 3, 1, x1 * _target_arg(ring))
+    res = conjugate_first_rowcol(ring, 4, se(1, 3, ring.var("a")), tgt, ideal)
+    assert res.checks["eval-equal"] is False and not res.certificate
+
+
+def test_a_residue_without_its_inverse_fails_the_certificate(monkeypatch):
+    """A long residue that keeps the commutator's piece instead of its
+    inverse: the square-ideal certificate fails, and nothing raises."""
+    residue = rewrite._long_residue
+    pieces = []
+
+    def mutant(*args):
+        kept = [x.inverse() for x in residue(*args)]
+        pieces.extend(kept)
+        return kept
+    monkeypatch.setattr(rewrite, "_long_residue", mutant)
+    ring = PolyRing(Dyadic(), ("z", "a", "b"))
+    ideal = Ideal.vars(ring, ("a", "b"))
+    z, a, b = ring.var("z"), ring.var("a"), ring.var("b")
+    res = conjugate_square_ideal(ring, 4, 1, 3, z, a, b, ideal, kl=(3, 1))
+    assert pieces
+    assert res.checks["eval-equal"] is False and not res.certificate

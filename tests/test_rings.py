@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transvect.rings import (GF, Dyadic, Ideal, PolyRing, RingElement,
-                             RingError, Zmod, as_constant, divide_by_unit,
-                             divide_by_var, localize_at_prime, parse_ideal,
-                             parse_ring, prime_factors, sample_element,
-                             substitute, var_multiplicity)
+                             RingError, Zmod, divide_by_unit, divide_by_var,
+                             localize_at_prime, parse_ideal, parse_ring,
+                             prime_factors, sample_element, substitute,
+                             var_multiplicity)
 
 
 @given(st.integers(0, 80), st.integers(0, 80), st.integers(0, 80))
@@ -381,15 +381,6 @@ def test_poly_value_layout(text, seed):
             assert _is_raw(ring.base, c)
             assert not ring.base.element(c).is_zero()
         assert ring.element(dict(z.value)) == z
-
-
-@pytest.mark.parametrize("text", _LAYOUT_RINGS)
-def test_as_constant_is_a_base_element(text):
-    ring = parse_ring(text)
-    c = as_constant(ring.element(2))
-    assert c.ring is ring.base and c == ring.base.element(2)
-    with pytest.raises(RingError):
-        as_constant(ring.var(ring.names[0]))
 
 
 @pytest.mark.parametrize("text", ["zmod:9", "dyadic"] + _LAYOUT_RINGS)
