@@ -15,6 +15,7 @@ import os
 import random
 import sys
 import time
+from functools import cache
 
 from .identities import splice_telescoping
 from .matrices import matrix_from_json, standard_form
@@ -28,7 +29,7 @@ from .orbits import (GroupSpec, check_dim0_transitivity, check_orbit_equality,
 from .relations import suite_summary, verify_relation_suite
 from .rewrite import conjugate_first_rowcol
 from .rings import (X, Y, DescriptorError, Dyadic, Ideal, PolyRing,
-                    RingError, Zmod, parse_ideal, parse_ring, sample_element)
+                    RingError, Zmod, parse_ideal, parse_ring)
 from .words import (GeneratorWord, decompose_mu, decompose_rho, lin,
                     mu_matrix, rho_matrix, se, word_to_json)
 
@@ -124,9 +125,8 @@ def _cmd_decompose(args, report, ring, _ideal):
         rng = random.Random(args.seed)
         alphas = []
         for _ in range(args.samples):
-            q = [sample_element(ring, rng) for _ in range(m)]
-            alphas.append((q, sample_element(ring, rng),
-                           sample_element(ring, rng)))
+            q = [ring.sample(rng) for _ in range(m)]
+            alphas.append((q, ring.sample(rng), ring.sample(rng)))
     psi = standard_form(ring, args.n)
     rho_ok = mu_ok = 0
     for q, al, be in alphas:
@@ -300,6 +300,7 @@ def _sizes(text):
     return text
 
 
+@cache  # parse_args leaves the parser as it was
 def _build_parser():
     top = _Parser(prog="transvect")
     sub = top.add_subparsers(dest="command")

@@ -13,8 +13,7 @@ Two reductions, both certified by their defining postconditions:
 """
 
 from .matrices import SquareMatrix, is_alternating, pfaffian, standard_form
-from .rings import (Ideal, RingError, Zmod, localize_at_prime,
-                    prime_factors, sample_element)
+from .rings import Ideal, RingError, Zmod, localize_at_prime, prime_factors
 from .words import (LINEAR, GeneratorWord, act_on_columns,
                     conjugation_triple, lin)
 
@@ -187,9 +186,9 @@ def random_form(ring, n, rng, ideal=None):
     if m > 2:
         for _ in range(rng.randrange(1, 6)):
             i, j = rng.sample(range(1, m), 2)
-            a = sample_element(ring, rng)
+            a = ring.sample(rng)
             if ideal is not None and not ideal.is_full():
-                x = ideal.modulus() * sample_element(ring, rng)
+                x = ideal.modulus() * ring.sample(rng)
                 atoms += conjugation_triple(LINEAR, i, j, a, x)
             else:
                 atoms.append(lin(i, j, a))

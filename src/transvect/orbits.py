@@ -9,24 +9,25 @@ sample through a chain instead of listing the group.
 
 Rows and matrices are int64 arrays mod m, the only input the orbit
 functions take; every word built here is a row of an int64 atom table
-evaluated by ``_eval_atoms``.  A row is found by its base-m int64 key:
-in a direct-address table of row indices when the key space is small,
-else by binary search.  A universe is one (N, n) int64 array from
-enumeration to partition.  A generator changes a row's key by one
-term per group of changed columns, each a function of the few digits
-the group depends on, read from a table over those digits.  Orbit
-labels are canonical (lexicographically least row per orbit), so
-partitions are independent of generator order.
+evaluated once by ``_eval_atoms``, and a square-ideal factorization is
+certified by comparing its table with its conjugate's.  A row is found
+by its base-m int64 key: in a direct-address table of row indices when
+the key space is small, else by binary search.  A universe is one
+(N, n) int64 array from enumeration to partition.  A generator changes
+a row's key by one term per group of changed columns, each a function
+of the few digits the group depends on, read from a table over those
+digits.  Orbit labels are canonical (lexicographically least row per
+orbit), so partitions are independent of generator order.
 """
 
 import random
 from functools import cached_property, lru_cache, partial
-from itertools import cycle
+from itertools import compress, cycle
 
 import numpy as np
 
 from .matrices import sigma
-from .rewrite import conjugate_square_ideal
+from .rewrite import square_ideal_atoms
 from .rings import DescriptorError, Ideal, RingError, Zmod
 from .words import LINEAR, SYMPLECTIC
 
@@ -122,6 +123,7 @@ def enumerate_unimodular(ring, n, ideal=None, budget=10 ** 7):
     if k ** n > budget:
         raise RingError("universe size %d exceeds budget %d"
                         % (k ** n, budget))
+    _key_powers(n, m)  # the keys' guard, before m is put in an array
 
     def column(idx, c):
         digit = idx // k ** (n - 1 - c) % k
@@ -361,11 +363,11 @@ def orbit_partition(universe, generators, ring):
     and evaluated on the rows.  An empty universe maps nothing.
     """
     m = ring.m
-    gens = [np.asarray(g, dtype=np.int64) % m for g in generators]
     n_rows, width = universe.shape
-    if width * (m - 1) ** 2 >= 2 ** 63:
+    if width * (m - 1) ** 2 >= 2 ** 63:  # before m is put in an array
         raise RingError("rows of length %d over Z/%d overflow int64 products"
                         % (width, m))
+    gens = [np.asarray(g, dtype=np.int64) % m for g in generators]
     cols = np.ascontiguousarray(universe.T)
     powers = _key_powers(width, m)
     keys = powers @ cols
@@ -736,8 +738,11 @@ def _square_ideal_samples(ring, size, ideal, rng, samples):
     """Per block of at most _CHUNK_ROWS samples, drawn in order from
     ``rng``: the conjugates se_kl(z) se_ij(ab) se_kl(-z), a, b in I, and
     the right sides of their certified factorizations, each evaluated
-    as one atom table, and how many were factored: all but a long
-    target opposite its conjugator (no split of that shape)."""
+    once as one atom table, and how many were factored: all but a long
+    target opposite its conjugator (no split of that shape).  As in a
+    RewriteResult, a factorization is certified if its table equals its
+    conjugate's (exact: entries mod m fit in int64) and every argument
+    passes ``Ideal.contains``."""
     m, g = ring.m, ideal.modulus()
     pairs = _index_pairs(size)
     for lo in range(0, samples, _CHUNK_ROWS):
@@ -746,16 +751,17 @@ def _square_ideal_samples(ring, size, ideal, rng, samples):
                  for _ in range(min(_CHUNK_ROWS, samples - lo))]
         conj = [[(k, l, z), (i, j, a * b % m), (k, l, -z % m)]
                 for i, j, k, l, z, a, b in draws]
-        factors = [conjugate_square_ideal(ring, size, i, j, ring.element(z),
-                                          ring.element(a), ring.element(b),
-                                          ideal, kl=(k, l))
-                   for i, j, k, l, z, a, b in draws
-                   if not (i == sigma(j) and (k, l) == (j, i))]
-        rhs = [[(x.i, x.j, x.arg.value) for x in res.rhs.atoms]
-               for res in factors if res.certificate]
-        yield (_eval_atoms(_word_table(conj), size, m, SYMPLECTIC),
-               _eval_atoms(_word_table(rhs), size, m, SYMPLECTIC),
-               len(factors))
+        split = np.array([not (i == sigma(j) and (k, l) == (j, i))
+                          for i, j, k, l, *_ in draws], dtype=bool)
+        words = [square_ideal_atoms(ring, size, i, j, *map(ring.element, zab),
+                                    (k, l))
+                 for i, j, k, l, *zab in compress(draws, split)]
+        conj = _eval_atoms(_word_table(conj), size, m, SYMPLECTIC)
+        rhs = _eval_atoms(_word_table([[(x.i, x.j, x.arg.value) for x in w]
+                                       for w in words]), size, m, SYMPLECTIC)
+        member = [all(ideal.contains(x.arg) for x in w) for w in words]
+        equal = (rhs == conj[split]).all(axis=(1, 2))
+        yield conj, rhs[equal & np.array(member, dtype=bool)], len(words)
 
 
 def square_ideal_inclusion_test(ring, size, ideal, samples=200, seed=0,

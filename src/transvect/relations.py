@@ -17,7 +17,7 @@ import random
 from itertools import product
 
 from .matrices import sigma
-from .rings import PolyRing, Dyadic, sample_element
+from .rings import PolyRing, Dyadic
 from .words import (GeneratorWord, commutator_word, conjugate_word, se)
 
 
@@ -142,7 +142,7 @@ def verify_relation_suite(n, ring=None, mode="symbolic", samples=20, seed=0):
         draw = lambda: (ring.var("a"), ring.var("b"))
     elif mode == "sampled":
         rng = random.Random(seed)
-        draw = lambda: (sample_element(ring, rng), sample_element(ring, rng))
+        draw = lambda: (ring.sample(rng), ring.sample(rng))
     else:
         raise ValueError("mode must be symbolic or sampled")
     return [verify_relation(ring, rel_id, n, idx, *draw())

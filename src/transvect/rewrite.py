@@ -18,10 +18,11 @@ conjugate benignly.
 
 Everything returns a RewriteResult carrying a mechanically checked
 certificate: evaluation equality, first-row/column shape, ideal
-membership of first-column arguments, and Y-divisibility.  A word is
-evaluated in three places only: that certificate, the derivation of
-the structure constants (``_comm_by_peel``), and the Eichler correction
-of ``_monster_long_row``.
+membership of first-column arguments, and Y-divisibility.  Over Z/m,
+``orbits.py`` certifies ``square_ideal_atoms`` on its int64 atom tables
+instead.  A word is evaluated in three places only: that certificate,
+the derivation of the structure constants (``_comm_by_peel``), and the
+Eichler correction of ``_monster_long_row``.
 """
 
 from __future__ import annotations
@@ -564,17 +565,17 @@ def dilate_word(eps, target, ideal):
     return RewriteResult(lhs, rhs, ideal, True)
 
 
-def conjugate_square_ideal(ring, size, i, j, z, a, b, ideal, kl):
-    """^{se_kl(z)} se_ij(ab) with a, b in I, as a word over ESp(I).
+def square_ideal_atoms(ring, size, i, j, z, a, b, kl):
+    """The atoms of ^{se_kl(z)} se_ij(ab), a, b in I, as a word over ESp(I).
 
     Splits se_ij(ab) = [se_{sigma(i)j}(b), se_{i sigma(i)}(-a)] · corr and
-    conjugates the pieces; every emitted argument lies in the ideal.
+    conjugates the pieces by ``_slide``; every emitted argument lies in
+    the ideal.
     """
-    k, l = kl
-    alpha = se(k, l, z)
+    alpha = se(*kl, z)
     target = se(i, j, a * b)
     n = size // 2
-    if atom_root(k, l, n) != _neg(atom_root(i, j, n)):
+    if atom_root(*kl, n) != _neg(atom_root(i, j, n)):
         # non-opposite: direct commutator expansion
         factors = [target]
     else:
@@ -582,10 +583,12 @@ def conjugate_square_ideal(ring, size, i, j, z, a, b, ideal, kl):
         p2 = se(i, sigma(i), -a)
         factors = ([p1, p2, p1.inverse(), p2.inverse()]
                    + _long_residue(ring, size, p1, p2, target))
-    out = []
-    for x in factors:
-        out.extend(comm_word(ring, size, alpha, x))
-        out.append(x)
-    lhs = GeneratorWord(ring, size, [alpha, target, alpha.inverse()])
-    rhs = GeneratorWord(ring, size, out)
-    return RewriteResult(lhs, rhs, ideal, False)
+    return _slide(ring, size, alpha, factors)
+
+
+def conjugate_square_ideal(ring, size, i, j, z, a, b, ideal, kl):
+    """``square_ideal_atoms`` as the right side of a RewriteResult."""
+    lhs = [se(*kl, z), se(i, j, a * b), se(*kl, -z)]
+    rhs = square_ideal_atoms(ring, size, i, j, z, a, b, kl)
+    return RewriteResult(GeneratorWord(ring, size, lhs),
+                         GeneratorWord(ring, size, rhs), ideal, False)

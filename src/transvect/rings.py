@@ -116,6 +116,7 @@ class Zmod(RingDescriptor):
         return self.element(data)
 
     def sample(self, rng):
+        """Uniform over Z/m; deterministic for a seeded ``rng``."""
         return self.element(rng.randrange(self.m))
 
     def is_unit(self, elt):
@@ -189,6 +190,7 @@ class Dyadic(RingDescriptor):
         return self.element(tuple(data))
 
     def sample(self, rng):
+        """n/2^k with |n| <= 9, k <= 2; deterministic for a seeded ``rng``."""
         return self.element((rng.randrange(-9, 10), rng.randrange(3)))
 
     def is_unit(self, elt):
@@ -325,6 +327,8 @@ class PolyRing(RingDescriptor):
             {tuple(m): base.from_json(c).value for m, c in data}))
 
     def sample(self, rng):
+        """At most 3 terms of total degree <= 2, each coefficient a sample
+        of the base ring; deterministic for a seeded ``rng``."""
         base = self.base
         nvars = len(self.names)
         terms = {}
@@ -647,9 +651,5 @@ def substitute(elt, name, value):
 
 
 def sample_element(ring, rng):
-    """Deterministic-for-a-seed sample; uniform over finite rings.
-
-    Dyadic samples are n/2^k with |n| <= 9 and k <= 2; polynomial
-    samples have at most 3 terms of total degree <= 2.
-    """
+    """``ring.sample(rng)``; ``benchmarks/probes.py`` imports this name."""
     return ring.sample(rng)

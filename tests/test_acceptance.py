@@ -16,8 +16,7 @@ from transvect.orbits import (check_dim0_transitivity, check_orbit_equality,
                               square_ideal_inclusion_test)
 from transvect.relations import suite_summary, verify_relation_suite
 from transvect.rewrite import conjugate_first_rowcol, conjugate_square_ideal
-from transvect.rings import (GF, Dyadic, Ideal, PolyRing, Zmod,
-                             prime_factors, sample_element)
+from transvect.rings import GF, Dyadic, Ideal, PolyRing, Zmod, prime_factors
 from transvect.words import (GeneratorWord, bass_symplectic_transvection,
                              decompose_mu, decompose_rho, lin, mu_matrix,
                              rho_matrix, se)

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import transvect
-from transvect.cli import run
+from transvect.cli import _build_parser, run
 
 
 def _run(argv, tmp_path, name="report.json"):
@@ -76,6 +76,23 @@ def test_reports_are_deterministic(tmp_path):
     _, rep1 = _run(argv, tmp_path, "a.json")
     _, rep2 = _run(argv, tmp_path, "b.json")
     assert _strip_timing(rep1) == _strip_timing(rep2)
+
+
+def test_the_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def test_a_usage_error_leaves_the_parser_as_built(tmp_path, capsys):
+    """In one process, a usage error of a subcommand and then a valid
+    argv of it: the report is the one a freshly built parser gives."""
+    argv = ["square-ideal-test", "--ring", "zmod:9", "--size", "4",
+            "--ideal", "3", "--samples", "20", "--seed", "3"]
+    _build_parser.cache_clear()
+    _, fresh = _run(argv, tmp_path, "fresh.json")
+    _assert_usage_error(argv[:-2] + ["--seed", "x", "--cap", "0"], tmp_path,
+                        capsys)
+    _, again = _run(argv, tmp_path, "again.json")
+    assert _strip_timing(again) == _strip_timing(fresh)
 
 
 def test_malformed_ring_is_usage_error(tmp_path, capsys):
@@ -284,6 +301,23 @@ def test_ring_past_int64_is_an_error_result(command, tmp_path):
     assert code == 1 and res["name"] == "error"
     assert "overflow int64" in res["message"]
     assert "\n" not in res["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbits", "--size", "2", "--group", "e-rel"],
+    ["transitivity", "--size", "2"],
+    ["orbit-equality", "--size", "4"],
+])
+def test_orbit_keys_past_int64_are_an_error_result(argv, tmp_path, capsys):
+    """2**63 + 1 = 3 * 3074457345618258603: the universe of that ideal
+    is tiny, but its rows' keys overflow int64.  A one-line error
+    result and nothing on stderr, not an OverflowError traceback."""
+    code, rep = _run(argv + ["--ring", "zmod:9223372036854775809",
+                             "--ideal", "3074457345618258603"], tmp_path)
+    res, = rep["results"]
+    assert code == 1 and res["name"] == "error"
+    assert "overflow int64 keys" in res["message"]
+    assert capsys.readouterr().err == ""
 
 
 def test_kernel_test_reaches_past_int64_matrix_keys(tmp_path):

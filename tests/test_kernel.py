@@ -8,7 +8,7 @@ import pytest
 
 from transvect.matrices import SquareMatrix, row_times
 from transvect.rewrite import _neg, atom_root, comm_word
-from transvect.rings import RingError, parse_ring, sample_element
+from transvect.rings import RingError, parse_ring
 from transvect.words import GeneratorWord, act_on_rows, lin, se
 
 RINGS = ["zmod:9", "gf:5", "dyadic", "poly:dyadic:a,b", "poly:zmod:9:X"]
@@ -22,7 +22,7 @@ def _random_atoms(ring, family, size, rng, length):
     for _ in range(length):
         i, j = rng.sample(range(1, size + 1), 2)
         # zero arguments exercise the kernel's skip path
-        arg = ring.zero() if rng.randrange(5) == 0 else sample_element(ring, rng)
+        arg = ring.zero() if rng.randrange(5) == 0 else ring.sample(rng)
         out.append(atom(i, j, arg))
     return out
 
@@ -111,7 +111,7 @@ def test_shifted_word_is_identity_perp_word(desc, family, size):
 
 
 def _random_matrix(ring, size, rng):
-    return SquareMatrix(ring, [[sample_element(ring, rng) for _ in range(size)]
+    return SquareMatrix(ring, [[ring.sample(rng) for _ in range(size)]
                                for _ in range(size)])
 
 
@@ -162,7 +162,7 @@ def test_row_times_matches_entry_sum(desc, size):
     ring = parse_ring(desc)
     rng = random.Random(_seed("row", desc, size))
     mat = _random_matrix(ring, size, rng)
-    q = [sample_element(ring, rng) for _ in range(size)]
+    q = [ring.sample(rng) for _ in range(size)]
     expected = []
     for c in range(size):
         acc = ring.zero()

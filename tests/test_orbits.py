@@ -14,7 +14,8 @@ from transvect.orbits import (GroupSpec, check_dim0_transitivity,
                               orbit_partition, square_ideal_inclusion_test,
                               subgroup_closure)
 from transvect.matrices import sigma
-from transvect.rewrite import conjugate_square_ideal
+from transvect import rewrite
+from transvect.rewrite import conjugate_square_ideal, square_ideal_atoms
 from transvect.rings import DescriptorError, Ideal, RingError, Zmod
 from transvect.words import (LINEAR, SYMPLECTIC, GeneratorAtom, GeneratorWord,
                              conjugation_triple, lin, se)
@@ -1128,6 +1129,87 @@ def test_square_ideal_blocks_match_the_word_oracle(m, g, size, chunk,
         assert (conj != np.eye(size, dtype=np.int64)).any(axis=(1, 2)).any()
 
 
+def _wrong_value(ring, g, when=lambda z: True):
+    """A planted ``square_ideal_atoms`` that adds g to the first
+    argument (where ``when(z)``), reading an empty word as se_ij(0):
+    still in I = (g), but a different word unless g = 0."""
+    def mutant(_ring, size, i, j, z, a, b, kl):
+        out = square_ideal_atoms(ring, size, i, j, z, a, b, kl)
+        if not when(z):
+            return out
+        x, *rest = out or [se(i, j, ring.zero())]
+        return [se(x.i, x.j, x.arg + ring.element(g)), *rest]
+    return mutant
+
+
+def _outside_ideal(ring, g):
+    """A planted ``square_ideal_atoms`` that appends se_12(1) se_12(-1):
+    the same word, with two arguments outside a proper ideal."""
+    def mutant(*args):
+        return square_ideal_atoms(*args) + [se(1, 2, ring.one()),
+                                            se(1, 2, -ring.one())]
+    return mutant
+
+
+_MUTANTS = {
+    "value": _wrong_value,
+    "membership": _outside_ideal,
+    "value-on-odd-z": partial(_wrong_value, when=lambda z: z.value % 2),
+}
+
+
+def _plant(monkeypatch, mutant):
+    """``mutant`` in place of ``square_ideal_atoms``, for the table path
+    and for ``conjugate_square_ideal`` alike."""
+    monkeypatch.setattr(orbits, "square_ideal_atoms", mutant)
+    monkeypatch.setattr(rewrite, "square_ideal_atoms", mutant)
+
+
+@pytest.mark.parametrize("mutant", [None, *_MUTANTS])
+@pytest.mark.parametrize("m,g,size", [(9, 3, 4), (15, 5, 4), (25, 5, 4),
+                                      (27, 3, 4), (9, 3, 2), (9, 3, 6),
+                                      (9, 0, 4)])
+def test_table_certificate_matches_the_rewrite_result(m, g, size, mutant,
+                                                      monkeypatch):
+    """Sample by sample, the table path keeps a factorization iff
+    ``conjugate_square_ideal`` certifies it: the tables kept are the
+    oracle's certified right sides, in order, for the factorizations as
+    built and for planted wrong ones (a wrong value, arguments outside
+    I, a wrong value on odd z only)."""
+    ring = Zmod(m)
+    ideal = Ideal.principal(ring, g)
+    if mutant:
+        _plant(monkeypatch, _MUTANTS[mutant](ring, g))
+    blocks = list(orbits._square_ideal_samples(ring, size, ideal,
+                                               random.Random(m + size), 40))
+    oracle = [res for _, res in _square_ideal_by_loop(
+        ring, size, ideal, random.Random(m + size), 40) if res is not None]
+    certified = [res for res in oracle if res.certificate]
+    assert sum(count for _, _, count in blocks) == len(oracle)
+    want = np.array([_word_array(res.rhs, m) for res in certified],
+                    dtype=np.int64).reshape(-1, size, size)
+    assert np.array_equal(np.concatenate([r for _, r, _ in blocks]), want)
+    if mutant == "value-on-odd-z" and g:
+        assert 0 < len(certified) < len(oracle)
+    elif mutant == "membership" or (mutant and g):
+        assert not certified
+    else:  # as built, or a value shifted by g = 0
+        assert len(certified) == len(oracle)
+
+
+@pytest.mark.parametrize("mutant", ["value", "membership"])
+def test_a_planted_wrong_factorization_fails_the_square_ideal_test(
+        mutant, monkeypatch):
+    """A factorization of the wrong value, or with arguments outside I,
+    is not sifted: fewer factored members than factored samples, ok is
+    false, and nothing raises."""
+    R = Zmod(9)
+    _plant(monkeypatch, _MUTANTS[mutant](R, 3))
+    rep = square_ideal_inclusion_test(R, 4, Ideal.principal(R, 3), samples=40)
+    assert rep["members"] == rep["samples"] == 40
+    assert rep["factored_members"] < rep["factored"] and not rep["ok"]
+
+
 def test_kernel_samples_stay_within_one_block():
     """20,000 samples over Z/3 at size 2 with the zero ideal are drawn
     and evaluated one block of _CHUNK_ROWS words at a time: the traced
@@ -1174,10 +1256,14 @@ def test_square_ideal_overflow_guard_runs_before_any_matrix(monkeypatch):
 
 @pytest.mark.parametrize("m", [2 ** 62 + 1, 2 ** 63 + 1])
 def test_chain_overflow_guard_runs_before_conversion(m):
-    """The chain and the closure refuse a modulus whose products (or
-    keys) overflow int64 before they reduce their inputs mod m, which
-    for m >= 2**63 would raise OverflowError instead of RingError."""
+    """The chain, the closure and the partition refuse a modulus whose
+    products (or keys) overflow int64 before they reduce their inputs
+    mod m, which for m >= 2**63 would raise OverflowError instead of
+    RingError."""
     with pytest.raises(RingError, match="overflow int64"):
         orbits.StabilizerChain([np.eye(4, dtype=np.int64)], Zmod(m))
     with pytest.raises(RingError, match="overflow int64"):
         subgroup_closure([np.eye(2, dtype=np.int64)], Zmod(m))
+    with pytest.raises(RingError, match="overflow int64"):
+        orbit_partition(np.array([[1, 0]]), [np.eye(2, dtype=np.int64)],
+                        Zmod(m))
