@@ -65,8 +65,13 @@ def _emit(report, out_path):
     data = report.finish()
     text = json.dumps(data, indent=2, default=str)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print("usage error: cannot write --out %s: %r" % (out_path, exc),
+                  file=sys.stderr)
+            return 2
     else:
         print(text)
     return 0 if data["ok"] else 1

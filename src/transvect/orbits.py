@@ -8,20 +8,21 @@ kernel-membership and square-ideal inclusion checks, which sift each
 sample through a chain instead of listing the group.
 
 Rows and matrices are int64 arrays mod m, the only input the orbit
-functions take; every word built here is a row of an int64 atom table
-evaluated once by ``_eval_atoms``, and a square-ideal factorization is
-certified by comparing its table with its conjugate's.  A row is found
-by its base-m int64 key: in a direct-address table of row indices when
-the key space is small, else by binary search.  A universe is one
-(N, n) int64 array from enumeration to partition.  A generator changes
-a row's key by one term per group of changed columns, each a function
-of the few digits the group depends on, read from a table over those
-digits.  Orbit labels are canonical (lexicographically least row per
-orbit), so partitions are independent of generator order.
+functions take.  Every word built here is a row of an int64 atom table
+evaluated once by ``words.eval_table``: this module never applies an
+atom itself.  A square-ideal factorization is certified by comparing
+its table with its conjugate's.  A row is found by its base-m int64
+key: in a direct-address table of row indices when the key space is
+small, else by binary search.  A universe is one (N, n) int64 array
+from enumeration to partition.  A generator changes a row's key by one
+term per group of changed columns, each a function of the few digits
+the group depends on, read from a table over those digits.  Orbit
+labels are canonical (lexicographically least row per orbit), so
+partitions are independent of generator order.
 """
 
 import random
-from functools import cached_property, lru_cache, partial
+from functools import cache, cached_property, lru_cache, partial
 from itertools import compress, cycle
 
 import numpy as np
@@ -29,7 +30,7 @@ import numpy as np
 from .matrices import sigma
 from .rewrite import square_ideal_atoms
 from .rings import DescriptorError, Ideal, RingError, Zmod
-from .words import LINEAR, SYMPLECTIC
+from .words import LINEAR, SYMPLECTIC, eval_table, word_table
 
 # family -> (group it generates, kind), read only by GroupSpec
 FAMILIES = {
@@ -167,7 +168,7 @@ def generators_for(spec):
     else:
         words = [[(i, j, a), (j, i, g), (i, j, -a % m)]
                  for i, j in _index_pairs(size) for a in range(m // (g or m))]
-    mats = _eval_atoms(_word_table(words), size, m, spec.group)
+    mats = eval_table(word_table(words), size, m, spec.group)
     first = np.sort(np.unique(mats @ powers, axis=0, return_index=True)[1])
     moved = (mats[first] != np.eye(size, dtype=np.int64)).any(axis=(1, 2))
     return list(mats[first[moved]])
@@ -262,12 +263,13 @@ def _digit_index(cols, m, deps):
     return index.astype(np.min_scalar_type(m ** k - 1))
 
 
-def _key_reader(cols, powers, g, m, deps, cs, index):
+def _key_reader(cols, powers, g, m, deps, cs, index, digit_tuples):
     """The key change of g's columns ``cs``, which depend on the digits
     ``deps``, as a function of a block of rows: the one formula
     ``powers[cs] @ (new[cs] - x[cs])`` with new = (g.T @ x) % m on
-    x[deps], evaluated once on the m**k digit tuples and read through
-    ``index``, or, when ``index`` is None, on each block of rows."""
+    x[deps], evaluated once on the digit tuples ``digit_tuples(k)``, k =
+    len(deps), and read through ``index``, or, when ``index`` is None, on
+    each block of rows."""
     here = [deps.index(c) for c in cs]
     mix = g.T[cs][:, deps]
 
@@ -275,11 +277,12 @@ def _key_reader(cols, powers, g, m, deps, cs, index):
         return powers[cs] @ ((mix @ x) % m - x[here])
     if index is None:
         return lambda span: change(cols[list(deps), span])
-    table = change(np.indices((m,) * len(deps)).reshape(len(deps), -1))
+    table = change(digit_tuples(len(deps)))
     return lambda span: table.take(index[span])
 
 
-def _neighbours(cols, keys, powers, g, m, find, digit_index, stats):
+def _neighbours(cols, keys, powers, g, m, find, digit_index, digit_tuples,
+                stats):
     """Index of ``row @ g`` for every row, _CHUNK_ROWS rows at a time.
 
     Only the columns c where g differs from the identity change, and
@@ -287,8 +290,8 @@ def _neighbours(cols, keys, powers, g, m, find, digit_index, stats):
     the rows where g[:, c] differs from the identity.  The changed
     columns C with one deps change the key by ``powers[C] @ (new[C] -
     x[C])``, a function of x[deps] alone (see ``_key_reader``): a table
-    over the digit tuples, read through ``digit_index(deps)``, or the
-    same formula on each block of rows when that index is None.  An
+    over ``digit_tuples(len(deps))``, read through ``digit_index(deps)``,
+    or the same formula on each block of rows when that index is None.  An
     image key is its row's key plus the change of each such group.
     ``cols`` holds the universe column-major (x[c] is column c);
     ``stats`` counts the changed columns by where their change was
@@ -303,7 +306,8 @@ def _neighbours(cols, keys, powers, g, m, find, digit_index, stats):
     reads = []
     for deps, cs in groups.items():
         index = digit_index(deps)
-        reads.append(_key_reader(cols, powers, g, m, deps, cs, index))
+        reads.append(_key_reader(cols, powers, g, m, deps, cs, index,
+                                 digit_tuples))
         stats["row_columns" if index is None else "table_columns"] += len(cs)
     n_rows = len(keys)
     nbr = np.empty(n_rows, dtype=np.int64)
@@ -348,14 +352,15 @@ def orbit_partition(universe, generators, ring):
     row reading its value through an index over those digits, or on the
     rows, block by block, when there are more tuples than rows.  The
     ``width`` index arrays last used are kept, since a family visits
-    its digit sets in runs.  Image keys are looked up in a direct-address
-    table of the m**width keys when that has at most 2**22 slots and
-    with ``np.searchsorted`` otherwise.  Each neighbour array must be a
-    permutation of the universe, so the orbits are the connected
-    components of the neighbour graph and inverses are not needed.
-    Components are found by min-label hooking with pointer jumping
-    (Shiloach-Vishkin): each root is hooked to the smaller root, so the
-    final root of an orbit is its least index, which is its least row.
+    its digit sets in runs, and the digit tuples of each width are built
+    once, both for this call only.  Image keys are looked up in a
+    direct-address table of the m**width keys when that has at most
+    2**22 slots and with ``np.searchsorted`` otherwise.  Each neighbour
+    array must be a permutation of the universe, so the orbits are the
+    connected components of the neighbour graph and inverses are not
+    needed.  Components are found by min-label hooking with pointer
+    jumping (Shiloach-Vishkin): each root is hooked to the smaller root,
+    so the final root of an orbit is its least index, its least row.
     ``stats["frontier_sizes"]`` holds the live edge count of each
     hooking round, generator by generator; ``stats["table_columns"]``
     and ``stats["row_columns"]`` count the changed columns, over all
@@ -380,12 +385,14 @@ def orbit_partition(universe, generators, ring):
     # At most width index arrays of at most 4 bytes a row (below 2**32
     # rows): half the universe's own 8 * width bytes a row.
     digit_index = lru_cache(width)(partial(_digit_index, cols, m))
+    digit_tuples = cache(lambda k: np.indices((m,) * k).reshape(k, -1))
     parent = np.arange(n_rows, dtype=np.int64)
     frontier_sizes = []
     sides = {"table_columns": 0, "row_columns": 0}
     for g in gens if n_rows else ():
         a = np.arange(n_rows, dtype=np.int64)
-        b = _neighbours(cols, keys, powers, g, m, find, digit_index, sides)
+        b = _neighbours(cols, keys, powers, g, m, find, digit_index,
+                        digit_tuples, sides)
         # Edges stay live while their ends have different roots.
         while True:
             ra, rb = parent[a], parent[b]
@@ -662,45 +669,13 @@ def _first_rowcol_atoms(size, m, g, rng, count):
     return out
 
 
-def _word_table(words):
-    """Lists of atoms (i, j, arg mod m) as one (S, L, 3) int64 table, L
-    the longest length: shorter words end in (1, 2, 0), the identity."""
-    length = max(map(len, words), default=0)
-    return np.array([w + [(1, 2, 0)] * (length - len(w)) for w in words],
-                    dtype=np.int64).reshape(len(words), length, 3)
-
-
-def _eval_atoms(atoms, size, m, group):
-    """The words of an (S, L, 3) table of atoms (i, j, arg mod m) of
-    ``group`` as an (S, n, n) int64 array mod m, one atom position at a
-    time across all S words, by the word kernel's rule: right-
-    multiplying by I + z*e_ab adds z * column a to column b, and a short
-    symplectic root (i != sigma(j)) also applies its mirror entry
-    (sigma(j), sigma(i)), with sign -z when i + j is even, so symplectic
-    atoms need an even n.  An atom of argument 0 pads a word.  Entries
-    stay below (m-1) + (m-1)**2."""
-    if group == SYMPLECTIC and size % 2:
-        raise RingError("symplectic atoms need even size")
-    out = np.tile(np.eye(size, dtype=np.int64), (len(atoms), 1, 1))
-    s = np.arange(len(atoms))
-    for i, j, z in atoms.transpose(1, 2, 0):
-        a, b = i - 1, j - 1  # 0-based, where sigma is x ^ 1
-        entries = [(a, b, z)]
-        if group == SYMPLECTIC:
-            mirror_z = np.where((i + j) % 2, z, -z % m) * (a != b ^ 1)
-            entries.append((b ^ 1, a ^ 1, mirror_z))
-        for src, dst, w in entries:
-            out[s, :, dst] = (out[s, :, dst] + w[:, None] * out[s, :, src]) % m
-    return out
-
-
 def _first_rowcol_samples(size, m, g, rng, samples):
     """The evaluated sample words of ``_first_rowcol_atoms``, drawn in
     order from ``rng``, as (k, n, n) blocks of at most _CHUNK_ROWS."""
     for lo in range(0, samples, _CHUNK_ROWS):
         count = min(_CHUNK_ROWS, samples - lo)
-        yield _eval_atoms(_first_rowcol_atoms(size, m, g, rng, count), size, m,
-                          SYMPLECTIC)
+        yield eval_table(_first_rowcol_atoms(size, m, g, rng, count), size, m,
+                         SYMPLECTIC)
 
 
 def kernel_membership_test(ring, size, ideal, samples=1000, seed=0,
@@ -756,9 +731,9 @@ def _square_ideal_samples(ring, size, ideal, rng, samples):
         words = [square_ideal_atoms(ring, size, i, j, *map(ring.element, zab),
                                     (k, l))
                  for i, j, k, l, *zab in compress(draws, split)]
-        conj = _eval_atoms(_word_table(conj), size, m, SYMPLECTIC)
-        rhs = _eval_atoms(_word_table([[(x.i, x.j, x.arg.value) for x in w]
-                                       for w in words]), size, m, SYMPLECTIC)
+        conj = eval_table(word_table(conj), size, m, SYMPLECTIC)
+        rhs = eval_table(word_table([[(x.i, x.j, x.arg.value) for x in w]
+                                     for w in words]), size, m, SYMPLECTIC)
         member = [all(ideal.contains(x.arg) for x in w) for w in words]
         equal = (rhs == conj[split]).all(axis=(1, 2))
         yield conj, rhs[equal & np.array(member, dtype=bool)], len(words)
@@ -772,8 +747,8 @@ def square_ideal_inclusion_test(ring, size, ideal, samples=200, seed=0,
     chain's int64 overflow guard runs before any matrix is built."""
     g = ideal.modulus()
     _check_products(size, ring.m)
-    gens = _word_table([[(i, j, g)] for i, j in _index_pairs(size)])
-    chain = StabilizerChain(_eval_atoms(gens, size, ring.m, SYMPLECTIC), ring,
+    gens = word_table([[(i, j, g)] for i, j in _index_pairs(size)])
+    chain = StabilizerChain(eval_table(gens, size, ring.m, SYMPLECTIC), ring,
                             cap=cap)
     rng = random.Random(seed)
     hits = factored = factor_hits = 0

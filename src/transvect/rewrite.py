@@ -11,10 +11,11 @@ derived once, by evaluating and peeling the commutator of generic
 arguments over Z[1/2][a, b], and memoised; an expansion then only
 multiplies arguments.  The same constants give the long-root residue
 left when a target is written as a commutator, and the integer read by
-a probe commutator of unit arguments.  Conjugation by first-column
-atoms on the root opposite to the target needs an explicit schedule
-that routes the target through an auxiliary commutator whose pieces
-conjugate benignly.
+a probe commutator of unit arguments.  Every conjugation of atoms by
+an atom goes through ``_slide``, which writes c x c^{-1} as the pieces
+[c, x]·x.  Conjugation by first-column atoms on the root opposite to
+the target needs an explicit schedule that routes the target through
+an auxiliary commutator whose pieces conjugate benignly.
 
 Everything returns a RewriteResult carrying a mechanically checked
 certificate: evaluation equality, first-row/column shape, ideal
@@ -311,7 +312,8 @@ def _expand_avoiding(ring, size, atom, avoid, ideal_side, process):
 
 def _slide(ring, size, c, atoms):
     """c · atoms · c^{-1} as the pieces [c, x]·x, skipping zero atoms and
-    first re-routing ("row" side) any atom on the root opposite c."""
+    first re-routing ("row" side) any atom on the root opposite c.  The
+    calculus's one conjugation of atoms by an atom."""
     n = size // 2
     rc = atom_root(c.i, c.j, n)
     out = []
@@ -324,15 +326,6 @@ def _slide(ring, size, c, atoms):
         for piece in pieces:
             out.extend(comm_word(ring, size, c, piece))
             out.append(piece)
-    return out
-
-
-def _conj_atoms(ring, size, g, x, ideal_side):
-    """^g x for non-opposite roots, flattened to first-row/column atoms."""
-    out = []
-    for c in comm_word(ring, size, g, x):
-        out.extend(rewrite_to_first(ring, size, c, ideal_side))
-    out.append(x)
     return out
 
 
@@ -373,29 +366,18 @@ def _monster(ring, size, g, t, ideal, ideal_side):
             return [atom]  # defer: rewrite after the B0 sandwich
         return rewritten
 
-    fa = []
-    for x in comm_word(ring, size, g, a0):
-        fa.extend(process(x))
-    fb = []
-    for x in comm_word(ring, size, g, b0):
-        fb.extend(process(x))
+    def processed(atoms):
+        return [piece for x in atoms for piece in process(x)]
 
-    # ^g [A0, B0] = FA·A0·FB·B0·A0^{-1}·FA^{-1}·B0^{-1}·FB^{-1}
-    out = list(fa) + [a0] + list(fb)
-    sandwich = [a0.inverse()] + [x.inverse() for x in reversed(fa)]
-    for x in sandwich:
-        for c in comm_word(ring, size, b0, x):
-            out.extend(process(c))
-        out.append(x)
-    out.extend(x.inverse() for x in reversed(fb))
-    # trailing ^g corr
-    for c in corr:
-        out.extend(_conj_atoms(ring, size, g, c, ideal_side))
-    # resolve anything deferred through the sandwich
-    final = []
-    for x in out:
-        final.extend(rewrite_to_first(ring, size, x, ideal_side))
-    return final
+    # ^g [A0, B0] = FA·A0·FB·B0·(FA·A0)^{-1}·B0^{-1}·FB^{-1}, then ^g corr
+    fa_a0 = processed(_slide(ring, size, g, [a0]))
+    fb = processed(comm_word(ring, size, g, b0))
+    sandwich = processed(_slide(ring, size, b0, _inverse_atoms(fa_a0)))
+    out = (fa_a0 + fb + sandwich + _inverse_atoms(fb)
+           + _slide(ring, size, g, corr))
+    # rewrite ^g corr and anything deferred through the sandwich
+    return [piece for x in out
+            for piece in rewrite_to_first(ring, size, x, ideal_side)]
 
 
 def _monster_long_row(ring, size, g, t, ideal):
@@ -438,10 +420,8 @@ def _monster_long_row(ring, size, g, t, ideal):
         atoms = _slide(ring, size, c, atoms)
 
     raw = atoms + ginv_atoms + [tv.inverse()]
-    final = []
-    for x in _cancel_pass(ring, size, raw, ideal):
-        final.extend(rewrite_to_first(ring, size, x, "row"))
-    return final
+    return [piece for x in _cancel_pass(ring, size, raw, ideal)
+            for piece in rewrite_to_first(ring, size, x, "row")]
 
 
 _CANCEL_ROUNDS = 200
@@ -484,7 +464,8 @@ def _conjugate_row_target(ring, size, g, t, ideal, ideal_side):
     n = size // 2
     if atom_root(g.i, g.j, n) == _neg(atom_root(t.i, t.j, n)):
         return _monster(ring, size, g, t, ideal, ideal_side)
-    return _conj_atoms(ring, size, g, t, ideal_side)
+    return [piece for x in _slide(ring, size, g, [t])
+            for piece in rewrite_to_first(ring, size, x, ideal_side)]
 
 
 class RewriteResult:

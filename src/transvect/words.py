@@ -1,11 +1,16 @@
 """Generator atoms and words: elementary matrices, relative generators,
 rho/mu transvection matrices and their generator decompositions, and
 Bass symplectic transvections for free modules.
+
+How an atom acts is written here only: on rows of ring elements
+(``GeneratorWord.eval``) and on int64 atom tables over Z/m (``eval_table``).
 """
 
 from __future__ import annotations
 
 import json
+
+import numpy as np
 
 from .matrices import SquareMatrix, dot, row_times, sigma
 from .rings import RingElement, RingError
@@ -116,6 +121,37 @@ def act_on_rows(rows, entries):
         for c, x in enumerate(src):
             if not x.is_zero():
                 dst[c] = dst[c] + z * x
+
+
+def word_table(words):
+    """Lists of atoms (i, j, arg mod m) as one (S, L, 3) int64 table, L
+    the longest length: shorter words end in (1, 2, 0), the identity."""
+    length = max(map(len, words), default=0)
+    return np.array([w + [(1, 2, 0)] * (length - len(w)) for w in words],
+                    dtype=np.int64).reshape(len(words), length, 3)
+
+
+def eval_table(atoms, size, m, family):
+    """The words of an (S, L, 3) table of atoms (i, j, arg mod m) of
+    ``family`` as an (S, n, n) int64 array mod m, by the rule of
+    ``GeneratorAtom.entries`` and ``act_on_columns``: right-multiplying
+    by I + z*e_ab adds z * column a to column b, and a short symplectic
+    root (i != sigma(j)) also applies its mirror entry (sigma(j),
+    sigma(i)), with sign -z when i + j is even.  An atom of argument 0
+    pads a word.  Entries stay below (m-1) + (m-1)**2."""
+    if family == SYMPLECTIC and size % 2:
+        raise RingError("symplectic atoms need even size")
+    out = np.tile(np.eye(size, dtype=np.int64), (len(atoms), 1, 1))
+    s = np.arange(len(atoms))
+    for i, j, z in atoms.transpose(1, 2, 0):
+        a, b = i - 1, j - 1  # 0-based, where sigma is x ^ 1
+        entries = [(a, b, z)]
+        if family == SYMPLECTIC:
+            mirror_z = np.where((i + j) % 2, z, -z % m) * (a != b ^ 1)
+            entries.append((b ^ 1, a ^ 1, mirror_z))
+        for src, dst, w in entries:
+            out[s, :, dst] = (out[s, :, dst] + w[:, None] * out[s, :, src]) % m
+    return out
 
 
 class GeneratorWord:

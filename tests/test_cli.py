@@ -172,6 +172,17 @@ def test_reduce_form_unreadable_input_is_usage_error(tmp_path, capsys):
                             capsys)
 
 
+@pytest.mark.parametrize("where", ["missing/report.json", "."])
+def test_unwritable_out_is_usage_error(where, tmp_path, capsys):
+    """An --out path in a missing directory, or a directory, is bad
+    input: one usage-error line on stderr and exit 2, no traceback."""
+    assert run(["splice-demo", "--out", str(tmp_path / where)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: cannot write --out ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
 @pytest.mark.parametrize("text", [
     '{"ring": "zmod:27", "n": 3, "rows": [[0, 1], [-1, 0]]}',
     '{"ring": "zmod:27", "n": 2, "rows": [[0, 1], [-1]]}',

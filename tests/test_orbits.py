@@ -18,7 +18,8 @@ from transvect import rewrite
 from transvect.rewrite import conjugate_square_ideal, square_ideal_atoms
 from transvect.rings import DescriptorError, Ideal, RingError, Zmod
 from transvect.words import (LINEAR, SYMPLECTIC, GeneratorAtom, GeneratorWord,
-                             conjugation_triple, lin, se)
+                             conjugation_triple, eval_table, lin, se,
+                             word_table)
 
 
 def test_unimodular_counts():
@@ -228,7 +229,7 @@ def test_full_ideal_samples_are_not_the_identity():
     R = Zmod(3)
     full = Ideal.full(R)
     atoms = orbits._first_rowcol_atoms(4, 3, 1, random.Random(0), 50)
-    mats = orbits._eval_atoms(atoms, 4, 3, SYMPLECTIC)
+    mats = eval_table(atoms, 4, 3, SYMPLECTIC)
     moved = sum(not np.array_equal(mat, np.eye(4)) for mat in mats)
     assert moved >= 40
     rep = kernel_membership_test(R, 4, full, samples=50, seed=0)
@@ -512,7 +513,9 @@ def _kernel(universe, g, m):
     find = orbits._lookup(keys, m ** universe.shape[1])
     stats = {"table_columns": 0, "row_columns": 0}
     nbr = orbits._neighbours(cols, keys, powers, g % m, m, find,
-                             partial(orbits._digit_index, cols, m), stats)
+                             partial(orbits._digit_index, cols, m),
+                             lambda k: np.indices((m,) * k).reshape(k, -1),
+                             stats)
     return nbr, stats
 
 
@@ -1035,7 +1038,7 @@ def test_atom_block_evaluation_matches_word_eval(m, size):
         long_roots = short_roots = zeros = 0
         for length in (1, 6, 12):
             atoms = _random_atom_table(rng, 25, length, n, m)
-            got = orbits._eval_atoms(atoms, n, m, family)
+            got = eval_table(atoms, n, m, family)
             assert got.dtype == np.int64 and got.shape == (25, n, n)
             assert np.array_equal(got, _exact(ring, n, atoms, family))
             i, j, z = atoms.reshape(-1, 3).T
@@ -1043,14 +1046,14 @@ def test_atom_block_evaluation_matches_word_eval(m, size):
             short_roots += np.count_nonzero(i != (j - 1 ^ 1) + 1)
             zeros += np.count_nonzero(z == 0)
         assert long_roots and zeros and bool(short_roots) == (n > 2)
-        assert orbits._eval_atoms(atoms[:0], n, m, family).shape == (0, n, n)
+        assert eval_table(atoms[:0], n, m, family).shape == (0, n, n)
         words = [row[:rng.randrange(1, 13)].tolist() for row in atoms]
-        padded = orbits._word_table(words)
+        padded = word_table(words)
         assert padded.shape == (25, max(map(len, words)), 3)
         want = [_word_array(GeneratorWord(ring, n, [
             GeneratorAtom(family, i, j, z) for i, j, z in w]), m)
             for w in words]
-        assert np.array_equal(orbits._eval_atoms(padded, n, m, family), want)
+        assert np.array_equal(eval_table(padded, n, m, family), want)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 4096])
@@ -1245,7 +1248,7 @@ def test_square_ideal_overflow_guard_runs_before_any_matrix(monkeypatch):
     def no_eval(*args):
         raise AssertionError("an atom table was evaluated")
     with monkeypatch.context() as mp:
-        mp.setattr(orbits, "_eval_atoms", no_eval)
+        mp.setattr(orbits, "eval_table", no_eval)
         R = Zmod(2 ** 63 + 1)
         with pytest.raises(RingError, match="4x4 products .* overflow int64"):
             square_ideal_inclusion_test(R, 4, Ideal.principal(R, 3), samples=5)

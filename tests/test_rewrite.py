@@ -131,6 +131,43 @@ def test_conjugation_rejects_interior_target():
                                se(2, 3, _target_arg(ring)), ideal)
 
 
+@pytest.mark.parametrize("size", [4, 6, 8])
+def test_slide_matches_evaluation(size, monkeypatch):
+    """``_slide(c, atoms)`` evaluates to c · atoms · c^-1 for every
+    first-row/column conjugator c over the dilation ring.  Each word has
+    atoms with Y^2-divisible arguments at random positions, a zero atom,
+    which is skipped, and, when c is on a short root, an atom on the
+    root opposite c, which is re-routed through ``_expand_avoiding``."""
+    reroutes = []
+    expand = rewrite._expand_avoiding
+    monkeypatch.setattr(rewrite, "_expand_avoiding", lambda *args:
+                        reroutes.append(args[2]) or expand(*args))
+    ring, _ = _setup()
+    n = size // 2
+    y2 = ring.var("Y") * ring.var("Y")
+    a, x = ring.var("a"), ring.var("X")
+    args = [y2 * x, y2 * ring.var("x1") * (ring.one() + a),
+            -y2 * ring.var("x2") * x]
+    spots = [(i, j) for i in range(1, size + 1) for j in range(1, size + 1)
+             if i != j]
+    rng = random.Random(size)
+    for k in range(2, size + 1):
+        for c in (se(1, k, a), se(k, 1, ring.var("x1"))):
+            rc = atom_root(c.i, c.j, n)
+            atoms = [se(*pq, rng.choice(args)) for pq in rng.sample(spots, 4)
+                     if atom_root(*pq, n) != _neg(rc)]
+            atoms.insert(1, se(*rng.choice(spots), ring.zero()))
+            if k != 2:  # a short root: its opposite has a spot off row 1
+                atoms.insert(2, se(c.j, c.i, rng.choice(args)))
+            before = len(reroutes)
+            slid = rewrite._slide(ring, size, c, atoms)
+            assert len(reroutes) - before == (k != 2)
+            assert all(not piece.arg.is_zero() for piece in slid)
+            want = GeneratorWord(ring, size, [c] + atoms + [c.inverse()])
+            assert GeneratorWord(ring, size, slid).eval() == want.eval(), \
+                (size, c, atoms)
+
+
 def test_dilate_word_depth_one():
     ring, ideal = _setup()
     a, x = ring.var("a"), ring.var("X")
