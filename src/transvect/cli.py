@@ -202,7 +202,8 @@ def _cmd_orbits(args, report, ring, ideal):
         raise _UsageError("--group %s takes no --ideal" % args.group)
     universe = enumerate_unimodular(ring, args.size, spec.universe_ideal,
                                     args.budget)
-    part = orbit_partition(universe, generators_for(spec), ring=ring)
+    part = orbit_partition(universe, generators_for(spec), ring,
+                           spec.universe_ideal or Ideal.full(ring))
     report.add("orbits", True, universe_size=len(universe),
                orbit_count=part.orbit_count(), orbit_sizes=part.orbit_sizes())
 

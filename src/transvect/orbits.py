@@ -18,12 +18,16 @@ from enumeration to partition.  A generator changes a row's key by one
 term per group of changed columns, each a function of the few digits
 the group depends on, read from a table over those digits.  Orbit
 labels are canonical (lexicographically least row per orbit), so
-partitions are independent of generator order.
+partitions are independent of generator order.  Given an ideal I, a
+partition stops applying generators once its orbit count reaches the
+number of classes mod I, after an exact check that every generator is
+= 1 mod I and invertible.
 """
 
 import random
-from functools import cache, cached_property, lru_cache, partial
+from functools import cache, cached_property, lru_cache, partial, reduce
 from itertools import compress, cycle
+from math import gcd
 
 import numpy as np
 
@@ -285,18 +289,15 @@ def _neighbours(cols, keys, powers, g, m, find, digit_index, digit_tuples,
                 stats):
     """Index of ``row @ g`` for every row, _CHUNK_ROWS rows at a time.
 
-    Only the columns c where g differs from the identity change, and
-    image column c is ``(g[deps, c] @ x[deps]) % m``, deps being c and
-    the rows where g[:, c] differs from the identity.  The changed
-    columns C with one deps change the key by ``powers[C] @ (new[C] -
-    x[C])``, a function of x[deps] alone (see ``_key_reader``): a table
-    over ``digit_tuples(len(deps))``, read through ``digit_index(deps)``,
-    or the same formula on each block of rows when that index is None.  An
-    image key is its row's key plus the change of each such group.
-    ``cols`` holds the universe column-major (x[c] is column c);
-    ``stats`` counts the changed columns by where their change was
-    evaluated.  Raises unless every image is a row and g permutes the
-    rows.
+    Image column c is ``(g[deps, c] @ x[deps]) % m``, deps being c and
+    the rows where g[:, c] differs from the identity.  The columns C
+    that g changes and that share one deps add to the row's key
+    ``powers[C] @ (new[C] - x[C])``, read by ``_key_reader`` from a table
+    over ``digit_tuples(len(deps))`` through ``digit_index(deps)``, or
+    evaluated on each block of rows when that index is None.  ``cols``
+    holds the universe column-major (x[c] is column c); ``stats`` counts
+    the changed columns by where their change was evaluated.  Raises
+    unless every image is a row and g permutes the rows.
     """
     groups = {}
     for c, col in enumerate((g != np.eye(len(g), dtype=np.int64)).T.tolist()):
@@ -338,34 +339,57 @@ def _compress(parent):
         parent = up
 
 
-def orbit_partition(universe, generators, ring):
+def _congruent_units(gens, m, g):
+    """Whether every generator x is = 1 mod I = gZ/m (each entry of x - 1
+    divisible by g, by m for g = 0) and invertible: its integer
+    determinant, exact by fraction-free (Bareiss) elimination on Python
+    ints over the whole stack, up to sign, is a unit mod m."""
+    a = np.stack(gens).astype(object)
+    n, rows, prev = a.shape[1], np.arange(len(a)), 1
+    if ((a - np.eye(n, dtype=np.int64)) % (g or m)).any():
+        return False
+    for k in range(n):
+        pivot = a[:, k:, k] != 0
+        if not pivot.any(axis=1).all():  # a zero determinant
+            return False
+        p = k + pivot.argmax(axis=1)
+        a[rows, k], a[rows, p] = a[rows, p], a[rows, k]
+        lead = a[:, k, k, None, None]
+        a[:, k + 1:, k + 1:] = (a[:, k + 1:, k + 1:] * lead - a[:, k + 1:, k:k + 1]
+                                * a[:, k:k + 1, k + 1:]) // prev
+        prev = lead
+    return all(gcd(d, m) == 1 for d in a[:, -1, -1])
+
+
+def orbit_partition(universe, generators, ring, ideal=None):
     """Orbits of a sorted row universe under the generated group.
 
     ``universe`` is an (N, n) int array, as ``enumerate_unimodular``
-    returns it, and is read column-major without a copy when its
-    transpose is C-contiguous.  ``generators`` are (n, n) integer arrays,
-    read mod m; m is read from ``ring``.  Rows are encoded as base-m
-    int64 keys, most significant digit first, so key order is row
-    order.  An image key is its row's key plus one key change per group
-    of the columns g changes, a function of the few digits the group
-    depends on: ``_neighbours`` evaluates it on the digit tuples, each
-    row reading its value through an index over those digits, or on the
-    rows, block by block, when there are more tuples than rows.  The
-    ``width`` index arrays last used are kept, since a family visits
-    its digit sets in runs, and the digit tuples of each width are built
-    once, both for this call only.  Image keys are looked up in a
-    direct-address table of the m**width keys when that has at most
-    2**22 slots and with ``np.searchsorted`` otherwise.  Each neighbour
-    array must be a permutation of the universe, so the orbits are the
-    connected components of the neighbour graph and inverses are not
-    needed.  Components are found by min-label hooking with pointer
-    jumping (Shiloach-Vishkin): each root is hooked to the smaller root,
-    so the final root of an orbit is its least index, its least row.
-    ``stats["frontier_sizes"]`` holds the live edge count of each
-    hooking round, generator by generator; ``stats["table_columns"]``
-    and ``stats["row_columns"]`` count the changed columns, over all
-    generators, whose key change was read from a table of digit tuples
-    and evaluated on the rows.  An empty universe maps nothing.
+    returns it, read column-major without a copy when its transpose is
+    C-contiguous; ``generators`` are (n, n) integer arrays, read mod m =
+    ``ring.m``.  ``_neighbours`` gives the index of each row's image
+    under a generator, by its base-m key (see the module docstring).
+    Each neighbour array must permute the universe, so the orbits are
+    the connected components of the neighbour graph, found by min-label
+    hooking with pointer jumping (Shiloach-Vishkin): an orbit's root is
+    its least index, its least row.
+
+    With ``ideal`` I the caller states that the universe is a union of
+    whole sets Um(R) ∩ (class mod I), as ``enumerate_unimodular``
+    returns Um(R) and Um(R, I), and that the generators should be = 1
+    mod I; ``stats["classes"]`` counts the classes mod I among the rows.
+    If every generator is exactly = 1 mod I and invertible
+    (``_congruent_units``), each permutes every class, so the orbits
+    refine the classes: hooking stops once the root count reaches the
+    class count, and a generator left out could neither raise nor merge
+    two orbits.  Otherwise every generator is applied.
+
+    ``stats["generators_used"]`` counts the generators applied (with
+    ``ideal`` only), ``multiplications`` is N times that many and
+    ``frontier_sizes`` holds the live edge count of each hooking round;
+    ``table_columns`` and ``row_columns`` count the changed columns whose
+    key change was read from a digit table and evaluated on the rows.
+    An empty universe maps nothing.
     """
     m = ring.m
     n_rows, width = universe.shape
@@ -386,11 +410,21 @@ def orbit_partition(universe, generators, ring):
     # rows): half the universe's own 8 * width bytes a row.
     digit_index = lru_cache(width)(partial(_digit_index, cols, m))
     digit_tuples = cache(lambda k: np.indices((m,) * k).reshape(k, -1))
-    parent = np.arange(n_rows, dtype=np.int64)
+    index = np.arange(n_rows, dtype=np.int64)
+    parent = index.copy()
     frontier_sizes = []
     sides = {"table_columns": 0, "row_columns": 0}
-    for g in gens if n_rows else ():
-        a = np.arange(n_rows, dtype=np.int64)
+    bound = -1  # the class count, once stopping there is known to be safe
+    if ideal is not None:
+        d = ideal.modulus()  # I = dZ/m: count distinct base-d class keys
+        key = reduce(lambda k, c: k * d + c % d, cols, 0) if d else index
+        classes = int(np.count_nonzero(np.diff(np.sort(key)))) + (n_rows > 0)
+        if n_rows and gens and _congruent_units(gens, m, d):
+            bound = classes
+    used = 0
+    for g in gens if 0 < n_rows != bound else ():
+        used += 1
+        a = index
         b = _neighbours(cols, keys, powers, g, m, find, digit_index,
                         digit_tuples, sides)
         # Edges stay live while their ends have different roots.
@@ -403,9 +437,13 @@ def orbit_partition(universe, generators, ring):
             frontier_sizes.append(len(a))
             np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
             parent = _compress(parent)
-    stats = {"multiplications": n_rows * len(gens),
+        if bound >= 0 and np.count_nonzero(parent == index) == bound:
+            break
+    stats = {"multiplications": n_rows * used,
              "frontier_sizes": frontier_sizes, "generators": len(gens),
              **sides}
+    if ideal is not None:
+        stats.update(classes=classes, generators_used=used)
     return OrbitPartition(universe, keys, parent, stats)
 
 
@@ -425,7 +463,7 @@ def check_orbit_equality(ring, size, ideal=None, budget=10 ** 7):
     closed = True
     for spec in specs:
         gens = generators_for(spec)
-        part = orbit_partition(universe, gens, ring)
+        part = orbit_partition(universe, gens, ring, ideal)
         closed = part.spot_check_closed(gens, ring.m) and closed
         parts.append(part)
     lpart, spart = parts
@@ -450,26 +488,23 @@ def check_dim0_transitivity(ring, size, ideal=None, budget=10 ** 7,
     mod I should lie in one relative orbit.  By default the universe is
     Um(R, I) (a single congruence class, so transitivity = one orbit);
     with ``full_universe`` the partition of all of Um(R) is compared
-    against the mod-I congruence key.
+    against the mod-I congruence classes.  The partition is given I, so
+    it counts those classes and stops once it reaches them.
     """
     if ideal is None:
         ideal = Ideal.full(ring)
     spec = GroupSpec("linear-E-relative", size, ring, ideal)
     universe = enumerate_unimodular(
         ring, size, None if full_universe else spec.universe_ideal, budget)
-    part = orbit_partition(universe, generators_for(spec), ring)
-    g = ideal.modulus()
-    classes = len(universe)
-    if g:
-        classes = len(np.unique((universe % g) @ _key_powers(size, g)))
+    part = orbit_partition(universe, generators_for(spec), ring, ideal)
     return {
         "ring": ring.descriptor(),
         "size": size,
         "ideal": ideal.descriptor(),
         "universe_size": len(universe),
         "orbit_count": part.orbit_count(),
-        "congruence_classes": classes,
-        "transitive": part.orbit_count() == classes,
+        "congruence_classes": part.stats["classes"],
+        "transitive": part.orbit_count() == part.stats["classes"],
     }
 
 

@@ -462,6 +462,8 @@ def _cancel_pass(ring, size, atoms, ideal):
 
 def _conjugate_row_target(ring, size, g, t, ideal, ideal_side):
     n = size // 2
+    if t.arg.is_zero():
+        return []
     if atom_root(g.i, g.j, n) == _neg(atom_root(t.i, t.j, n)):
         return _monster(ring, size, g, t, ideal, ideal_side)
     return [piece for x in _slide(ring, size, g, [t])
@@ -500,7 +502,10 @@ def conjugate_first_rowcol(ring, size, conjugator, target, ideal):
     `conjugator` is a single E^1-legal atom (first row, any argument, or
     first column with argument in the ideal); `target` is a first-row or
     first-column atom with enough Y-divisibility for the route taken.
+    Both arguments are lifted into ``ring``; a zero target gives [].
     """
+    lhs = GeneratorWord(ring, size, [conjugator, target, conjugator.inverse()])
+    conjugator, target = lhs.atoms[:2]
     if target.i == 1:
         atoms = _conjugate_row_target(ring, size, conjugator, target,
                                       ideal, "col")
@@ -512,7 +517,6 @@ def conjugate_first_rowcol(ring, size, conjugator, target, ideal):
         atoms = [x.transpose() for x in reversed(inner)]
     else:
         raise RewriteError("target %r is not first-row/column" % (target,))
-    lhs = GeneratorWord(ring, size, [conjugator, target, conjugator.inverse()])
     rhs = GeneratorWord(ring, size, atoms)
     return RewriteResult(lhs, rhs, ideal, True)
 

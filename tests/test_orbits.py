@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 from functools import partial
 from itertools import permutations, product
@@ -499,6 +500,125 @@ def test_random_generators_match_bfs_oracle(seed):
     gens = [_random_invertible(ring, size, rng)
             for _ in range(rng.randrange(1, 4))]
     _assert_matches_oracle(universe, gens, ring)
+
+
+# -- the early stop at the congruence-class bound ----------------------
+
+
+def _assert_early_stop_matches(universe, gens, ring, ideal, classes):
+    """Given ``ideal``, the partition equals the one that applies every
+    generator, counts ``classes``, and stops, if it stops, right after
+    the first generator at which its orbit count reaches them."""
+    full = orbit_partition(universe, gens, ring)
+    part = orbit_partition(universe, gens, ring, ideal)
+    assert part.same_partition(full)
+    assert part.orbit_count() == full.orbit_count()
+    used = part.stats["generators_used"]
+    assert part.stats["classes"] == classes
+    assert part.stats["generators"] == len(gens)
+    assert part.stats["multiplications"] == len(universe) * used
+    if used < len(gens):
+        assert part.orbit_count() == classes
+        assert used == 0 or orbit_partition(
+            universe, gens[:used - 1], ring).orbit_count() > classes
+    return used
+
+
+# the oracle's structured cases, and relative families over Z/27
+EARLY_STOP_CASES = STRUCTURED + [
+    (27, 4, "linear-E-relative", 3, True),
+    (27, 4, "symplectic-ESp-relative", 3, True),
+    (27, 2, "linear-E-relative", 3, False),
+    (27, 2, "linear-E-relative", 9, False),
+]
+
+
+@pytest.mark.parametrize("m,size,family,gen,relative", EARLY_STOP_CASES)
+def test_early_stop_matches_full_partition(m, size, family, gen, relative):
+    """Each family's ideal, and on Um(R) the full ideal too: the
+    universe is a union of whole classes mod either.  First-row/column
+    generators are not = 1 mod a proper ideal, so they never stop."""
+    ring = Zmod(m)
+    ideal = None if gen is None else Ideal.principal(ring, gen)
+    spec = GroupSpec(family, size, ring, ideal)
+    universe = enumerate_unimodular(ring, size, ideal if relative else None)
+    gens = generators_for(spec)
+    for whole in [spec.ideal] + [Ideal.full(ring)] * (not relative):
+        classes = _classes_from_tuples(ring, size, whole, not relative)
+        used = _assert_early_stop_matches(universe, gens, ring, whole,
+                                          classes)
+        if spec.kind == "first-rowcol" and whole.modulus() != 1:
+            assert used == len(gens)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_early_stop_matches_full_partition_on_random_generators(seed):
+    """The oracle's random invertible generators on Um(R), given R."""
+    rng = random.Random(seed)
+    ring = Zmod(rng.choice([3, 5, 7, 9, 15, 25]))
+    size = rng.choice([1, 2, 3] if ring.m < 15 else [1, 2])
+    universe = enumerate_unimodular(ring, size)
+    gens = [_random_invertible(ring, size, rng)
+            for _ in range(rng.randrange(1, 4))]
+    _assert_early_stop_matches(universe, gens, ring, Ideal.full(ring), 1)
+
+
+def test_early_stop_fires_on_the_orbits_workload():
+    """Over Um(Z/27, (3)) at size 4 both relative families connect the
+    universe after 20 of their generators."""
+    ring = Zmod(27)
+    ideal = Ideal.principal(ring, 3)
+    universe = enumerate_unimodular(ring, 4, ideal)
+    for family, given in (("linear-E-relative", 108),
+                          ("symplectic-ESp-relative", 86)):
+        gens = generators_for(GroupSpec(family, 4, ring, ideal))
+        stats = orbit_partition(universe, gens, ring, ideal).stats
+        assert (stats["generators_used"], stats["generators"]) == (20, given)
+
+
+def test_generator_off_the_ideal_turns_the_early_stop_off():
+    """An absolute E_12(1) is not = 1 mod (3).  Added last to the relative
+    family over all of Um_3(Z/9), which alone stops at the 26 classes
+    mod (3), it merges them: every generator is applied, and the
+    partition is the oracle's, with fewer orbits than classes."""
+    R = Zmod(9)
+    I = Ideal.principal(R, 3)
+    universe = enumerate_unimodular(R, 3)
+    gens = generators_for(GroupSpec("linear-E-relative", 3, R, I))
+    alone = orbit_partition(universe, gens, R, I).stats
+    assert alone["generators_used"] < len(gens) and alone["classes"] == 26
+    gens.append(np.array([[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
+    part = orbit_partition(universe, gens, R, I)
+    assert part.stats["generators_used"] == len(gens)
+    assert part.label_of == _bfs_labels(universe, gens, 9)
+    assert part.orbit_count() < part.stats["classes"]
+
+
+@pytest.mark.parametrize("m,gen,family,singular", [
+    (9, None, "linear-E", [1, 0, 0, 0]),
+    (9, 3, "linear-E-relative", [1, 0, 0, 0]),
+    (15, 5, "linear-E-relative", [1, 1, 1, 6]),
+])
+def test_late_singular_generator_still_raises(m, gen, family, singular):
+    """A singular generator after a family that alone stops early raises
+    today's message with the ideal given: diag(1, 0, 0, 0) has
+    determinant 0, and is not = 1 mod (3); diag(1, 1, 1, 6) is = 1 mod (5)
+    but its determinant is not a unit mod 15."""
+    R = Zmod(m)
+    I = Ideal.full(R) if gen is None else Ideal.principal(R, gen)
+    spec = GroupSpec(family, 4, R, I)
+    universe = enumerate_unimodular(R, 4, spec.universe_ideal)
+    gens = generators_for(spec)
+    assert orbit_partition(universe, gens, R, I).stats["generators_used"] \
+        < len(gens)
+    gens.append(np.diag(singular))
+    with pytest.raises(RingError) as plain:
+        orbit_partition(universe, gens, R)
+    assert re.search("left the universe|not a permutation",
+                     str(plain.value))
+    with pytest.raises(RingError) as given:
+        orbit_partition(universe, gens, R, I)
+    assert str(given.value) == str(plain.value)
 
 
 # -- the neighbour kernel against a direct (rows @ g) % m lookup ------

@@ -306,3 +306,62 @@ def test_a_residue_without_its_inverse_fails_the_certificate(monkeypatch):
     res = conjugate_square_ideal(ring, 4, 1, 3, z, a, b, ideal, kl=(3, 1))
     assert pieces
     assert res.checks["eval-equal"] is False and not res.certificate
+
+
+# (conjugator variable, conjugator and target indices, route) at size 4:
+# each orientation of the target, on the root opposite the conjugator
+# (the opposite-root schedule) and off it (``_slide``); a column target
+# is conjugated as the transposed row target.
+ZERO_TARGET_CASES = [
+    ("x1", (3, 1), (1, 3), "opposite"),
+    ("a", (1, 2), (1, 3), "slide"),
+    ("a", (1, 3), (3, 1), "opposite"),
+    ("a", (1, 2), (3, 1), "slide"),
+]
+
+
+@pytest.mark.parametrize("var,conj,tgt,route", ZERO_TARGET_CASES)
+def test_zero_target_is_the_empty_word(var, conj, tgt, route):
+    """A zero target, as a ring element or as the int 0, conjugates to
+    the empty word with its certificate, on either route: the
+    opposite-root schedule emits no carrier pair for it."""
+    ring, ideal = _setup()
+    g = se(*conj, ring.var(var))
+    opposite = atom_root(*conj, 2) == _neg(atom_root(*tgt, 2))
+    assert opposite == (route == "opposite")
+    for zero in (ring.zero(), 0):
+        res = conjugate_first_rowcol(ring, 4, g, se(*tgt, zero), ideal)
+        assert len(res.rhs) == 0 and res.certificate, (g, tgt, zero)
+
+
+def _outcome(ring, ideal, g, t):
+    """The rhs atoms and certificate of ^g t, or the type and message of
+    what it raised."""
+    try:
+        res = conjugate_first_rowcol(ring, 4, g, t, ideal)
+    except Exception as exc:  # compared below, never swallowed
+        return type(exc), str(exc)
+    return res.rhs.atoms, res.certificate
+
+
+def test_int_arguments_act_as_their_ring_elements():
+    """An int argument of the conjugator or of the target is lifted into
+    the ring on entry: the rewrite emits the same word, or raises the
+    same error, as with the ring element, in both orientations and on
+    both routes."""
+    ring, ideal = _setup()
+    a, x1, m = ring.var("a"), ring.var("x1"), _target_arg(ring)
+    cases = [
+        (se(1, 3, 2), se(1, 2, m)),  # row target, _slide
+        (se(3, 1, 0), se(1, 3, m)),  # row target, opposite root
+        (se(1, 2, 3), se(3, 1, x1 * m)),  # column target, _slide
+        (se(1, 3, 1), se(3, 1, x1 * m)),  # column target, opposite root
+        (se(1, 2, a), se(1, 3, 3)),  # int row target, _slide
+        (se(3, 1, x1), se(1, 3, 1)),  # int row target, opposite root
+        (se(1, 2, a), se(3, 1, 5)),  # int column target, _slide
+        (se(1, 3, a), se(3, 1, 5)),  # int column target, opposite root
+    ]
+    for g, t in cases:
+        lifted = [se(x.i, x.j, ring.element(x.arg)) for x in (g, t)]
+        got = _outcome(ring, ideal, g, t)
+        assert got == _outcome(ring, ideal, *lifted), (g, t)
