@@ -161,7 +161,7 @@ def _comm_shape(size, g_family, gi, gj, h_family, hi, hj):
     h = GeneratorAtom(h_family, hi, hj, ring.var("b"))
     shape = []
     for atom in _comm_by_peel(ring, size, g, h):
-        terms = atom.arg.value
+        terms = ring.terms(atom.arg)
         if len(terms) != 1:
             raise RewriteError("commutator piece %r is not one term" % (atom,))
         ((i, j), (c, k)), = terms

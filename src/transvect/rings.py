@@ -6,7 +6,7 @@ Supported rings (2 is a unit in all of them):
 * ``GF(p)``     -- prime field, p an odd prime
 * ``Dyadic()``  -- Z[1/2], pairs n/2^k in lowest terms
 * ``PolyRing(base, vars)`` -- sparse multivariate polynomials over one of
-  the above, graded-lex canonical order
+  the above, each monomial packed into one int key in graded order
 
 Rings are canonical: constructing or parsing the same ring twice gives
 the same object, so rings compare and hash by identity.  Elements are
@@ -17,8 +17,7 @@ int.  All arithmetic is exact.
 
 from __future__ import annotations
 
-import operator
-from functools import cache
+import struct
 from math import gcd
 
 
@@ -212,10 +211,17 @@ class Dyadic(RingDescriptor):
 class PolyRing(RingDescriptor):
     """Sparse multivariate polynomials over a base ring.
 
-    A value is a tuple of (monomial, coefficient) pairs sorted by
-    ``_order``, with exponent-tuple monomials and nonzero coefficients
-    in the base ring's raw layout.
+    A value is a tuple of (key, coefficient) pairs in ascending key
+    order, with nonzero coefficients in the base ring's raw layout.  The
+    key of x_1^e_1 ... x_k^e_k is deg * W - sum(e_i * B^(k-i)), with B =
+    ``EXPONENT_BOUND`` and W = B^k: keys add under products, and ascending
+    keys are the graded order (total degree, then larger exponents first).
+    A total degree that reaches B raises RingError rather than carry into
+    a neighbouring exponent.  ``terms`` reads exponent tuples back.
     """
+
+    # one unsigned 16-bit digit per exponent
+    EXPONENT_BOUND = 1 << 16
 
     def __init__(self, base, names):
         if not isinstance(base, RingDescriptor) or isinstance(base, PolyRing):
@@ -227,37 +233,60 @@ class PolyRing(RingDescriptor):
                             "free of ',' and ':'")
         self.base = base
         self.names = names
-        self._orders = cache(self._order)
+        self._digits = struct.Struct(">%dH" % len(names))
+        self._width = self.EXPONENT_BOUND ** len(names)
+        self._var_keys = tuple(self._key([int(n == v) for n in names]) for v in names)
+        # the key of x_1^B, above every key of total degree below B
+        self._ceiling = (self.EXPONENT_BOUND - 1) * self._width
+
+    def _key(self, mono):
+        """The key of an exponent vector, or of an int taken as a key."""
+        if isinstance(mono, int):
+            if self._key(self._exponents(mono)) != mono:
+                raise RingError("%d is not a monomial key" % mono)
+            return mono
+        try:  # packing checks the length and 0 <= e < B for every e
+            digits = int.from_bytes(self._digits.pack(*mono), "big")
+        except struct.error:
+            digits = None
+        if digits is None or sum(mono) >= self.EXPONENT_BOUND:
+            raise RingError("monomial %r: exponents >= 0, total degree < %d, one per "
+                            "variable" % (mono, self.EXPONENT_BOUND))
+        return sum(mono) * self._width - digits
+
+    def _exponents(self, key):
+        return self._digits.unpack((-key % self._width).to_bytes(self._digits.size, "big"))
+
+    def terms(self, elt):
+        """The (exponent tuple, raw coefficient) pairs of ``elt``."""
+        return [(self._exponents(m), c) for m, c in elt.value]
 
     def element(self, raw):
+        """A dict maps exponent tuples, or int keys, to coefficients."""
+        base = self.base
         if isinstance(raw, RingElement):
             if raw.ring is self:
                 return raw
-            if raw.ring is not self.base:
+            if raw.ring is not base:
                 raise RingError("element of %s used in %s" % (raw.ring, self))
-            raw = {(0,) * len(self.names): raw}
-        elif not isinstance(raw, dict):
-            raw = {(0,) * len(self.names): raw}
-        base = self.base
-        return RingElement(self, self._from_terms(
-            {m: base.element(c).value for m, c in raw.items()}))
+        if not isinstance(raw, dict):  # a constant, at key 0
+            c = base.element(raw).value
+            return RingElement(self, () if base._is_zero(c) else ((0, c),))
+        terms = {self._key(m): base.element(c).value for m, c in raw.items()}
+        if len(terms) < len(raw):
+            raise RingError("two monomials of %r have one key" % (raw,))
+        return RingElement(self, self._from_terms(terms))
 
     def _from_terms(self, terms):
-        """The raw value of a {monomial: raw coefficient} dict."""
+        """The raw value of a {key: raw coefficient} dict."""
         is_zero = self.base._is_zero
         items = [mc for mc in terms.items() if not is_zero(mc[1])]
-        if len(items) > 1:
-            orders = self._orders
-            items.sort(key=lambda mc: orders(mc[0]))
+        items.sort()
         return tuple(items)
 
-    def _order(self, mono):
-        return (sum(mono), tuple(-e for e in mono))
-
     def var(self, name):
-        idx = self.names.index(name)
-        mono = tuple(1 if i == idx else 0 for i in range(len(self.names)))
-        return RingElement(self, ((mono, self.base.one().value),))
+        key = self._var_keys[self.names.index(name)]
+        return RingElement(self, ((key, self.base.one().value),))
 
     def half(self):
         return self.element(self.base.half())
@@ -265,12 +294,17 @@ class PolyRing(RingDescriptor):
     def _add(self, a, b):
         if not a or not b:  # adding zero needs no merge
             return a or b
-        add = self.base._add
+        add, is_zero = self.base._add, self.base._is_zero
         terms = dict(a)
         for m, c in b:
             cur = terms.get(m)
-            terms[m] = c if cur is None else add(cur, c)
-        return self._from_terms(terms)
+            if cur is None:
+                terms[m] = c
+            elif is_zero(c := add(cur, c)):
+                del terms[m]
+            else:
+                terms[m] = c
+        return tuple(sorted(terms.items()))
 
     def _neg(self, a):
         # negation keeps every term nonzero and in place
@@ -278,24 +312,27 @@ class PolyRing(RingDescriptor):
         return tuple([(m, neg(c)) for m, c in a])
 
     def _mul(self, a, b):
+        # the last keys carry the top degrees, and they add
+        if a and b and a[-1][0] + b[-1][0] >= self._ceiling:
+            raise RingError("product of total degree >= %d" % self.EXPONENT_BOUND)
         mul, add = self.base._mul, self.base._add
         if len(b) == 1:
             a, b = b, a
         if len(a) == 1:
-            # the term order is a monomial order: a term times a sorted
-            # polynomial stays sorted, with distinct monomials
+            # adding one key keeps the order: a term times a sorted
+            # polynomial stays sorted, with distinct keys
             (m1, c1), = a
             is_zero = self.base._is_zero
             out = []
             for m2, c2 in b:
                 c = mul(c1, c2)
                 if not is_zero(c):
-                    out.append((tuple(map(operator.add, m1, m2)), c))
+                    out.append((m1 + m2, c))
             return tuple(out)
         terms = {}
         for m1, c1 in a:
             for m2, c2 in b:
-                m = tuple(map(operator.add, m1, m2))
+                m = m1 + m2
                 c = mul(c1, c2)
                 cur = terms.get(m)
                 terms[m] = c if cur is None else add(cur, c)
@@ -308,10 +345,10 @@ class PolyRing(RingDescriptor):
         if not a:
             return "0"
         parts = []
-        for mono, coeff in a:
+        for m, coeff in a:
             vars_ = "*".join(
                 n if e == 1 else "%s^%d" % (n, e)
-                for n, e in zip(self.names, mono) if e
+                for n, e in zip(self.names, self._exponents(m)) if e
             )
             cs = self.base._format(coeff)
             parts.append(cs if not vars_ else ("%s*%s" % (cs, vars_) if cs != "1" else vars_))
@@ -319,12 +356,11 @@ class PolyRing(RingDescriptor):
 
     def to_json(self, elt):
         base = self.base
-        return [[list(m), base.to_json(RingElement(base, c))] for m, c in elt.value]
+        return [[list(m), base.to_json(RingElement(base, c))] for m, c in self.terms(elt)]
 
     def from_json(self, data):
         base = self.base
-        return RingElement(self, self._from_terms(
-            {tuple(m): base.from_json(c).value for m, c in data}))
+        return self.element({tuple(m): base.from_json(c) for m, c in data})
 
     def sample(self, rng):
         """At most 3 terms of total degree <= 2, each coefficient a sample
@@ -333,10 +369,9 @@ class PolyRing(RingDescriptor):
         nvars = len(self.names)
         terms = {}
         for _ in range(rng.randrange(4)):
-            mono = [0] * nvars
+            m = 0
             for _ in range(rng.randrange(3)):
-                mono[rng.randrange(nvars)] += 1
-            m = tuple(mono)
+                m += self._var_keys[rng.randrange(nvars)]
             c = base.sample(rng).value
             terms[m] = c if m not in terms else base._add(terms[m], c)
         return RingElement(self, self._from_terms(terms))
@@ -478,7 +513,7 @@ class Ideal:
             # Dyadic: 2 is a unit, so (d) = (odd part of d)
             return _odd_part(r.value[0]) % _odd_part(self.data.value[0]) == 0
         gen_idx = [self.ring.names.index(v) for v in self.data]
-        return all(any(mono[i] for i in gen_idx) for mono, _ in r.value)
+        return all(any(mono[i] for i in gen_idx) for mono, _ in self.ring.terms(r))
 
     def modulus(self):
         """The g | m with I = gZ/m over Z/m: 0 for the zero ideal, 1 for
@@ -609,7 +644,7 @@ def var_multiplicity(elt, name):
     if elt.is_zero():
         return 64
     idx = ring.names.index(name)
-    return min(mono[idx] for mono, _ in elt.value)
+    return min(mono[idx] for mono, _ in ring.terms(elt))
 
 
 def divide_by_var(elt, name, k=1):
@@ -617,11 +652,9 @@ def divide_by_var(elt, name, k=1):
     ring = elt.ring
     if var_multiplicity(elt, name) < k:
         raise RingError("%r is not divisible by %s^%d" % (elt, name, k))
-    idx = ring.names.index(name)
-    # lowering one exponent by k in every term keeps the term order
-    return RingElement(ring, tuple(
-        (mono[:idx] + (mono[idx] - k,) + mono[idx + 1:], c)
-        for mono, c in elt.value))
+    # subtracting the key of name^k from every key keeps the term order
+    step = k * ring.var(name).value[0][0]
+    return RingElement(ring, tuple([(m - step, c) for m, c in elt.value]))
 
 
 def divide_by_unit(elt, unit):
@@ -639,8 +672,8 @@ def substitute(elt, name, value):
     value = ring.element(value)
     idx = ring.names.index(name)
     out = ring.zero()
-    for mono, c in elt.value:
-        term = RingElement(ring, ((mono[:idx] + (0,) + mono[idx + 1:], c),))
+    for mono, c in ring.terms(elt):
+        term = RingElement(ring, ((ring._key(mono[:idx] + (0,) + mono[idx + 1:]), c),))
         for _ in range(mono[idx]):
             term = term * value
         out = out + term

@@ -270,8 +270,9 @@ def test_commutative_ring_laws(text, seed):
 
 # -- polynomial arithmetic against a slow oracle ------------------------
 # The oracle is the plain algorithm on {monomial: base RingElement} dicts,
-# with zero terms dropped and the rest sorted by _order only at the end.
-# It shares no code with PolyRing's raw-coefficient arithmetic.
+# with zero terms dropped and the rest sorted by the graded order only at
+# the end.  It shares no code with PolyRing's packed-key arithmetic, and
+# results are compared through JSON, which writes exponent vectors.
 
 _ORACLE_RINGS = {"poly:dyadic:a,b": _dyadics,
                  "poly:zmod:9:x,y": st.integers(0, 8),
@@ -288,10 +289,16 @@ def _polys(text):
         lambda d: (ring.element(d), d))
 
 
+def _graded(mono):
+    """Total degree first, then larger exponents first."""
+    return (sum(mono), tuple(-e for e in mono))
+
+
 def _canonical(ring, terms):
-    """The element value an oracle dict stands for."""
-    nonzero = [(m, c.value) for m, c in terms.items() if not c.is_zero()]
-    return tuple(sorted(nonzero, key=lambda mc: ring._order(mc[0])))
+    """The JSON of the element an oracle dict stands for."""
+    nonzero = [(m, c) for m, c in terms.items() if not c.is_zero()]
+    return [[list(m), ring.base.to_json(c)]
+            for m, c in sorted(nonzero, key=lambda mc: _graded(mc[0]))]
 
 
 def _oracle_add(p, q):
@@ -330,22 +337,23 @@ def _oracle_substitute(p, idx, q):
 def test_poly_arithmetic_matches_dict_oracle(text, data):
     ring = parse_ring(text)
     (x, p), (y, q) = data.draw(_polys(text)), data.draw(_polys(text))
-    assert x.value == _canonical(ring, p)
-    assert (x + y).value == _canonical(ring, _oracle_add(p, q))
-    assert (-x).value == _canonical(ring, _oracle_neg(p))
-    assert (x - y).value == _canonical(
+    assert ring.to_json(x) == _canonical(ring, p)
+    assert ring.to_json(x + y) == _canonical(ring, _oracle_add(p, q))
+    assert ring.to_json(-x) == _canonical(ring, _oracle_neg(p))
+    assert ring.to_json(x - y) == _canonical(
         ring, _oracle_add(p, _oracle_neg(q)))
-    assert (x * y).value == _canonical(ring, _oracle_mul(p, q))
+    assert ring.to_json(x * y) == _canonical(ring, _oracle_mul(p, q))
     name = data.draw(st.sampled_from(ring.names))
     idx = ring.names.index(name)
-    assert substitute(x, name, y).value == _canonical(
+    assert ring.to_json(substitute(x, name, y)) == _canonical(
         ring, _oracle_substitute(p, idx, q))
     k = data.draw(st.integers(0, 3))
     nonzero = {m: c for m, c in p.items() if not c.is_zero()}
     if all(m[idx] >= k for m in nonzero):
         shifted = {m[:idx] + (m[idx] - k,) + m[idx + 1:]: c
                    for m, c in nonzero.items()}
-        assert divide_by_var(x, name, k).value == _canonical(ring, shifted)
+        assert ring.to_json(divide_by_var(x, name, k)) == _canonical(
+            ring, shifted)
     else:
         with pytest.raises(RingError):
             divide_by_var(x, name, k)
@@ -372,14 +380,81 @@ def test_poly_value_layout(text, seed):
     rng = random.Random(seed)
     x, y = ring.sample(rng), ring.sample(rng)
     for z in (x, y, x + y, x * y, -x, x - y):
-        monos = [m for m, _ in z.value]
-        assert monos == sorted(monos, key=ring._order)
-        assert len(set(monos)) == len(monos)
+        keys = [m for m, _ in z.value]
+        assert all(type(m) is int for m in keys)
+        assert all(m1 < m2 for m1, m2 in zip(keys, keys[1:]))
+        monos = [m for m, _ in ring.terms(z)]
+        assert monos == sorted(monos, key=_graded)
         for m, c in z.value:
-            assert type(m) is tuple and len(m) == len(ring.names)
             assert _is_raw(ring.base, c)
             assert not ring.base.element(c).is_zero()
         assert ring.element(dict(z.value)) == z
+
+
+# -- packed monomial keys and the degree guard ---------------------------
+
+_B = PolyRing.EXPONENT_BOUND
+
+
+def _key(ring, mono):
+    """The packed key of an exponent vector, read off a one-term value."""
+    (key, _), = ring.element({mono: 1}).value
+    return key
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_packed_keys_add_and_follow_the_graded_order(k, data):
+    ring = PolyRing(Dyadic(), ["v%d" % i for i in range(k)])
+    # two such vectors add to one of total degree below B
+    monos = st.tuples(*[st.integers(0, (_B - 1) // (2 * k))] * k)
+    m1, m2 = data.draw(monos), data.draw(monos)
+    assert (_key(ring, m1) < _key(ring, m2)) == (_graded(m1) < _graded(m2))
+    m12 = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+    assert _key(ring, m12) == _key(ring, m1) + _key(ring, m2)
+    assert [m for m, _ in ring.terms(ring.element({m12: 1}))] == [m12]
+
+
+def test_degree_guard_at_the_exponent_bound():
+    ring = PolyRing(Dyadic(), ("x", "y", "z"))
+    x, y, z = (ring.var(n) for n in ring.names)
+    top = ring.element({(_B - 1, 0, 0): 1})
+    below = ring.element({(_B - 2, 0, 0): 1})
+    assert ring.terms(top * ring.element(3)) == [((_B - 1, 0, 0), (3, 0))]
+    assert below * x == top
+    assert ring.terms(below * z) == [((_B - 2, 0, 1), (1, 0))]
+    half = ring.element({(0, _B // 2, 0): 1})
+    last = ring.element({(0, 0, _B - 1): 1})
+    # each product reaches total degree B; packed without the guard, an
+    # exponent B would carry into the next variable's digit
+    for lhs, rhs in [(top, x), (top, y), (top, z + 1), (last, z),
+                     (half, half), (below * y, z)]:
+        with pytest.raises(RingError, match="total degree"):
+            lhs * rhs
+        with pytest.raises(RingError, match="total degree"):
+            rhs * lhs
+
+
+@pytest.mark.parametrize("mono", [(_B, 0), (0, _B), (_B - 1, 1), (-1, 0),
+                                  (2, -1), (1,), (1, 0, 0), (1.0, 0)])
+def test_out_of_range_monomials_raise(mono):
+    ring = PolyRing(Dyadic(), ("x", "y"))
+    with pytest.raises(RingError):
+        ring.element({mono: 1})
+    with pytest.raises(RingError):
+        ring.from_json([[list(mono), [1, 0]]])
+
+
+def test_int_monomials_are_checked_keys():
+    ring = PolyRing(Dyadic(), ("x", "y"))
+    xy = ring.var("x") * ring.var("y")
+    assert ring.element({xy.value[0][0]: 1}) == xy
+    for key in (-1, 1, xy.value[0][0] + 1, (_B - 1) * _B ** 2):
+        with pytest.raises(RingError):
+            ring.element({key: 1})
+    with pytest.raises(RingError):
+        ring.element({0: 1, (0, 0): 2})
 
 
 @pytest.mark.parametrize("text", ["zmod:9", "dyadic"] + _LAYOUT_RINGS)
