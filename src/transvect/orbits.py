@@ -4,8 +4,9 @@ Enumerates unimodular rows, computes orbit partitions under the
 elementary linear / elementary symplectic groups and their relative
 (ideal-congruence) subgroups, builds Schreier-Sims stabilizer chains
 of generated subgroups and normal closures, and runs the statistical
-kernel-membership and square-ideal inclusion checks, which sift each
-sample through a chain instead of listing the group.
+kernel-membership and square-ideal inclusion checks, which sift their
+samples through a chain, one block at a time, instead of listing the
+group.
 
 Rows and matrices are int64 arrays mod m, the only input the orbit
 functions take.  Every word built here is a row of an int64 atom table
@@ -90,6 +91,14 @@ def _key_powers(width, m):
     if m ** width >= 2 ** 63:
         raise RingError("%d digits over Z/%d overflow int64 keys" % (width, m))
     return m ** np.arange(width - 1, -1, -1, dtype=np.int64)
+
+
+def _row_keys(rows):
+    """Exact lookup keys of the rows of a (k, n) int64 array, for any m:
+    each row's raw bytes as one np.void, which sorting and
+    ``np.searchsorted`` compare bytewise."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    return rows.view(np.dtype((np.void, 8 * rows.shape[1]))).ravel()
 
 
 def _inverse_mod(mat, m):
@@ -532,8 +541,10 @@ class StabilizerChain:
     matrix is determined by the images of the base, which are its rows.
     Level i holds the strong generators that fix e_1..e_i, as (s, s^-1)
     pairs, and a transversal: a dict from each row of the orbit of
-    e_(i+1) to (u, u^-1) with e_(i+1) u that row.  ``contains`` sifts a
-    matrix down the levels; ``order`` is the product of the transversal
+    e_(i+1) to (u, u^-1) with e_(i+1) u that row.  The build sifts one
+    matrix at a time (``_sift``), since it needs the residue; once the
+    chain is complete, ``members`` sifts a block of matrices down the
+    levels together.  ``order`` is the product of the transversal
     lengths.  With ``conjugators`` the chain is the normal closure of
     the generators inside the group the conjugators generate.  The
     order of the partial chain only grows and never exceeds the group
@@ -569,7 +580,39 @@ class StabilizerChain:
 
     def contains(self, x):
         """Whether an integer array, read mod m, lies in the group."""
-        return self._sift(np.asarray(x, dtype=np.int64) % self.m, 0) is None
+        return bool(self.members(np.asarray(x)[None])[0])
+
+    def members(self, block):
+        """Whether each matrix of a (k, n, n) integer array, read mod m,
+        lies in the group, as k bools.  The block sifts one level at a
+        time: its rows i are looked up among the level's sorted keys, a
+        matrix whose row is not there is out, and the rest are divided
+        by their u, gathered in one batched product.  A matrix that
+        passes the last level is its u there, so it is in the group."""
+        x = np.asarray(block, dtype=np.int64) % self.m
+        alive = np.arange(len(x))
+        for i, (keys, inverses) in enumerate(self._levels):
+            rows = _row_keys(x[:, i])
+            pos = np.searchsorted(keys, rows)
+            found = keys[np.minimum(pos, len(keys) - 1)] == rows
+            x, alive, pos = x[found], alive[found], pos[found]
+            if i + 1 < self.n:
+                x = x @ inverses[pos] % self.m
+        out = np.zeros(len(block), dtype=bool)
+        out[alive] = True
+        return out
+
+    @cached_property
+    def _levels(self):
+        """Per level of the complete chain: its transversal rows as
+        sorted ``_row_keys``, and the u^-1 stacked in the same order."""
+        levels = []
+        for i, trans in enumerate(self._trans):
+            keys = _row_keys(np.stack([u[i] for u, _ in trans.values()]))
+            order = np.argsort(keys)
+            inverses = np.stack([u_inv for _, u_inv in trans.values()])
+            levels.append((keys[order], inverses[order]))
+        return levels
 
     def elements(self):
         """Every element, as an (order, n, n) array: the products
@@ -723,16 +766,17 @@ def kernel_membership_test(ring, size, ideal, samples=1000, seed=0,
     (for I = R, ESp itself), then samples first-rowcol words whose
     evaluation is = identity mod I (by construction).  The samples are
     drawn as int64 atom blocks of at most _CHUNK_ROWS words, each block
-    is evaluated by batched column operations, and each matrix is sifted
-    through the chain.  The chain's int64 overflow guard runs before
-    any sample is drawn.  ``closure_size`` is the order of ESp(R, I).
+    is evaluated by batched column operations, and the block is sifted
+    through the chain at once by ``StabilizerChain.members``.  The
+    chain's int64 overflow guard runs before any sample is drawn.
+    ``closure_size`` is the order of ESp(R, I).
     """
     rel = generators_for(GroupSpec("symplectic-ESp-relative", size, ring, ideal))
     conj = generators_for(GroupSpec("symplectic-ESp", size, ring))
     chain = StabilizerChain(rel, ring, conjugators=conj, cap=cap)
     rng = random.Random(seed)
     blocks = _first_rowcol_samples(size, ring.m, ideal.modulus(), rng, samples)
-    hits = sum(sum(map(chain.contains, block)) for block in blocks)
+    hits = sum(int(chain.members(block).sum()) for block in blocks)
     return {
         "ring": ring.descriptor(),
         "size": size,
@@ -789,8 +833,8 @@ def square_ideal_inclusion_test(ring, size, ideal, samples=200, seed=0,
     hits = factored = factor_hits = 0
     for conj, rhs, count in _square_ideal_samples(ring, size, ideal, rng,
                                                   samples):
-        hits += sum(map(chain.contains, conj))
-        factor_hits += sum(map(chain.contains, rhs))
+        hits += int(chain.members(conj).sum())
+        factor_hits += int(chain.members(rhs).sum())
         factored += count
     return {
         "ring": ring.descriptor(),

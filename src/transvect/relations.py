@@ -9,6 +9,13 @@ displayed rows do not hold as printed under the uniform two-branch
 definition of se_ij; the corrected arguments (derived and certified by
 evaluation) are used here, listed in ``CORRECTIONS`` and catalogued in
 PAPER_ERRATA.md at the repository root.
+
+``verify_relation_suite`` checks symbolic instances, and sampled ones
+over rings other than Z/m, one ``GeneratorWord.eval`` per side.  Sampled
+instances over Z/m (GF included) take the table path: per block of
+``_TABLE_ROWS`` instances, the left sides are one int64 atom table and
+the right sides another, each evaluated once by ``words.eval_table``
+and compared row by row.
 """
 
 from __future__ import annotations
@@ -17,9 +24,14 @@ import random
 from itertools import product
 
 from .matrices import sigma
-from .rings import PolyRing, Dyadic
-from .words import (GeneratorWord, commutator_word, conjugate_word, se)
+from .rings import Dyadic, PolyRing, Zmod
+from .words import (SYMPLECTIC, GeneratorWord, commutator_word,
+                    conjugate_word, eval_table, se, word_table)
 
+
+#: sampled instances per pair of atom tables: the words of one block are
+#: all that is held at once
+_TABLE_ROWS = 128
 
 #: corrections applied to the printed table (documented in PAPER_ERRATA.md)
 CORRECTIONS = {
@@ -117,13 +129,29 @@ def admissible_indices(rel_id, n):
 def verify_relation(ring, rel_id, n, indices, a, b):
     """Evaluate one relation instance; report, never assert."""
     lhs, rhs = relation_sides(ring, rel_id, n, indices, a, b)
+    return _report(rel_id, n, indices, lhs.eval() == rhs.eval())
+
+
+def _report(rel_id, n, indices, holds):
     return {
         "relation-id": rel_id,
         "n": n,
         "indices": tuple(indices),
-        "holds": lhs.eval() == rhs.eval(),
+        "holds": holds,
         "corrected": rel_id in CORRECTIONS,
     }
+
+
+def _atoms(word):
+    """A Z/m word's atoms as (i, j, arg mod m) rows of an atom table."""
+    return [(x.i, x.j, x.arg.value) for x in word.atoms]
+
+
+def _fits_table(ring):
+    """Whether the sides of a relation over ``ring`` can be one int64
+    atom table: Z/m (GF included) whose ``eval_table`` entries, below
+    (m-1) + (m-1)**2, fit in int64."""
+    return isinstance(ring, Zmod) and ring.m * (ring.m - 1) < 2 ** 63
 
 
 def symbolic_ring():
@@ -136,6 +164,11 @@ def verify_relation_suite(n, ring=None, mode="symbolic", samples=20, seed=0):
 
     mode "symbolic": generic args a, b over Z[1/2][a,b] (ring ignored);
     mode "sampled": `samples` random arg pairs over `ring` per tuple.
+    Sampled over Z/m (GF included), the instances' sides are built in
+    drawing order and, per block of ``_TABLE_ROWS`` instances, the left
+    sides are evaluated as one int64 atom table and the right sides as
+    another, compared row by row; other rings, and a Z/m whose products
+    overflow int64, evaluate each instance by ``verify_relation``.
     """
     if mode == "symbolic":
         ring, samples = symbolic_ring(), 1
@@ -145,10 +178,20 @@ def verify_relation_suite(n, ring=None, mode="symbolic", samples=20, seed=0):
         draw = lambda: (ring.sample(rng), ring.sample(rng))
     else:
         raise ValueError("mode must be symbolic or sampled")
-    return [verify_relation(ring, rel_id, n, idx, *draw())
-            for rel_id in RELATION_IDS
-            for idx in admissible_indices(rel_id, n)
-            for _ in range(samples)]
+    cases = [(rel_id, idx) for rel_id in RELATION_IDS
+             for idx in admissible_indices(rel_id, n) for _ in range(samples)]
+    if mode == "symbolic" or not _fits_table(ring):
+        return [verify_relation(ring, rel_id, n, idx, *draw())
+                for rel_id, idx in cases]
+    holds = []
+    for lo in range(0, len(cases), _TABLE_ROWS):
+        sides = [[_atoms(w) for w in relation_sides(ring, rel_id, n, idx,
+                                                    *draw())]
+                 for rel_id, idx in cases[lo:lo + _TABLE_ROWS]]
+        lhs, rhs = (eval_table(word_table(words), 2 * n, ring.m, SYMPLECTIC)
+                    for words in zip(*sides))
+        holds += (lhs == rhs).all(axis=(1, 2)).tolist()
+    return [_report(rel_id, n, idx, h) for (rel_id, idx), h in zip(cases, holds)]
 
 
 def suite_summary(reports):

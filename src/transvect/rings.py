@@ -643,8 +643,10 @@ def var_multiplicity(elt, name):
         raise RingError("variable divisibility requires a polynomial ring")
     if elt.is_zero():
         return 64
-    idx = ring.names.index(name)
-    return min(mono[idx] for mono, _ in ring.terms(elt))
+    # the variable's exponent is one 16-bit digit of -key mod W
+    shift = 16 * (len(ring.names) - 1 - ring.names.index(name))
+    width, digit = ring._width, ring.EXPONENT_BOUND - 1
+    return min((-key % width) >> shift & digit for key, _ in elt.value)
 
 
 def divide_by_var(elt, name, k=1):

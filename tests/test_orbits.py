@@ -928,6 +928,77 @@ def test_chain_membership_matches_dict_oracle():
     assert 400 <= sum(verdicts) <= 1600
 
 
+def _assert_members_match_sift(chain, block):
+    """``members`` on a block against the per-matrix ``_sift`` of the
+    build; returns the verdicts."""
+    want = [chain._sift(np.asarray(x, dtype=np.int64) % chain.m, 0) is None
+            for x in block]
+    got = chain.members(block)
+    assert got.dtype == bool and got.shape == (len(block),)
+    assert got.tolist() == want
+    return want
+
+
+def _last_row_changed(block, m, rng):
+    """z @ x for each x of the block, z the identity with, on a coin, a
+    random last row: row i of z @ x is row i of x for i < n - 1, so the
+    block sifts as before down to the last level, where it may be
+    rejected."""
+    n = block.shape[1]
+    z = np.tile(np.eye(n, dtype=np.int64), (len(block), 1, 1))
+    coin = rng.integers(0, 2, len(block)).astype(bool)
+    z[coin, -1] = rng.integers(0, m, (coin.sum(), n))
+    return z @ block % m
+
+
+@pytest.mark.parametrize("m,p,samples,cap", [(9, 3, 1000, 10 ** 6),
+                                             (25, 5, 300, 10 ** 7)])
+def test_chain_members_match_the_per_matrix_sift(m, p, samples, cap):
+    """The kernel-test chain of ESp(Z/m, (p)) on its own sample block, on
+    uniform random matrices and on samples whose last row is changed,
+    which only the last level can reject."""
+    rel, conj = _normal_closure_inputs(m, 4, p)
+    chain = orbits.StabilizerChain(rel, Zmod(m), conjugators=conj, cap=cap)
+    drawn = next(orbits._first_rowcol_samples(4, m, p, random.Random(0),
+                                              samples))
+    rng = np.random.default_rng(m)
+    block = np.concatenate([drawn, rng.integers(0, m, (500, 4, 4)),
+                            _last_row_changed(drawn[:500], m, rng)])
+    want = _assert_members_match_sift(chain, block)
+    assert all(want[:samples]) and not any(want[samples:samples + 500])
+    assert 0 < sum(want[samples + 500:]) < 500
+    for x, w in zip(block[::97], want[::97]):
+        assert chain.contains(x) is w
+
+
+def test_chain_members_over_keys_that_overflow_base_m():
+    """The square-ideal-test chain over Z/100003 with the zero ideal is
+    the trivial group, and m**4 > 2**63, so its rows have no base-m int64
+    key; raw-byte keys take every row, the identity, random matrices and
+    negative entries read mod m."""
+    m = 100003
+    R = Zmod(m)
+    gens = word_table([[(i, j, 0)] for i, j in orbits._index_pairs(4)])
+    chain = orbits.StabilizerChain(eval_table(gens, 4, m, SYMPLECTIC), R)
+    assert chain.order() == 1
+    with pytest.raises(RingError, match="overflow int64 keys"):
+        orbits._key_powers(4, m)
+    rng = np.random.default_rng(1)
+    eye = np.eye(4, dtype=np.int64)
+    block = np.concatenate([np.tile(eye, (3, 1, 1)), eye[None] - m,
+                            rng.integers(0, m, (200, 4, 4)),
+                            _last_row_changed(np.tile(eye, (50, 1, 1)), m,
+                                              rng)])
+    assert _assert_members_match_sift(chain, block)[:4] == [True] * 4
+
+
+def test_chain_members_of_an_empty_block():
+    rel, conj = _normal_closure_inputs(9, 4, 3)
+    chain = orbits.StabilizerChain(rel, Zmod(9), conjugators=conj)
+    got = chain.members(np.zeros((0, 4, 4), dtype=np.int64))
+    assert got.dtype == bool and got.shape == (0,)
+
+
 def test_chain_rejects_a_long_root_outside_the_kernel():
     R = Zmod(25)
     rel, conj = _normal_closure_inputs(25, 4, 5)

@@ -1,13 +1,15 @@
 import hashlib
 import json
+import random
 
 import pytest
 
+from transvect import relations
 from transvect.matrices import sigma
 from transvect.relations import (CORRECTIONS, RELATION_IDS, admissible_indices,
                                  relation_sides, suite_summary, symbolic_ring,
                                  verify_relation, verify_relation_suite)
-from transvect.rings import Zmod
+from transvect.rings import GF, Dyadic, Zmod
 from transvect.words import GeneratorWord, commutator_word, se, word_to_json
 
 
@@ -90,3 +92,71 @@ def test_relation_words_digest():
     assert counts[3] == [30, 30, 24, 24, 24, 24, 24, 24, 30, 30, 24, 462]
     assert h.hexdigest() == (
         "19c53887028f02494eea3138fae8344fa44d85d7b754f60e8fb082e4a90834d1")
+
+
+# -- the sampled table path against the per-instance evaluation -----------
+
+
+def _plant_wrong_rhs(monkeypatch):
+    """Relation 10's right side gains se_ij(a), so an instance holds only
+    when a = 0: the suites must report failures where they occur."""
+    sides = relations.relation_sides
+
+    def planted(ring, rel_id, n, indices, a, b):
+        lhs, rhs = sides(ring, rel_id, n, indices, a, b)
+        if rel_id == 10:
+            i, j = indices
+            rhs = rhs * GeneratorWord(ring, 2 * n, [se(i, j, a)])
+        return lhs, rhs
+
+    monkeypatch.setattr(relations, "relation_sides", planted)
+
+
+@pytest.mark.parametrize("rows", [7, 128])
+@pytest.mark.parametrize("planted", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("ring", [Zmod(9), Zmod(15), Zmod(27), GF(5)],
+                         ids=str)
+def test_sampled_table_suite_matches_verify_relation(ring, n, planted, rows,
+                                                     monkeypatch):
+    """Over Z/m the sampled suite evaluates one atom table per side and
+    block of ``rows`` instances; it equals the list of per-instance
+    ``verify_relation`` reports, drawn from the same seed, and leaves its
+    generator in the same state."""
+    monkeypatch.setattr(relations, "_TABLE_ROWS", rows)
+    if planted:
+        _plant_wrong_rhs(monkeypatch)
+    samples = 2 if n < 3 else 1
+    oracle = random.Random(4)
+    want = [verify_relation(ring, rel_id, n, idx, ring.sample(oracle),
+                            ring.sample(oracle))
+            for rel_id in RELATION_IDS for idx in admissible_indices(rel_id, n)
+            for _ in range(samples)]
+    made = []
+
+    class Recorded(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(relations.random, "Random", Recorded)
+    got = verify_relation_suite(n, ring=ring, mode="sampled", samples=samples,
+                                seed=4)
+    assert got == want
+    assert [r.getstate() for r in made] == [oracle.getstate()]
+    assert any(not r["holds"] for r in got) == (planted and n > 1)
+
+
+@pytest.mark.parametrize("mode,ring", [("symbolic", None),
+                                       ("sampled", Dyadic()),
+                                       ("sampled", Zmod(2 ** 33 + 1))],
+                         ids=["symbolic", "dyadic", "zmod-2^33+1"])
+def test_other_suites_never_evaluate_a_table(mode, ring, monkeypatch):
+    """Symbolic mode, sampled rings other than Z/m, and a Z/m whose
+    products overflow int64 keep the per-instance evaluation."""
+    def no_table(*args):
+        raise AssertionError("an atom table was evaluated")
+
+    monkeypatch.setattr(relations, "eval_table", no_table)
+    reports = verify_relation_suite(1, ring=ring, mode=mode, samples=2)
+    assert reports and all(r["holds"] for r in reports)

@@ -416,6 +416,28 @@ def test_packed_keys_add_and_follow_the_graded_order(k, data):
     assert [m for m, _ in ring.terms(ring.element({m12: 1}))] == [m12]
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_var_multiplicity_reads_the_terms_exponent(k, data):
+    """The one digit ``var_multiplicity`` reads from each key is the
+    variable's exponent as ``terms`` unpacks it, the least over terms."""
+    ring = PolyRing(Dyadic(), ["v%d" % i for i in range(k)])
+    # one exponent up to B - 1, the top of a digit, the rest small, with
+    # total degree < B
+    def mono(big, small, at):
+        return tuple(small[:at] + [min(big, _B - 1 - sum(small))] + small[at:])
+
+    monos = st.builds(mono, st.integers(0, _B - 1),
+                      st.lists(st.integers(0, 3), min_size=k - 1,
+                               max_size=k - 1), st.integers(0, k - 1))
+    x = ring.element(data.draw(st.dictionaries(monos, st.integers(1, 9),
+                                               min_size=1, max_size=4)))
+    for idx, name in enumerate(ring.names):
+        assert var_multiplicity(x, name) == min(m[idx] for m, _ in ring.terms(x))
+    assert var_multiplicity(ring.zero(), ring.names[0]) == 64
+
+
 def test_degree_guard_at_the_exponent_bound():
     ring = PolyRing(Dyadic(), ("x", "y", "z"))
     x, y, z = (ring.var(n) for n in ring.names)
