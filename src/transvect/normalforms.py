@@ -18,18 +18,12 @@ from .words import (LINEAR, GeneratorWord, act_on_columns,
                     conjugation_triple, lin)
 
 
-def _is_odd_prime_power(m):
-    if m % 2 == 0 or m < 3:
-        return False
-    ps = prime_factors(m)
-    return len(ps) == 1
-
-
 class LocalRingWitness:
     """A ring certified local: GF(p) or Z/p^k with p an odd prime."""
 
     def __init__(self, ring):
-        if not isinstance(ring, Zmod) or not _is_odd_prime_power(ring.m):
+        # a Zmod's m is odd and at least 3
+        if not isinstance(ring, Zmod) or len(prime_factors(ring.m)) != 1:
             raise RingError("%s is not GF(p) or Z/p^k with p odd" % (ring,))
         self.ring = ring
 

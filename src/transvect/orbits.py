@@ -35,7 +35,7 @@ import numpy as np
 from .matrices import sigma
 from .rewrite import square_ideal_atoms
 from .rings import DescriptorError, Ideal, RingError, Zmod
-from .words import LINEAR, SYMPLECTIC, eval_table, word_table
+from .words import LINEAR, SYMPLECTIC, atom_rows, eval_table, word_table
 
 # family -> (group it generates, kind), read only by GroupSpec
 FAMILIES = {
@@ -592,9 +592,8 @@ class StabilizerChain:
         x = np.asarray(block, dtype=np.int64) % self.m
         alive = np.arange(len(x))
         for i, (keys, inverses) in enumerate(self._levels):
-            rows = _row_keys(x[:, i])
-            pos = np.searchsorted(keys, rows)
-            found = keys[np.minimum(pos, len(keys) - 1)] == rows
+            pos = _search(keys, _row_keys(x[:, i]))
+            found = pos >= 0
             x, alive, pos = x[found], alive[found], pos[found]
             if i + 1 < self.n:
                 x = x @ inverses[pos] % self.m
@@ -811,8 +810,8 @@ def _square_ideal_samples(ring, size, ideal, rng, samples):
                                     (k, l))
                  for i, j, k, l, *zab in compress(draws, split)]
         conj = eval_table(word_table(conj), size, m, SYMPLECTIC)
-        rhs = eval_table(word_table([[(x.i, x.j, x.arg.value) for x in w]
-                                     for w in words]), size, m, SYMPLECTIC)
+        rhs = eval_table(word_table(list(map(atom_rows, words))), size, m,
+                         SYMPLECTIC)
         member = [all(ideal.contains(x.arg) for x in w) for w in words]
         equal = (rhs == conj[split]).all(axis=(1, 2))
         yield conj, rhs[equal & np.array(member, dtype=bool)], len(words)

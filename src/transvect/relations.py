@@ -2,7 +2,8 @@
 generators, with symbolic and sampled verification.
 
 Each relation is one row of ``_RELATIONS``: its arity, its side
-condition on the index tuple and a builder of its (lhs, rhs) words.
+condition on the index tuple and a builder of its (lhs, rhs) atom
+lists, written with the word algebra of ``words.py``.
 Relation ids 4 and 5 are the two group-theoretic commutator identities;
 ids 6 through 15 are the ten displayed se-relations.  Four of the
 displayed rows do not hold as printed under the uniform two-branch
@@ -12,10 +13,11 @@ PAPER_ERRATA.md at the repository root.
 
 ``verify_relation_suite`` checks symbolic instances, and sampled ones
 over rings other than Z/m, one ``GeneratorWord.eval`` per side.  Sampled
-instances over Z/m (GF included) take the table path: per block of
-``_TABLE_ROWS`` instances, the left sides are one int64 atom table and
-the right sides another, each evaluated once by ``words.eval_table``
-and compared row by row.
+instances over Z/m (GF included) take the table path: the builders'
+atom lists become ``atom_rows`` at once, with no ``GeneratorWord``, and
+per block of ``_TABLE_ROWS`` instances the left sides are one int64
+atom table and the right sides another, each evaluated once by
+``words.eval_table`` and compared row by row.
 """
 
 from __future__ import annotations
@@ -25,12 +27,12 @@ from itertools import product
 
 from .matrices import sigma
 from .rings import Dyadic, PolyRing, Zmod
-from .words import (SYMPLECTIC, GeneratorWord, commutator_word,
-                    conjugate_word, eval_table, se, word_table)
+from .words import (SYMPLECTIC, GeneratorWord, atom_rows, commutator,
+                    conjugate, eval_table, se, word_table)
 
 
-#: sampled instances per pair of atom tables: the words of one block are
-#: all that is held at once
+#: sampled instances per pair of atom tables: the atom rows of one block
+#: are all that is held at once
 _TABLE_ROWS = 128
 
 #: corrections applied to the printed table (documented in PAPER_ERRATA.md)
@@ -44,17 +46,17 @@ CORRECTIONS = {
 
 
 def _on_ghk(f):
-    """Row builder f(g, h, k) for g = se_ij(a), h = se_ji(b), k = se_ij(b)."""
-    return lambda w, a, b, i, j: f(w(se(i, j, a)), w(se(j, i, b)),
-                                   w(se(i, j, b)))
+    """Row builder f(g, h, k) for the one-atom lists g = [se_ij(a)],
+    h = [se_ji(b)] and k = [se_ij(b)]."""
+    return lambda a, b, i, j: f([se(i, j, a)], [se(j, i, b)], [se(i, j, b)])
 
 
 def _bracket(f):
     """Row builder for [g, h] = rhs: f(a, b, *indices) gives the atoms g
     and h, then the atoms of rhs (none when g and h commute)."""
-    def sides(w, a, b, *indices):
+    def sides(a, b, *indices):
         g, h, *rhs = f(a, b, *indices)
-        return commutator_word(w(g), w(h)), w(*rhs)
+        return commutator([g], [h]), rhs
     return sides
 
 
@@ -62,17 +64,17 @@ def _distinct_unpaired(i, j):
     return i != j and i != sigma(j)
 
 
-#: rel_id -> (arity, side condition on the indices, builder of (lhs, rhs)
-#: from w = atoms -> word, the arguments a, b and the indices)
+#: rel_id -> (arity, side condition on the indices, builder of the
+#: (lhs, rhs) atom lists from the arguments a, b and the indices)
 _RELATIONS = {
     # [g, hk] = [g, h] (^h [g, k])
     4: (2, lambda i, j: i != j, _on_ghk(lambda g, h, k: (
-        commutator_word(g, h * k),
-        commutator_word(g, h) * conjugate_word(h, commutator_word(g, k))))),
+        commutator(g, h + k),
+        commutator(g, h) + conjugate(h, commutator(g, k))))),
     # ^g [h, k] = [^g h, ^g k]
     5: (2, lambda i, j: i != j, _on_ghk(lambda g, h, k: (
-        conjugate_word(g, commutator_word(h, k)),
-        commutator_word(conjugate_word(g, h), conjugate_word(g, k))))),
+        conjugate(g, commutator(h, k)),
+        commutator(conjugate(g, h), conjugate(g, k))))),
     6: (2, _distinct_unpaired, _bracket(lambda a, b, i, j: (
         se(i, j, a), se(sigma(i), i, b),
         se(sigma(i), j, -(a * b)), se(sigma(j), j, (-1) ** (i + j) * a * a * b)))),
@@ -95,9 +97,9 @@ _RELATIONS = {
     13: (2, lambda i, j: i != sigma(j), _bracket(lambda a, b, i, j: (
         se(sigma(j), j, a), se(sigma(i), j, b)))),
     # se_{i,sigma(i)}(a) = [se_ik(a/2), se_{k,sigma(i)}(1)]
-    14: (2, _distinct_unpaired, lambda w, a, _b, i, k: (
-        w(se(i, sigma(i), a)),
-        commutator_word(w(se(i, k, a.halve())), w(se(k, sigma(i), 1))))),
+    14: (2, _distinct_unpaired, lambda a, _b, i, k: (
+        [se(i, sigma(i), a)],
+        commutator([se(i, k, a.halve())], [se(k, sigma(i), a.ring.one())]))),
     15: (4, lambda i, j, k, l: (i != j and k != l and i != sigma(k)
                                 and i != l and j != k and j != sigma(l)),
          _bracket(lambda a, b, i, j, k, l: (se(i, j, a), se(k, l, b)))),
@@ -114,10 +116,9 @@ def _relation(rel_id):
 
 def relation_sides(ring, rel_id, n, indices, a, b):
     """Build (lhs, rhs) generator words for one relation instance."""
-    a, b = ring.element(a), ring.element(b)
     _arity, _cond, sides = _relation(rel_id)
-    return sides(lambda *atoms: GeneratorWord(ring, 2 * n, atoms), a, b,
-                 *indices)
+    return tuple(GeneratorWord(ring, 2 * n, atoms) for atoms in
+                 sides(ring.element(a), ring.element(b), *indices))
 
 
 def admissible_indices(rel_id, n):
@@ -142,11 +143,6 @@ def _report(rel_id, n, indices, holds):
     }
 
 
-def _atoms(word):
-    """A Z/m word's atoms as (i, j, arg mod m) rows of an atom table."""
-    return [(x.i, x.j, x.arg.value) for x in word.atoms]
-
-
 def _fits_table(ring):
     """Whether the sides of a relation over ``ring`` can be one int64
     atom table: Z/m (GF included) whose ``eval_table`` entries, below
@@ -165,10 +161,11 @@ def verify_relation_suite(n, ring=None, mode="symbolic", samples=20, seed=0):
     mode "symbolic": generic args a, b over Z[1/2][a,b] (ring ignored);
     mode "sampled": `samples` random arg pairs over `ring` per tuple.
     Sampled over Z/m (GF included), the instances' sides are built in
-    drawing order and, per block of ``_TABLE_ROWS`` instances, the left
-    sides are evaluated as one int64 atom table and the right sides as
-    another, compared row by row; other rings, and a Z/m whose products
-    overflow int64, evaluate each instance by ``verify_relation``.
+    drawing order as atom rows and, per block of ``_TABLE_ROWS``
+    instances, the left sides are evaluated as one int64 atom table and
+    the right sides as another, compared row by row; other rings, and a
+    Z/m whose products overflow int64, evaluate each instance by
+    ``verify_relation``.
     """
     if mode == "symbolic":
         ring, samples = symbolic_ring(), 1
@@ -185,8 +182,7 @@ def verify_relation_suite(n, ring=None, mode="symbolic", samples=20, seed=0):
                 for rel_id, idx in cases]
     holds = []
     for lo in range(0, len(cases), _TABLE_ROWS):
-        sides = [[_atoms(w) for w in relation_sides(ring, rel_id, n, idx,
-                                                    *draw())]
+        sides = [[atom_rows(s) for s in _RELATIONS[rel_id][2](*draw(), *idx)]
                  for rel_id, idx in cases[lo:lo + _TABLE_ROWS]]
         lhs, rhs = (eval_table(word_table(words), 2 * n, ring.m, SYMPLECTIC)
                     for words in zip(*sides))

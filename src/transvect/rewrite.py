@@ -35,7 +35,7 @@ from .matrices import sigma
 from .rings import (X, Y, Dyadic, PolyRing, RingError, divide_by_unit,
                     divide_by_var, substitute, var_multiplicity)
 from .words import (SYMPLECTIC, GeneratorAtom, GeneratorWord, act_on_rows,
-                    identity_rows, se)
+                    commutator, conjugate, identity_rows, inverse_atoms, se)
 
 
 class RewriteError(RingError):
@@ -93,15 +93,11 @@ def _prefer(positions):
     return positions[0]
 
 
-def _inverse_atoms(atoms):
-    return [x.inverse() for x in reversed(atoms)]
-
-
 def _quad(p, q, u, y, ideal_side):
     """[se_p1(u), se_1q(y)], with u and y swapped on the "row" side."""
     if ideal_side != "col":
         u, y = y, u
-    return [se(p, 1, u), se(1, q, y), se(p, 1, -u), se(1, q, -y)]
+    return commutator([se(p, 1, u)], [se(1, q, y)])
 
 
 def _peel(ring, size, matrix, roots):
@@ -141,7 +137,7 @@ def _comm_by_peel(ring, size, g, h):
     n = size // 2
     ra = atom_root(g.i, g.j, n)
     rb = atom_root(h.i, h.j, n)
-    word = GeneratorWord(ring, size, [g, h, g.inverse(), h.inverse()])
+    word = GeneratorWord(ring, size, commutator([g], [h]))
     cands = [_addroot(ra, rb), _addroot(ra, rb, 2), _addroot(rb, ra, 2)]
     return _peel(ring, size, word.eval(), cands)
 
@@ -209,8 +205,8 @@ def _long_residue(ring, size, g, h, target):
     which commutes with the target's piece, so the order is safe."""
     n = size // 2
     root = atom_root(target.i, target.j, n)
-    return _inverse_atoms([x for x in comm_word(ring, size, g, h)
-                           if atom_root(x.i, x.j, n) != root])
+    return inverse_atoms([x for x in comm_word(ring, size, g, h)
+                          if atom_root(x.i, x.j, n) != root])
 
 
 # -- single-atom rewriting to first-row/column shape ------------------
@@ -372,8 +368,8 @@ def _monster(ring, size, g, t, ideal, ideal_side):
     # ^g [A0, B0] = FA·A0·FB·B0·(FA·A0)^{-1}·B0^{-1}·FB^{-1}, then ^g corr
     fa_a0 = processed(_slide(ring, size, g, [a0]))
     fb = processed(comm_word(ring, size, g, b0))
-    sandwich = processed(_slide(ring, size, b0, _inverse_atoms(fa_a0)))
-    out = (fa_a0 + fb + sandwich + _inverse_atoms(fb)
+    sandwich = processed(_slide(ring, size, b0, inverse_atoms(fa_a0)))
+    out = (fa_a0 + fb + sandwich + inverse_atoms(fb)
            + _slide(ring, size, g, corr))
     # rewrite ^g corr and anything deferred through the sandwich
     return [piece for x in out
@@ -408,8 +404,8 @@ def _monster_long_row(ring, size, g, t, ideal):
     stages = (se(2, 3, b), se(1, 3, ring.one()), se(4, 3, b))
     wword = list(reversed(stages))
     # G^{-1} = T(u+v, w')^{-1} · ^g t · T(v, w'), evaluated as one word
-    ginv = GeneratorWord(ring, size, wword + [tv.inverse()] + _inverse_atoms(wword)
-                       + [g, t, g.inverse(), tv]).eval()
+    ginv = GeneratorWord(ring, size, conjugate(wword, [tv.inverse()])
+                         + conjugate([g], [t]) + [tv]).eval()
     shorts = [(1, 1), (-1, 1)]
     longs = [(0, 2), (-2, 0)]
     cand = [r + (0,) * (n - 2) for r in shorts + longs]
@@ -504,14 +500,13 @@ def conjugate_first_rowcol(ring, size, conjugator, target, ideal):
     first-column atom with enough Y-divisibility for the route taken.
     Both arguments are lifted into ``ring``; a zero target gives [].
     """
-    lhs = GeneratorWord(ring, size, [conjugator, target, conjugator.inverse()])
+    lhs = GeneratorWord(ring, size, conjugate([conjugator], [target]))
     conjugator, target = lhs.atoms[:2]
     if target.i == 1:
         atoms = _conjugate_row_target(ring, size, conjugator, target,
                                       ideal, "col")
     elif target.j == 1:
-        g2 = GeneratorAtom(conjugator.family, conjugator.j, conjugator.i,
-                           -conjugator.arg)  # (g^t)^{-1}
+        g2 = conjugator.transpose().inverse()  # (g^t)^{-1}
         t2 = target.transpose()
         inner = _conjugate_row_target(ring, size, g2, t2, ideal, "row")
         atoms = [x.transpose() for x in reversed(inner)]
@@ -545,7 +540,7 @@ def dilate_word(eps, target, ideal):
                 raise RewriteError("uncertified step: %r" % (step,))
             nxt.extend(step.rhs.atoms)
         current = nxt
-    lhs = eps * GeneratorWord(ring, size, [seeded]) * eps.inverse()
+    lhs = GeneratorWord(ring, size, conjugate(eps.atoms, [seeded]))
     rhs = GeneratorWord(ring, size, current)
     return RewriteResult(lhs, rhs, ideal, True)
 
@@ -566,14 +561,14 @@ def square_ideal_atoms(ring, size, i, j, z, a, b, kl):
     else:
         p1 = se(sigma(i), j, b)
         p2 = se(i, sigma(i), -a)
-        factors = ([p1, p2, p1.inverse(), p2.inverse()]
+        factors = (commutator([p1], [p2])
                    + _long_residue(ring, size, p1, p2, target))
     return _slide(ring, size, alpha, factors)
 
 
 def conjugate_square_ideal(ring, size, i, j, z, a, b, ideal, kl):
     """``square_ideal_atoms`` as the right side of a RewriteResult."""
-    lhs = [se(*kl, z), se(i, j, a * b), se(*kl, -z)]
+    lhs = conjugate([se(*kl, z)], [se(i, j, a * b)])
     rhs = square_ideal_atoms(ring, size, i, j, z, a, b, kl)
     return RewriteResult(GeneratorWord(ring, size, lhs),
                          GeneratorWord(ring, size, rhs), ideal, False)

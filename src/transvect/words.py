@@ -203,8 +203,7 @@ class GeneratorWord:
         return SquareMatrix.from_rows(self.ring, rows)
 
     def inverse(self):
-        return GeneratorWord(self.ring, self.size,
-                             [a.inverse() for a in reversed(self.atoms)])
+        return GeneratorWord(self.ring, self.size, inverse_atoms(self.atoms))
 
     def shifted(self, k):
         """The same atoms on indices k+1..k+size: eval() is I_k perp
@@ -243,20 +242,34 @@ class GeneratorWord:
         return "Word[%s]" % "; ".join(repr(a) for a in self.atoms)
 
 
-def commutator_word(w1, w2):
-    """The word for [w1, w2] = w1 w2 w1^-1 w2^-1."""
-    return w1 * w2 * w1.inverse() * w2.inverse()
+# -- the word algebra on lists of atoms -------------------------------
+# Words are built as atom lists; a GeneratorWord wraps one for evaluation.
 
 
-def conjugate_word(g, h):
-    """The word for g h g^-1."""
-    return g * h * g.inverse()
+def inverse_atoms(atoms):
+    """The atoms of the inverse word: reversed, each atom inverted."""
+    return [x.inverse() for x in reversed(atoms)]
+
+
+def commutator(x, y):
+    """The atoms of [x, y] = x y x^-1 y^-1."""
+    return [*x, *y, *inverse_atoms(x), *inverse_atoms(y)]
+
+
+def conjugate(g, h):
+    """The atoms of g h g^-1."""
+    return [*g, *h, *inverse_atoms(g)]
+
+
+def atom_rows(atoms):
+    """Z/m atoms as (i, j, arg mod m) rows of an atom table."""
+    return [(x.i, x.j, x.arg.value) for x in atoms]
 
 
 def conjugation_triple(family, i, j, a, x):
     """The atoms of ge_ij(a) ge_ji(x) ge_ij(-a)."""
-    return [GeneratorAtom(family, i, j, a), GeneratorAtom(family, j, i, x),
-            GeneratorAtom(family, i, j, -a)]
+    return conjugate([GeneratorAtom(family, i, j, a)],
+                     [GeneratorAtom(family, j, i, x)])
 
 
 def relative_generator(ring, family, size, i, j, a, x, ideal):

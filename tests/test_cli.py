@@ -241,6 +241,17 @@ def test_transitivity_zero_ideal_full_universe(tmp_path):
     assert res["orbit_count"] == res["congruence_classes"] == 6480
 
 
+@pytest.mark.parametrize("ideal", ["R", "full"])
+def test_transitivity_over_the_whole_ring(ideal, tmp_path):
+    """``--ideal R`` (or ``full``) is the unit ideal: Um(R, R) is all 72
+    unimodular rows of (Z/9)^2, one orbit of one congruence class."""
+    code, rep = _run(["transitivity", "--ring", "zmod:9", "--size", "2",
+                      "--ideal", ideal], tmp_path)
+    res = rep["results"][0]
+    assert code == 0 and res["ideal"] == "ideal:full" and res["transitive"]
+    assert res["universe_size"] == 72 and res["orbit_count"] == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["reduce-form", "--n", "0"],
     ["transitivity", "--ring", "zmod:9", "--ideal", "3", "--full-universe",

@@ -10,7 +10,7 @@ from transvect.relations import (CORRECTIONS, RELATION_IDS, admissible_indices,
                                  relation_sides, suite_summary, symbolic_ring,
                                  verify_relation, verify_relation_suite)
 from transvect.rings import GF, Dyadic, Zmod
-from transvect.words import GeneratorWord, commutator_word, se, word_to_json
+from transvect.words import GeneratorWord, commutator, se, word_to_json
 
 
 def test_symbolic_suite_n2_all_pass():
@@ -57,8 +57,7 @@ def test_relation_15_side_condition():
     # witness: a tuple passing "j != sigma(k)" but violating j != sigma(l)
     i, j, k, l = 1, 4, 1, 3
     assert j != sigma(k) and j == sigma(l)
-    lhs = commutator_word(GeneratorWord(ring, 4, [se(i, j, a)]),
-                          GeneratorWord(ring, 4, [se(k, l, b)]))
+    lhs = GeneratorWord(ring, 4, commutator([se(i, j, a)], [se(k, l, b)]))
     assert not lhs.eval().is_identity()
 
 
@@ -98,18 +97,16 @@ def test_relation_words_digest():
 
 
 def _plant_wrong_rhs(monkeypatch):
-    """Relation 10's right side gains se_ij(a), so an instance holds only
-    when a = 0: the suites must report failures where they occur."""
-    sides = relations.relation_sides
+    """Relation 10's builder gains se_ij(a) on its right side, so an
+    instance holds only when a = 0: the suites must report failures
+    where they occur."""
+    arity, cond, sides = relations._RELATIONS[10]
 
-    def planted(ring, rel_id, n, indices, a, b):
-        lhs, rhs = sides(ring, rel_id, n, indices, a, b)
-        if rel_id == 10:
-            i, j = indices
-            rhs = rhs * GeneratorWord(ring, 2 * n, [se(i, j, a)])
-        return lhs, rhs
+    def planted(a, b, i, j):
+        lhs, rhs = sides(a, b, i, j)
+        return lhs, rhs + [se(i, j, a)]
 
-    monkeypatch.setattr(relations, "relation_sides", planted)
+    monkeypatch.setitem(relations._RELATIONS, 10, (arity, cond, planted))
 
 
 @pytest.mark.parametrize("rows", [7, 128])
@@ -159,4 +156,16 @@ def test_other_suites_never_evaluate_a_table(mode, ring, monkeypatch):
 
     monkeypatch.setattr(relations, "eval_table", no_table)
     reports = verify_relation_suite(1, ring=ring, mode=mode, samples=2)
+    assert reports and all(r["holds"] for r in reports)
+
+
+@pytest.mark.parametrize("ring", [Zmod(9), GF(5)], ids=str)
+def test_sampled_table_suite_builds_no_word(ring, monkeypatch):
+    """Over Z/m the sampled suite turns the builders' atom lists into atom
+    rows at once: no side is wrapped in a ``GeneratorWord``."""
+    def no_word(*args):
+        raise AssertionError("a GeneratorWord was built")
+
+    monkeypatch.setattr(relations, "GeneratorWord", no_word)
+    reports = verify_relation_suite(2, ring=ring, mode="sampled", samples=2)
     assert reports and all(r["holds"] for r in reports)

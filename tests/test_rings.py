@@ -500,3 +500,22 @@ def test_ring_elements_are_immutable(text):
         with pytest.raises(AttributeError):
             setattr(x, attr, None)
     assert isinstance(x, RingElement) and x == parse_ring(text).one()
+
+
+@pytest.mark.parametrize("text", ["zmod:9", "dyadic", "poly:zmod:9:x,y"])
+def test_int_minus_element(text):
+    """``3 - x`` lifts 3 and subtracts x, the reflected ``x - 3``."""
+    ring = parse_ring(text)
+    x = ring.sample(random.Random(3)) + ring.one()
+    assert 3 - x == ring.element(3) - x == -(x - 3)
+    assert 3 - x != x - 3
+
+
+def test_parse_ideal_full_and_variable_texts():
+    ring = parse_ring("poly:zmod:9:x,y")
+    x, y = ring.var("x"), ring.var("y")
+    for text in ("full", "R"):
+        assert parse_ideal(ring, text).is_full()
+    ideal = parse_ideal(ring, "vars:x,y")
+    assert ideal.contains(x * y + y) and ideal.contains(x + 3 * y)
+    assert not ideal.contains(x + 1)

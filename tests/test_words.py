@@ -9,9 +9,11 @@ from transvect.matrices import (SquareMatrix, matrix_from_json,
 from transvect.rings import (Dyadic, GF, Ideal, PolyRing, RingError, Zmod,
                              parse_ring)
 from transvect.words import (LINEAR, SYMPLECTIC, GeneratorAtom,
-                             GeneratorWord, bass_symplectic_transvection,
-                             conjugation_triple, decompose_mu, decompose_rho,
-                             hyperbolic_defect, lin, mu_matrix,
+                             GeneratorWord, atom_rows,
+                             bass_symplectic_transvection, commutator,
+                             conjugate, conjugation_triple, decompose_mu,
+                             decompose_rho, hyperbolic_defect, inverse_atoms,
+                             lin, mu_matrix,
                              relative_generator, rho_matrix, se,
                              transvection_action_mu, transvection_action_rho,
                              word_from_json, word_to_json)
@@ -202,3 +204,27 @@ def test_word_json_round_trip(ring, specs):
 def test_word_rejects_an_argument_from_another_ring(ring, foreign):
     with pytest.raises(RingError):
         GeneratorWord(ring, 4, [se(1, 2, foreign)])
+
+
+def test_word_product_needs_one_ring_and_size():
+    word = GeneratorWord(Zmod(9), 4, [se(1, 2, 1)])
+    for other in (GeneratorWord(Zmod(9), 6, [se(1, 2, 1)]),
+                  GeneratorWord(Zmod(15), 4, [se(1, 2, 1)])):
+        with pytest.raises(RingError, match="word mismatch"):
+            word * other
+
+
+def test_atom_list_algebra_matches_matrix_products():
+    """inverse_atoms, commutator and conjugate against dense products of
+    the evaluated words; atom_rows reads each atom's (i, j, arg mod m)."""
+    ring = Zmod(9)
+    x = [se(1, 2, ring.element(2)), se(3, 1, ring.element(4))]
+    y = [se(2, 4, ring.element(5)), lin(1, 3, ring.element(7))]
+    ev = lambda atoms: GeneratorWord(ring, 4, atoms).eval()
+    eye = SquareMatrix.identity(ring, 4)
+    assert ev(inverse_atoms(x)) * ev(x) == eye != ev(x)
+    assert ev(commutator(x, y)) == (ev(x) * ev(y) * ev(inverse_atoms(x))
+                                    * ev(inverse_atoms(y)))
+    assert ev(conjugate(x, y)) == ev(x) * ev(y) * ev(inverse_atoms(x))
+    assert atom_rows(conjugate(x, y)) == [
+        (1, 2, 2), (3, 1, 4), (2, 4, 5), (1, 3, 7), (3, 1, 5), (1, 2, 7)]
