@@ -18,7 +18,7 @@ import time
 from functools import cache
 
 from .identities import splice_telescoping
-from .matrices import matrix_from_json, standard_form
+from .matrices import matrix_from_json
 from .normalforms import (LocalRingWitness, random_form,
                           reduce_alternating_local,
                           reduce_alternating_semilocal)
@@ -30,8 +30,7 @@ from .relations import suite_summary, verify_relation_suite
 from .rewrite import conjugate_first_rowcol
 from .rings import (X, Y, DescriptorError, Dyadic, Ideal, PolyRing,
                     RingError, Zmod, parse_ideal, parse_ring)
-from .words import (GeneratorWord, decompose_mu, decompose_rho, lin,
-                    mu_matrix, rho_matrix, se, word_to_json)
+from .words import GeneratorWord, decomposition_counts, lin, se, word_to_json
 
 
 class RunReport:
@@ -125,24 +124,16 @@ def _cmd_decompose(args, report, ring, _ideal):
     if args.symbolic:
         ring = _symbolic_q_ring(m)
         q = [ring.var("q%d" % k) for k in range(1, m + 1)]
-        alphas = [(q, ring.var("al"), ring.var("be"))]
+        alphas, total = [(q, ring.var("al"), ring.var("be"))], 1
     else:
         rng = random.Random(args.seed)
-        alphas = []
-        for _ in range(args.samples):
-            q = [ring.sample(rng) for _ in range(m)]
-            alphas.append((q, ring.sample(rng), ring.sample(rng)))
-    psi = standard_form(ring, args.n)
-    rho_ok = mu_ok = 0
-    for q, al, be in alphas:
-        if decompose_rho(ring, q, al).eval() == rho_matrix(ring, q, al, psi):
-            rho_ok += 1
-        if decompose_mu(ring, q, be).eval() == mu_matrix(ring, q, be, psi):
-            mu_ok += 1
-    report.add("rho-decomposition", rho_ok == len(alphas) > 0,
-               passed=rho_ok, total=len(alphas))
-    report.add("mu-decomposition", mu_ok == len(alphas) > 0,
-               passed=mu_ok, total=len(alphas))
+        # q, then alpha, then beta per sample, drawn as each block is read
+        alphas = (([ring.sample(rng) for _ in range(m)], ring.sample(rng),
+                   ring.sample(rng)) for _ in range(args.samples))
+        total = args.samples
+    rho_ok, mu_ok = decomposition_counts(ring, args.n, alphas)
+    for name, ok in (("rho-decomposition", rho_ok), ("mu-decomposition", mu_ok)):
+        report.add(name, ok == total > 0, passed=ok, total=total)
 
 
 def _read_form(path, ring):

@@ -141,6 +141,13 @@ def reduce_alternating_local(phi, L, I=None):
     phi congruent to psi_n mod I) emits a product of conjugation
     triples with cores in I.
     """
+    eps = _local_epsilon(phi, L, I)
+    _certify(phi, eps)
+    return eps
+
+
+def _local_epsilon(phi, L, I):
+    """eps of ``reduce_alternating_local``, its postcondition unchecked."""
     ring = L.ring
     m = phi.n
     if m % 2 or m < 2:
@@ -162,14 +169,15 @@ def reduce_alternating_local(phi, L, I=None):
                         _reduce_atoms(phi, L, I if relative else None)).inverse()
     if relative:
         eps.check_relative(I)
-    if not _postcondition_holds(phi, eps):
-        raise RingError("postcondition congruence failed")
     return eps
 
 
-def _postcondition_holds(phi, eps):
-    """(1 perp eval(eps))^t psi_n (1 perp eval(eps)) == phi."""
-    return eps.shifted(1).congruence(standard_form(phi.ring, phi.n // 2)) == phi
+def _certify(phi, eps):
+    """(1 perp eval(eps))^t psi_n (1 perp eval(eps)) == phi: True or raise."""
+    holds = eps.shifted(1).congruence(standard_form(phi.ring, phi.n // 2)) == phi
+    if not holds:
+        raise RingError("postcondition congruence failed")
+    return holds
 
 
 def random_form(ring, n, rng, ideal=None):
@@ -242,9 +250,9 @@ def reduce_alternating_semilocal(phi, I=None):
         phi_p = SquareMatrix(local, [[project(e) for e in row]
                                      for row in phi.rows])
         I_p = _project_ideal(I, local, project)
-        eps = reduce_alternating_local(phi_p, witness, I_p)
+        eps = _local_epsilon(phi_p, witness, I_p)
         table[p] = {"ring": local, "witness": witness, "epsilon": eps,
-                    "verified": _postcondition_holds(phi_p, eps)}
+                    "verified": _certify(phi_p, eps)}
     return table
 
 

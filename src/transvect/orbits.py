@@ -35,7 +35,8 @@ import numpy as np
 from .matrices import sigma
 from .rewrite import square_ideal_atoms
 from .rings import DescriptorError, Ideal, RingError, Zmod
-from .words import LINEAR, SYMPLECTIC, atom_rows, eval_table, word_table
+from .words import (CHUNK_ROWS, LINEAR, SYMPLECTIC, atom_rows, eval_table,
+                    word_table)
 
 # family -> (group it generates, kind), read only by GroupSpec
 FAMILIES = {
@@ -241,9 +242,6 @@ class OrbitPartition:
 # table of that many int32 row indices (16 MiB).  Larger key spaces,
 # where the universe is a sparse subset, use np.searchsorted.
 _TABLE_SLOTS = 2 ** 22
-# Rows per block of a generator's image computation; the partition does
-# not depend on it.
-_CHUNK_ROWS = 4096
 
 
 def _search(keys, img):
@@ -296,7 +294,7 @@ def _key_reader(cols, powers, g, m, deps, cs, index, digit_tuples):
 
 def _neighbours(cols, keys, powers, g, m, find, digit_index, digit_tuples,
                 stats):
-    """Index of ``row @ g`` for every row, _CHUNK_ROWS rows at a time.
+    """Index of ``row @ g`` for every row, CHUNK_ROWS rows at a time.
 
     Image column c is ``(g[deps, c] @ x[deps]) % m``, deps being c and
     the rows where g[:, c] differs from the identity.  The columns C
@@ -321,8 +319,8 @@ def _neighbours(cols, keys, powers, g, m, find, digit_index, digit_tuples,
         stats["row_columns" if index is None else "table_columns"] += len(cs)
     n_rows = len(keys)
     nbr = np.empty(n_rows, dtype=np.int64)
-    for lo in range(0, n_rows, _CHUNK_ROWS):
-        span = slice(lo, lo + _CHUNK_ROWS)
+    for lo in range(0, n_rows, CHUNK_ROWS):
+        span = slice(lo, lo + CHUNK_ROWS)
         img = keys[span].copy()
         for read in reads:
             img += read(span)
@@ -748,9 +746,9 @@ def _first_rowcol_atoms(size, m, g, rng, count):
 
 def _first_rowcol_samples(size, m, g, rng, samples):
     """The evaluated sample words of ``_first_rowcol_atoms``, drawn in
-    order from ``rng``, as (k, n, n) blocks of at most _CHUNK_ROWS."""
-    for lo in range(0, samples, _CHUNK_ROWS):
-        count = min(_CHUNK_ROWS, samples - lo)
+    order from ``rng``, as (k, n, n) blocks of at most CHUNK_ROWS."""
+    for lo in range(0, samples, CHUNK_ROWS):
+        count = min(CHUNK_ROWS, samples - lo)
         yield eval_table(_first_rowcol_atoms(size, m, g, rng, count), size, m,
                          SYMPLECTIC)
 
@@ -764,7 +762,7 @@ def kernel_membership_test(ring, size, ideal, samples=1000, seed=0,
     relative triples under conjugation by the absolute ESp generators
     (for I = R, ESp itself), then samples first-rowcol words whose
     evaluation is = identity mod I (by construction).  The samples are
-    drawn as int64 atom blocks of at most _CHUNK_ROWS words, each block
+    drawn as int64 atom blocks of at most CHUNK_ROWS words, each block
     is evaluated by batched column operations, and the block is sifted
     through the chain at once by ``StabilizerChain.members``.  The
     chain's int64 overflow guard runs before any sample is drawn.
@@ -788,7 +786,7 @@ def kernel_membership_test(ring, size, ideal, samples=1000, seed=0,
 
 
 def _square_ideal_samples(ring, size, ideal, rng, samples):
-    """Per block of at most _CHUNK_ROWS samples, drawn in order from
+    """Per block of at most CHUNK_ROWS samples, drawn in order from
     ``rng``: the conjugates se_kl(z) se_ij(ab) se_kl(-z), a, b in I, and
     the right sides of their certified factorizations, each evaluated
     once as one atom table, and how many were factored: all but a long
@@ -798,10 +796,10 @@ def _square_ideal_samples(ring, size, ideal, rng, samples):
     passes ``Ideal.contains``."""
     m, g = ring.m, ideal.modulus()
     pairs = _index_pairs(size)
-    for lo in range(0, samples, _CHUNK_ROWS):
+    for lo in range(0, samples, CHUNK_ROWS):
         draws = [(*rng.choice(pairs), *rng.choice(pairs), rng.randrange(m),
                   g * rng.randrange(m) % m, g * rng.randrange(m) % m)
-                 for _ in range(min(_CHUNK_ROWS, samples - lo))]
+                 for _ in range(min(CHUNK_ROWS, samples - lo))]
         conj = [[(k, l, z), (i, j, a * b % m), (k, l, -z % m)]
                 for i, j, k, l, z, a, b in draws]
         split = np.array([not (i == sigma(j) and (k, l) == (j, i))

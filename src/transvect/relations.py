@@ -26,9 +26,9 @@ import random
 from itertools import product
 
 from .matrices import sigma
-from .rings import Dyadic, PolyRing, Zmod
+from .rings import Dyadic, PolyRing
 from .words import (SYMPLECTIC, GeneratorWord, atom_rows, commutator,
-                    conjugate, eval_table, se, word_table)
+                    conjugate, eval_table, fits_table, se, word_table)
 
 
 #: sampled instances per pair of atom tables: the atom rows of one block
@@ -143,13 +143,6 @@ def _report(rel_id, n, indices, holds):
     }
 
 
-def _fits_table(ring):
-    """Whether the sides of a relation over ``ring`` can be one int64
-    atom table: Z/m (GF included) whose ``eval_table`` entries, below
-    (m-1) + (m-1)**2, fit in int64."""
-    return isinstance(ring, Zmod) and ring.m * (ring.m - 1) < 2 ** 63
-
-
 def symbolic_ring():
     """Z[1/2][a, b]: generic ground ring for the whole table."""
     return PolyRing(Dyadic(), ("a", "b"))
@@ -177,7 +170,7 @@ def verify_relation_suite(n, ring=None, mode="symbolic", samples=20, seed=0):
         raise ValueError("mode must be symbolic or sampled")
     cases = [(rel_id, idx) for rel_id in RELATION_IDS
              for idx in admissible_indices(rel_id, n) for _ in range(samples)]
-    if mode == "symbolic" or not _fits_table(ring):
+    if mode == "symbolic" or not fits_table(ring):
         return [verify_relation(ring, rel_id, n, idx, *draw())
                 for rel_id, idx in cases]
     holds = []

@@ -9,15 +9,20 @@ How an atom acts is written here only: on rows of ring elements
 from __future__ import annotations
 
 import json
+from itertools import islice
 
 import numpy as np
 
-from .matrices import SquareMatrix, dot, row_times, sigma
-from .rings import RingElement, RingError
+from .matrices import SquareMatrix, dot, row_times, sigma, standard_form
+from .rings import RingElement, RingError, Zmod
 
 
 LINEAR = "linear"
 SYMPLECTIC = "symplectic"
+
+# Rows per int64 block: of a generator's image in the orbit engine and
+# of the sampled decompositions; no result depends on it.
+CHUNK_ROWS = 4096
 
 
 class GeneratorAtom:
@@ -131,6 +136,11 @@ def word_table(words):
                     dtype=np.int64).reshape(len(words), length, 3)
 
 
+def fits_table(ring):
+    """Whether ``ring`` is a Z/m whose ``eval_table`` entries fit int64."""
+    return isinstance(ring, Zmod) and ring.m * (ring.m - 1) < 2 ** 63
+
+
 def eval_table(atoms, size, m, family):
     """The words of an (S, L, 3) table of atoms (i, j, arg mod m) of
     ``family`` as an (S, n, n) int64 array mod m, by the rule of
@@ -212,11 +222,6 @@ class GeneratorWord:
             raise RingError("a symplectic word shifts by an even k only")
         return GeneratorWord(self.ring, self.size + k, [
             GeneratorAtom(a.family, a.i + k, a.j + k, a.arg) for a in self.atoms])
-
-    def __mul__(self, other):
-        if other.ring is not self.ring or other.size != self.size:
-            raise RingError("word mismatch")
-        return GeneratorWord(self.ring, self.size, self.atoms + other.atoms)
 
     def __len__(self):
         return len(self.atoms)
@@ -302,6 +307,18 @@ def _rho_mu(ring, q, phi, r, corner):
     return SquareMatrix.from_rows(ring, rows)
 
 
+def _rho_mu_table(q, t, psi, m, r):
+    """``_rho_mu`` for rho (r = 1, t = alpha) or mu (r = 0, t = beta)
+    over Z/m, one per row of the (S, 2n) int64 array q, psi an int64
+    array.  Each product q_k psi_kc is reduced before the sum."""
+    qpsi = (q[:, :, None] * psi % m).sum(axis=1) % m
+    out = np.tile(np.eye(q.shape[1] + 2, dtype=np.int64), (len(q), 1, 1))
+    out[:, r, 1 - r] = t if r else -t % m
+    out[:, r, 2:] = -qpsi % m if r else qpsi
+    out[:, 2:, 1 - r] = q
+    return out
+
+
 def rho_matrix(ring, q, alpha, phi):
     """Block matrix [[1,0,0],[alpha,1,-q*phi],[q^t,0,I]] of size 2n+2."""
     return _rho_mu(ring, q, phi, 1, ring.element(alpha))
@@ -322,31 +339,63 @@ def hyperbolic_defect(ring, q):
     return acc
 
 
+def _rho_atoms(ring, q, alpha):
+    q = _as_row(ring, q)
+    return [se(2, 1, ring.element(alpha) + hyperbolic_defect(ring, q)),
+            *(se(i, 1, x) for i, x in enumerate(q, start=3))]
+
+
+def _mu_atoms(ring, q, beta):
+    q = _as_row(ring, q)
+    return [se(1, 2, hyperbolic_defect(ring, q) - ring.element(beta)),
+            *(se(1, i, -q[sigma(i - 2) - 1] if i % 2 else q[sigma(i - 2) - 1])
+              for i in range(3, len(q) + 3))]
+
+
 def decompose_rho(ring, q, alpha):
     """Generator word evaluating to rho_matrix(q, alpha, psi_n).
 
     First factor se_21(alpha + h(q)); the plain se_21(alpha) of the
     source display fails by the hyperbolic cross-term (see errata).
     """
-    q = _as_row(ring, q)
-    size = len(q) + 2
-    atoms = [se(2, 1, ring.element(alpha) + hyperbolic_defect(ring, q))]
-    for i in range(3, size + 1):
-        atoms.append(se(i, 1, q[i - 3]))
-    return GeneratorWord(ring, size, atoms)
+    return GeneratorWord(ring, len(q) + 2, _rho_atoms(ring, q, alpha))
 
 
 def decompose_mu(ring, q, beta):
     """Generator word evaluating to mu_matrix(q, beta, psi_n)."""
-    q = _as_row(ring, q)
-    size = len(q) + 2
-    atoms = [se(1, 2, hyperbolic_defect(ring, q) - ring.element(beta))]
-    for i in range(3, size + 1):
-        arg = q[sigma(i - 2) - 1]
-        if i % 2 == 1:
-            arg = -arg
-        atoms.append(se(1, i, arg))
-    return GeneratorWord(ring, size, atoms)
+    return GeneratorWord(ring, len(q) + 2, _mu_atoms(ring, q, beta))
+
+
+def decomposition_counts(ring, n, samples):
+    """(rho passed, mu passed) over the samples (q, alpha, beta): how many
+    decompose_rho / decompose_mu words evaluate to rho_matrix(q, alpha,
+    psi_n) / mu_matrix(q, beta, psi_n).  Over a Z/m that ``fits_table``,
+    per block of ``CHUNK_ROWS`` samples each family's atom rows are one
+    int64 table, evaluated by ``eval_table`` and compared row by row with
+    ``_rho_mu_table``; other rings evaluate each sample's two words."""
+    psi = standard_form(ring, n)
+    ok = [0, 0]
+    if not fits_table(ring):
+        for q, al, be in samples:
+            ok[0] += decompose_rho(ring, q, al).eval() == \
+                rho_matrix(ring, q, al, psi)
+            ok[1] += decompose_mu(ring, q, be).eval() == \
+                mu_matrix(ring, q, be, psi)
+        return tuple(ok)
+    m, size = ring.m, 2 * n + 2
+    psi = np.array([[x.value for x in row] for row in psi.rows],
+                   dtype=np.int64).reshape(2 * n, 2 * n)
+    samples = iter(samples)
+    while block := list(islice(samples, CHUNK_ROWS)):
+        vals = np.array([[x.value for x in _as_row(ring, (*q, al, be))]
+                         for q, al, be in block], dtype=np.int64)
+        for f, (atoms, r) in enumerate(((_rho_atoms, 1), (_mu_atoms, 0))):
+            words = eval_table(word_table(
+                [atom_rows(atoms(ring, s[0], s[2 - r])) for s in block]),
+                size, m, SYMPLECTIC)
+            closed = _rho_mu_table(vals[:, :-2], vals[:, -1 - r], psi, m, r)
+            ok[f] += int((words == closed).all(axis=(1, 2)).sum())
+    return tuple(ok)
 
 
 # -- Bass symplectic transvections -----------------------------------

@@ -191,9 +191,9 @@ def test_criterion_11_determinism(monkeypatch):
     I9 = Ideal.principal(Zmod(9), 3)
     a = check_orbit_equality(Zmod(9), 4, I9)
     c1 = check_dim0_transitivity(Zmod(9), 4, I9)
-    monkeypatch.setattr(orbits, "_CHUNK_ROWS", 17)
+    monkeypatch.setattr(orbits, "CHUNK_ROWS", 17)
     b = check_orbit_equality(Zmod(9), 4, I9)
-    monkeypatch.setattr(orbits, "_CHUNK_ROWS", 13)
+    monkeypatch.setattr(orbits, "CHUNK_ROWS", 13)
     c2 = check_dim0_transitivity(Zmod(9), 4, I9)
     k1 = kernel_membership_test(Zmod(9), 4, I9, samples=200, seed=7)
     k2 = kernel_membership_test(Zmod(9), 4, I9, samples=200, seed=7)

@@ -59,7 +59,7 @@ GOLDEN = [
      "b47f2c6595a7ed2630566f894372edc0e1c9611bc4f679ac530f0bd9592a03ae"),
     # kernel-test: the finite workload's run at seeds 0 and 1, the full
     # and zero ideals, no samples, 5,000 samples (more than one block of
-    # orbits._CHUNK_ROWS) and Z/25 past the default cap
+    # words.CHUNK_ROWS) and Z/25 past the default cap
     (["kernel-test", "--ring", "zmod:9", "--size", "4", "--ideal", "3",
       "--samples", "1000", "--seed", "0"],
      "e54692e2cea38df71d79a94af7d8b42754f389ae7f0bda579e31aedfd07a6a49"),
@@ -129,6 +129,18 @@ GOLDEN = [
      "dd29abd32e65f5d77ee54148d414e5ccbe2b7eeb0f08ececbe23601d48532a61"),
     (["orbits", "--ring", "zmod:5", "--size", "1", "--group", "e"],
      "8bd036e99de36aee19cc56073b1edb6cfde9c0bc9cc7cb6d3ee93c8ead31fc30"),
+    # decompose over GF(5) at n = 3, over Z/27 with 5,000 samples (two
+    # blocks of words.CHUNK_ROWS) and over Z/(2**33 + 1), whose products
+    # overflow int64 and keep the per-sample evaluation
+    (["decompose", "--ring", "gf:5", "--n", "3", "--samples", "50",
+      "--seed", "4"],
+     "c722f0f1c51a332b7b3ad2a80159c8c11fd18828eccaad84e8754065d3f2f729"),
+    (["decompose", "--ring", "zmod:27", "--n", "1", "--samples", "5000",
+      "--seed", "2"],
+     "2ae09161283eecefc0e3b63dd50d6c8677ea90c5c2690ab5c1ffeb9ec16d7bac"),
+    (["decompose", "--ring", "zmod:8589934593", "--n", "1", "--samples",
+      "2"],
+     "0865a0e10f619794ab2cc94f1ab2f8efb29b13ed7db8e545870e78aa503199d2"),
 ]
 
 

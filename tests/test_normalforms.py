@@ -133,8 +133,9 @@ def test_semilocal_prime_case_defers_to_local():
 
 
 def test_semilocal_verified_flag_is_computed(monkeypatch):
-    """A local reduction that returns a wrong word is flagged, not
-    trusted: the table recomputes each prime's postcondition."""
+    """A local reduction that returns a wrong word is not trusted: the
+    table computes each prime's postcondition, and a failing one raises
+    the local reduction's error."""
     rng = random.Random(3)
     phi = random_form(Zmod(45), 2, rng)
     while phi == standard_form(Zmod(45), 2):
@@ -142,9 +143,32 @@ def test_semilocal_verified_flag_is_computed(monkeypatch):
 
     def empty_word(phi_p, witness, ideal):
         return GeneratorWord(phi_p.ring, phi_p.n - 1, [])
-    monkeypatch.setattr(normalforms, "reduce_alternating_local", empty_word)
-    table = reduce_alternating_semilocal(phi)
-    assert not all(rec["verified"] for rec in table.values())
+    monkeypatch.setattr(normalforms, "_local_epsilon", empty_word)
+    with pytest.raises(RingError, match="postcondition congruence failed"):
+        reduce_alternating_semilocal(phi)
+
+
+@pytest.mark.parametrize("gen", [None, 3])
+def test_semilocal_postcondition_is_checked_once_per_prime(gen, monkeypatch):
+    """Each prime's congruence is computed exactly once, and its
+    ``verified`` flag is the bool that one check returned."""
+    ring = Zmod(45)
+    ideal = None if gen is None else parse_ideal(ring, str(gen))
+    certify = normalforms._certify
+    calls = []
+
+    def spy(phi_p, eps):
+        calls.append((phi_p.ring.m, certify(phi_p, eps)))
+        return calls[-1][1]
+    monkeypatch.setattr(normalforms, "_certify", spy)
+    rng = random.Random(20)
+    for _ in range(5):
+        table = reduce_alternating_semilocal(random_form(ring, 2, rng, ideal),
+                                             ideal)
+        assert sorted(m for m, _ in calls) == [5, 9]
+        assert {rec["ring"].m: rec["verified"]
+                for rec in table.values()} == dict(calls)
+        calls.clear()
 
 
 @pytest.mark.parametrize("gen", [3, 5, 15, 0])
@@ -155,13 +179,13 @@ def test_semilocal_reduction_with_principal_ideal(gen, n, monkeypatch):
     ring = Zmod(45)
     ideal = parse_ideal(ring, str(gen))
     rng = random.Random(45 * n + gen)
-    local_reduction = normalforms.reduce_alternating_local
+    local_reduction = normalforms._local_epsilon
     ideals = {}
 
     def spy(phi_p, witness, ideal_p):
         ideals[witness.ring.m] = ideal_p
         return local_reduction(phi_p, witness, ideal_p)
-    monkeypatch.setattr(normalforms, "reduce_alternating_local", spy)
+    monkeypatch.setattr(normalforms, "_local_epsilon", spy)
     for _ in range(3):
         table = reduce_alternating_semilocal(random_form(ring, n, rng, ideal),
                                              ideal)

@@ -19,8 +19,8 @@ from transvect import rewrite
 from transvect.rewrite import conjugate_square_ideal, square_ideal_atoms
 from transvect.rings import DescriptorError, Ideal, RingError, Zmod
 from transvect.words import (LINEAR, SYMPLECTIC, GeneratorAtom, GeneratorWord,
-                             conjugation_triple, eval_table, lin, se,
-                             word_table)
+                             conjugate, conjugation_triple, eval_table, lin,
+                             se, word_table)
 
 
 def test_unimodular_counts():
@@ -266,7 +266,7 @@ def test_partition_chunk_independent(monkeypatch):
     universe = enumerate_unimodular(R, 4, I)
     gens = generators_for(GroupSpec("linear-E-relative", 4, R, I))
     p1 = orbit_partition(universe, gens, ring=R)
-    monkeypatch.setattr(orbits, "_CHUNK_ROWS", 7)
+    monkeypatch.setattr(orbits, "CHUNK_ROWS", 7)
     p2 = orbit_partition(universe, gens, ring=R)
     assert p1.same_partition(p2)
 
@@ -444,7 +444,7 @@ def _assert_matches_oracle(universe, gens, ring):
     want = _bfs_labels(universe, gens, ring.m)
     for chunk in (1, 7, 4096):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(orbits, "_CHUNK_ROWS", chunk)
+            mp.setattr(orbits, "CHUNK_ROWS", chunk)
             part = orbit_partition(universe, gens, ring=ring)
         assert part.label_of == want
         assert part.stats["multiplications"] == len(universe) * len(gens)
@@ -657,7 +657,7 @@ def _assert_kernel_matches_lookup(universe, gens, m):
         table = sum(m ** int(k) <= len(universe) for k in deps)
         for chunk in (1, 7, 4096):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(orbits, "_CHUNK_ROWS", chunk)
+                mp.setattr(orbits, "CHUNK_ROWS", chunk)
                 nbr, stats = _kernel(universe, g, m)
             assert np.array_equal(nbr, want)
             assert stats == {"table_columns": table,
@@ -1255,7 +1255,7 @@ def test_sample_blocks_match_the_word_oracle(m, size, g, chunk, monkeypatch):
     """Drawn and evaluated block by block, the samples are the oracle's
     words evaluated exactly, in order, whatever the block size, and the
     Random ends in the same state."""
-    monkeypatch.setattr(orbits, "_CHUNK_ROWS", chunk)
+    monkeypatch.setattr(orbits, "CHUNK_ROWS", chunk)
     ring = Zmod(m)
     ideal = Ideal.principal(ring, g)
     block, loop = random.Random(size + g), random.Random(size + g)
@@ -1283,9 +1283,8 @@ def _square_ideal_by_loop(ring, size, ideal, rng, samples):
         z = ring.element(rng.randrange(m))
         a = ring.element(g * rng.randrange(m))
         b = ring.element(g * rng.randrange(m))
-        alpha = GeneratorWord(ring, size, [se(k, l, z)])
-        word = alpha * GeneratorWord(ring, size, [se(i, j, a * b)]) \
-            * alpha.inverse()
+        word = GeneratorWord(ring, size,
+                             conjugate([se(k, l, z)], [se(i, j, a * b)]))
         res = None
         if not (i == sigma(j) and (k, l) == (j, i)):
             res = conjugate_square_ideal(ring, size, i, j, z, a, b, ideal,
@@ -1303,7 +1302,7 @@ def test_square_ideal_blocks_match_the_word_oracle(m, g, size, chunk,
     evaluated exactly, in order; the factored count agrees and the
     Random ends in the same state.  The right-hand sides have unequal
     lengths, so their tables are padded."""
-    monkeypatch.setattr(orbits, "_CHUNK_ROWS", chunk)
+    monkeypatch.setattr(orbits, "CHUNK_ROWS", chunk)
     ring = Zmod(m)
     ideal = Ideal.principal(ring, g)
     block, loop = random.Random(m + size), random.Random(m + size)
@@ -1406,7 +1405,7 @@ def test_a_planted_wrong_factorization_fails_the_square_ideal_test(
 
 def test_kernel_samples_stay_within_one_block():
     """20,000 samples over Z/3 at size 2 with the zero ideal are drawn
-    and evaluated one block of _CHUNK_ROWS words at a time: the traced
+    and evaluated one block of CHUNK_ROWS words at a time: the traced
     peak stays well below the 5.8 MB that one (20000, 12, 3) int64
     atom table alone would take."""
     R = Zmod(3)

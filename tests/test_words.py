@@ -1,9 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from transvect import words
+from transvect.cli import run
 from transvect.matrices import (SquareMatrix, matrix_from_json,
                                 matrix_to_json, sigma, standard_form)
 from transvect.rings import (Dyadic, GF, Ideal, PolyRing, RingError, Zmod,
@@ -12,7 +15,8 @@ from transvect.words import (LINEAR, SYMPLECTIC, GeneratorAtom,
                              GeneratorWord, atom_rows,
                              bass_symplectic_transvection, commutator,
                              conjugate, conjugation_triple, decompose_mu,
-                             decompose_rho, hyperbolic_defect, inverse_atoms,
+                             decompose_rho, decomposition_counts,
+                             hyperbolic_defect, inverse_atoms,
                              lin, mu_matrix,
                              relative_generator, rho_matrix, se,
                              transvection_action_mu, transvection_action_rho,
@@ -57,15 +61,18 @@ def test_relative_shape_follows_the_atoms():
     a word not made of conjugation triples fails however it was built."""
     R = Zmod(9)
     I = Ideal.principal(R, 3)
-    w = relative_generator(R, "linear", 3, 1, 2, 5, 6, I) * \
-        relative_generator(R, "linear", 3, 3, 1, 2, 3, I)
-    for word in (w * w, w.shifted(2), w.inverse()):
+    w = GeneratorWord(R, 3, [
+        *relative_generator(R, "linear", 3, 1, 2, 5, 6, I).atoms,
+        *relative_generator(R, "linear", 3, 3, 1, 2, 3, I).atoms])
+    for word in (GeneratorWord(R, 3, [*w.atoms, *w.atoms]), w.shifted(2),
+                 w.inverse()):
         assert word.check_relative(I)
     bad = [GeneratorWord(R, 3, [lin(1, 2, 4)]),
            GeneratorWord(R, 3, [lin(1, 2, 4), lin(2, 1, 3), lin(1, 2, 4)]),
            GeneratorWord(R, 3, [lin(1, 2, 4), lin(2, 3, 3), lin(1, 2, 5)]),
            GeneratorWord(R, 3, list(w.atoms) + [lin(1, 2, 4)])]
-    bad += [b.inverse() for b in bad] + [w * bad[0], bad[0].shifted(2)]
+    bad += [b.inverse() for b in bad] + [
+        GeneratorWord(R, 3, [*w.atoms, *bad[0].atoms]), bad[0].shifted(2)]
     for word in bad:
         with pytest.raises(RingError, match="not a conjugation triple"):
             word.check_relative(I)
@@ -95,6 +102,129 @@ def test_rho_mu_decomposition_symbolic(n):
 def test_hyperbolic_defect_value():
     R = Zmod(9)
     assert hyperbolic_defect(R, [2, 3, 4, 5]) == R.element(2 * 3 + 4 * 5)
+
+
+def _draw(ring, n, count, seed):
+    rng = random.Random(seed)
+    return [([ring.sample(rng) for _ in range(2 * n)], ring.sample(rng),
+             ring.sample(rng)) for _ in range(count)]
+
+
+def _evaluated_counts(ring, n, samples):
+    """The oracle: each sample's two words evaluated and compared with
+    rho_matrix and mu_matrix one by one."""
+    psi = standard_form(ring, n)
+    return (sum(decompose_rho(ring, q, al).eval() == rho_matrix(ring, q, al, psi)
+                for q, al, _ in samples),
+            sum(decompose_mu(ring, q, be).eval() == mu_matrix(ring, q, be, psi)
+                for q, _, be in samples))
+
+
+def _plant_plain_rho_factor(monkeypatch):
+    """Make every rho word start with the source display's se_21(alpha),
+    without the hyperbolic defect h(q)."""
+    rho_atoms = words._rho_atoms
+
+    def plain(ring, q, alpha):
+        return [se(2, 1, ring.element(alpha)), *rho_atoms(ring, q, alpha)[1:]]
+    monkeypatch.setattr(words, "_rho_atoms", plain)
+
+
+@pytest.mark.parametrize("plant", [False, True], ids=["library", "plain"])
+@pytest.mark.parametrize("count", [0, 11])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize("ring", [Zmod(9), Zmod(15), Zmod(27), GF(5)],
+                         ids=str)
+def test_decomposition_counts_match_evaluated_words(ring, n, count, plant,
+                                                    monkeypatch):
+    """The atom-table counts equal the per-sample evaluation, with 11
+    samples spanning two blocks of 8; with the plain rho factor both
+    fail wherever h(q) != 0."""
+    monkeypatch.setattr(words, "CHUNK_ROWS", 8)
+    if plant:
+        _plant_plain_rho_factor(monkeypatch)
+    samples = _draw(ring, n, count, 10 * n + count)
+    counts = decomposition_counts(ring, n, samples)
+    assert counts == _evaluated_counts(ring, n, samples)
+    defects = sum(not hyperbolic_defect(ring, q).is_zero()
+                  for q, _, _ in samples)
+    assert counts == (count - defects if plant else count, count)
+
+
+@pytest.mark.parametrize("ring", [Zmod(9), Zmod(2 ** 33 + 1)], ids=str)
+def test_plain_rho_factor_fails_on_both_paths(ring, monkeypatch):
+    """The errata's plain se_21(alpha) fails on the table path (Z/9) and
+    on the per-sample fallback (a Z/m past int64)."""
+    _plant_plain_rho_factor(monkeypatch)
+    samples = _draw(ring, 1, 20, 1)
+    rho_ok, mu_ok = decomposition_counts(ring, 1, samples)
+    assert (rho_ok, mu_ok) == _evaluated_counts(ring, 1, samples)
+    assert rho_ok < 20 == mu_ok
+
+
+def _largest_table_modulus():
+    m = 3037000499  # the largest odd m with m * (m - 1) < 2**63
+    assert m * (m - 1) < 2 ** 63 <= (m + 2) * (m + 1)
+    return Zmod(m)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize("ring", [Zmod(9), GF(5), _largest_table_modulus()],
+                         ids=str)
+def test_closed_form_tables_equal_rho_and_mu_matrices(ring, n):
+    """_rho_mu_table is rho_matrix / mu_matrix entry for entry, also
+    where (m-1)**2 nearly reaches 2**63."""
+    samples = _draw(ring, n, 6, n)
+    psi = standard_form(ring, n)
+    psi_arr = np.array([[x.value for x in row] for row in psi.rows],
+                       dtype=np.int64).reshape(2 * n, 2 * n)
+    q = np.array([[x.value for x in s[0]] for s in samples],
+                 dtype=np.int64).reshape(6, 2 * n)
+    for r, k, matrix in ((1, 1, rho_matrix), (0, 2, mu_matrix)):
+        t = np.array([s[k].value for s in samples], dtype=np.int64)
+        table = words._rho_mu_table(q, t, psi_arr, ring.m, r)
+        for got, s in zip(table.tolist(), samples):
+            want = matrix(ring, s[0], s[k], psi)
+            assert got == [[x.value for x in row] for row in want.rows]
+
+
+def test_table_decompose_evaluates_no_word(monkeypatch, tmp_path):
+    """A Z/9 decompose evaluates no GeneratorWord, and builds no
+    SquareMatrix per sample."""
+    def no_eval(*args):
+        raise AssertionError("a word or matrix was evaluated")
+
+    for name in ("rho_matrix", "mu_matrix"):
+        monkeypatch.setattr(words, name, no_eval)
+    monkeypatch.setattr(words.GeneratorWord, "eval", no_eval)
+    assert run(["decompose", "--ring", "zmod:9", "--samples", "30",
+                "--out", str(tmp_path / "report.json")]) == 0
+    built = []
+    from_rows = SquareMatrix.from_rows.__func__
+    monkeypatch.setattr(SquareMatrix, "from_rows", classmethod(
+        lambda cls, *args: built.append(1) or from_rows(cls, *args)))
+    for count in (3, 300):
+        assert decomposition_counts(Zmod(9), 2, _draw(Zmod(9), 2, count, 0)) \
+            == (count, count)
+    assert len(built) == 2
+
+
+@pytest.mark.parametrize("ring", [Zmod(2 ** 33 + 1), Dyadic(),
+                                  _symbolic_q_ring(2)],
+                         ids=["zmod-2^33+1", "dyadic", "symbolic"])
+def test_other_rings_never_evaluate_a_table(ring, monkeypatch):
+    """Symbolic rings, rings other than Z/m, and a Z/m whose products
+    overflow int64 keep the per-sample evaluation."""
+    def no_table(*args):
+        raise AssertionError("an atom table was evaluated")
+
+    monkeypatch.setattr(words, "eval_table", no_table)
+    if isinstance(ring, PolyRing):
+        t = ring.var("t")
+        samples = [([ring.var("q1"), ring.var("q2")], t, t)]
+    else:
+        samples = _draw(ring, 1, 3, 0)
+    assert decomposition_counts(ring, 1, samples) == (len(samples),) * 2
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -204,14 +334,6 @@ def test_word_json_round_trip(ring, specs):
 def test_word_rejects_an_argument_from_another_ring(ring, foreign):
     with pytest.raises(RingError):
         GeneratorWord(ring, 4, [se(1, 2, foreign)])
-
-
-def test_word_product_needs_one_ring_and_size():
-    word = GeneratorWord(Zmod(9), 4, [se(1, 2, 1)])
-    for other in (GeneratorWord(Zmod(9), 6, [se(1, 2, 1)]),
-                  GeneratorWord(Zmod(15), 4, [se(1, 2, 1)])):
-        with pytest.raises(RingError, match="word mismatch"):
-            word * other
 
 
 def test_atom_list_algebra_matches_matrix_products():
