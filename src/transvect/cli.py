@@ -19,9 +19,7 @@ from functools import cache
 
 from .identities import splice_telescoping
 from .matrices import matrix_from_json
-from .normalforms import (LocalRingWitness, random_form,
-                          reduce_alternating_local,
-                          reduce_alternating_semilocal)
+from .normalforms import random_form, reduce_alternating_semilocal
 from .orbits import (GroupSpec, check_dim0_transitivity, check_orbit_equality,
                      enumerate_unimodular, generators_for,
                      kernel_membership_test, orbit_partition,
@@ -157,29 +155,16 @@ def _cmd_reduce_form(args, report, ring, ideal):
         rng = random.Random(args.seed)
         forms = [random_form(ring, args.n, rng, ideal)
                  for _ in range(args.samples)]
-    semilocal = not _is_local(ring)
     passed = 0
     witness = None
     for phi in forms:
-        if semilocal:
-            table = reduce_alternating_semilocal(phi, ideal)
-            passed += all(rec["verified"] for rec in table.values())
-            witness = {p: word_to_json(rec["epsilon"])
-                       for p, rec in table.items()}
-        else:
-            eps = reduce_alternating_local(phi, LocalRingWitness(ring), ideal)
-            passed += 1  # postcondition asserted inside
-            witness = word_to_json(eps)
+        table = reduce_alternating_semilocal(phi, ideal)
+        passed += all(rec["verified"] for rec in table.values())
+        words = [word_to_json(rec["epsilon"]) for rec in table.values()]
+        # a prime-power ring is the table's one prime: its word, unkeyed
+        witness = words[0] if len(words) == 1 else dict(zip(table, words))
     report.add("reduce-form", passed == len(forms) > 0,
                passed=passed, total=len(forms), witness=witness)
-
-
-def _is_local(ring):
-    try:
-        LocalRingWitness(ring)
-        return True
-    except RingError:
-        return False
 
 
 _GROUPS = {"e": "linear-E", "esp": "symplectic-ESp",

@@ -209,9 +209,9 @@ def _reduce_atoms(phi, L, I):
 
     # Step 1: row 1 tail to (1, 0, ..., 0) by a unimodular completion.
     tail = [phi[0, c] for c in range(1, m)]
-    beta = complete_unimodular_local(tail, L, I)
-    step1 = list(beta.inverse().atoms)
-    phi1 = beta.inverse().shifted(1).congruence(phi)
+    beta_inv = complete_unimodular_local(tail, L, I).inverse()
+    step1 = list(beta_inv.atoms)
+    phi1 = beta_inv.shifted(1).congruence(phi)
 
     # Step 2: clear row 2 columns >= 3 against the trailing block.
     a_rows = [[phi1[r, c] for c in range(2, m)] for r in range(2, m)]
@@ -259,4 +259,6 @@ def reduce_alternating_semilocal(phi, I=None):
 def _project_ideal(I, local, project):
     if I is None or I.is_full():
         return None
+    if I.ring is local:  # a prime-power ring is its own local factor
+        return I
     return Ideal.principal(local, project(I.modulus()))

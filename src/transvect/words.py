@@ -9,6 +9,7 @@ How an atom acts is written here only: on rows of ring elements
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from itertools import islice
 
 import numpy as np
@@ -25,23 +26,17 @@ SYMPLECTIC = "symplectic"
 CHUNK_ROWS = 4096
 
 
-class GeneratorAtom:
+class GeneratorAtom(namedtuple("GeneratorAtom", "family i j arg")):
     """One elementary generator ge_ij(arg) of either family."""
 
-    __slots__ = ("family", "i", "j", "arg")
+    __slots__ = ()
 
-    def __init__(self, family, i, j, arg):
+    def __new__(cls, family, i, j, arg):
         if family not in (LINEAR, SYMPLECTIC):
             raise RingError("unknown family %r" % (family,))
         if i == j or i < 1 or j < 1:
             raise RingError("bad indices (%d, %d)" % (i, j))
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "arg", arg)
-
-    def __setattr__(self, *a):
-        raise AttributeError("GeneratorAtom is immutable")
+        return super().__new__(cls, family, i, j, arg)
 
     def inverse(self):
         return GeneratorAtom(self.family, self.i, self.j, -self.arg)
@@ -76,10 +71,6 @@ class GeneratorAtom:
         for a, b, z in self.entries(ring, size):
             rows[a][b] = z
         return SquareMatrix.from_rows(ring, rows)
-
-    def __eq__(self, other):
-        return (isinstance(other, GeneratorAtom) and self.family == other.family
-                and (self.i, self.j) == (other.i, other.j) and self.arg == other.arg)
 
     def __repr__(self):
         fam = "E" if self.family == LINEAR else "se"

@@ -225,6 +225,70 @@ def test_reduce_form_input_over_its_ring(tmp_path):
     assert rep["results"][0]["total"] == 1
 
 
+def test_reduce_form_names_the_ideal_as_given(tmp_path):
+    """Over a prime-power ring the table reduces modulo the --ideal
+    itself, so a form outside it is reported mod (6), not mod (3)."""
+    from transvect.matrices import matrix_to_json, standard_form
+    from transvect.rings import Zmod
+    from transvect.words import GeneratorWord, lin
+    ring = Zmod(27)
+    phi = GeneratorWord(ring, 3, [lin(1, 2, 1)]).shifted(1).congruence(
+        standard_form(ring, 2))
+    path = tmp_path / "phi.json"
+    path.write_text(matrix_to_json(phi))
+    code, rep = _run(["reduce-form", "--ring", "zmod:27", "--ideal", "6",
+                      "--input", str(path)], tmp_path)
+    assert code == 1
+    assert rep["results"] == [{
+        "name": "error", "ok": False,
+        "message": "phi is not congruent to psi_n mod ideal:6"}]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--ring", "zmod:27"],
+    ["--ring", "zmod:27", "--ideal", "3"],
+    ["--ring", "gf:5"],
+])
+def test_reduce_form_runs_the_semilocal_table_only(argv, tmp_path,
+                                                   monkeypatch):
+    """A prime-power ring is the table's one prime: the report's witness
+    is that prime's word, and the local reduction is never called."""
+    from transvect import normalforms
+
+    def refuse(*args):
+        raise AssertionError("reduce-form called reduce_alternating_local")
+    # rebound wherever a transvect module imported it
+    local = normalforms.reduce_alternating_local
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "transvect" and mod is not None:
+            for key, value in list(vars(mod).items()):
+                if value is local:
+                    monkeypatch.setattr(mod, key, refuse)
+    code, rep = _run(["reduce-form", "--samples", "3"] + argv, tmp_path)
+    res = rep["results"][0]
+    assert code == 0 and res["passed"] == res["total"] == 3
+    assert isinstance(json.loads(res["witness"]), list)
+
+
+@pytest.mark.parametrize("ring", ["zmod:27", "zmod:45"])
+def test_reduce_form_passes_a_form_only_if_every_prime_verified(
+        ring, tmp_path, monkeypatch):
+    """A form counts as passed only when each prime's ``verified`` flag
+    is True: one False prime fails it, with one prime or with two."""
+    from transvect import cli
+    semilocal = cli.reduce_alternating_semilocal
+
+    def one_unverified(phi, ideal):
+        table = semilocal(phi, ideal)
+        table[max(table)]["verified"] = False
+        return table
+    monkeypatch.setattr(cli, "reduce_alternating_semilocal", one_unverified)
+    code, rep = _run(["reduce-form", "--ring", ring, "--samples", "2"],
+                     tmp_path)
+    res = rep["results"][0]
+    assert code == 1 and (res["passed"], res["total"]) == (0, 2)
+
+
 @pytest.mark.parametrize("ring", ["zmod:27", "zmod:45"])
 def test_reduce_form_zero_ideal(ring, tmp_path):
     code, rep = _run(["reduce-form", "--ring", ring, "--ideal", "0"],

@@ -57,6 +57,19 @@ GOLDEN = [
      "cbdb9b3e562fc40a0d330c9fa7eff591a8c102790f9d71c45ded203934cdb659"),
     (["reduce-form", "--ring", "zmod:45", "--samples", "20", "--seed", "0"],
      "b47f2c6595a7ed2630566f894372edc0e1c9611bc4f679ac530f0bd9592a03ae"),
+    # reduce-form over prime-power rings, one prime of the semilocal
+    # table: Z/5 through its GF(5) factor, GF(7) with the zero ideal,
+    # Z/27 with an ideal generator (6) that is not its modulus (3), and
+    # Z/25 at n = 3
+    (["reduce-form", "--ring", "zmod:5", "--samples", "5", "--seed", "1"],
+     "abbc84c22e95b0cf5dbea34acd643d08e35612f3a3b4a6d625816d9b2866982c"),
+    (["reduce-form", "--ring", "gf:7", "--ideal", "0", "--samples", "3"],
+     "cd455f27559521305f5f92aa6c0f126728ced8527dd19b405272fe06020b40fb"),
+    (["reduce-form", "--ring", "zmod:27", "--ideal", "6", "--samples", "5",
+      "--seed", "3"],
+     "5c6d2f76ba975b60099e9798ecdbf6e4603c56a0aa3ac7780acff45d5d789828"),
+    (["reduce-form", "--ring", "zmod:25", "--n", "3", "--samples", "3"],
+     "54c5c0025de6d7376bd19bcefadfb9ea859d9dc0f77eca42c223e8466ae49281"),
     # kernel-test: the finite workload's run at seeds 0 and 1, the full
     # and zero ideals, no samples, 5,000 samples (more than one block of
     # words.CHUNK_ROWS) and Z/25 past the default cap

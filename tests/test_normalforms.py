@@ -8,7 +8,8 @@ from transvect.normalforms import (LocalRingWitness,
                                    complete_unimodular_local, random_form,
                                    reduce_alternating_local,
                                    reduce_alternating_semilocal)
-from transvect.rings import GF, Ideal, RingError, Zmod, parse_ideal
+from transvect.rings import (GF, Ideal, RingError, Zmod, parse_ideal,
+                             parse_ring)
 from transvect.words import GeneratorWord
 
 
@@ -197,3 +198,26 @@ def test_semilocal_reduction_with_principal_ideal(gen, n, monkeypatch):
             assert proper == (gen % p == 0)
             if proper:
                 assert rec["epsilon"].check_relative(ideal_p)
+
+
+@pytest.mark.parametrize("text", ["zmod:5", "gf:5", "gf:7", "zmod:9",
+                                  "zmod:25", "zmod:27"])
+@pytest.mark.parametrize("gen", [None, "R", "0", "3", "6", "5"])
+def test_semilocal_table_of_one_prime_is_the_local_reduction(text, gen):
+    """Over a prime-power ring the table has one entry, and its epsilon
+    is the word the local reduction returns for the same form and ideal
+    (over Z/5 the entry's ring is GF(5), so the atoms compare by value)."""
+    ring = parse_ring(text)
+    ideal = None if gen is None else parse_ideal(ring, gen)
+    rng = random.Random(text + str(gen))
+    for n in (1, 2, 3):
+        for _ in range(4):
+            phi = random_form(ring, n, rng, ideal)
+            table = reduce_alternating_semilocal(phi, ideal)
+            assert len(table) == 1
+            (rec,) = table.values()
+            assert rec["verified"] is True
+            eps = reduce_alternating_local(phi, LocalRingWitness(ring), ideal)
+            assert [(a.family, a.i, a.j, a.arg.value)
+                    for a in rec["epsilon"].atoms] == \
+                [(a.family, a.i, a.j, a.arg.value) for a in eps.atoms]

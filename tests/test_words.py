@@ -47,6 +47,23 @@ def test_atom_inverse_and_transpose():
     assert a.transpose().i == 3 and a.transpose().j == 1
 
 
+def test_atoms_are_hashable_and_immutable():
+    """An atom is a (family, i, j, arg) tuple: equal atoms hash equal,
+    and neither a field nor a new attribute can be assigned."""
+    R = Zmod(9)
+    a, b = se(1, 3, R.element(4)), se(1, 3, R.element(13))
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, a.inverse(), a.transpose()}) == 3
+    with pytest.raises(AttributeError):
+        a.arg = R.element(1)
+    with pytest.raises(AttributeError):
+        a.tag = "x"
+    with pytest.raises(RingError, match="unknown family"):
+        GeneratorAtom("affine", 1, 2, R.one())
+    with pytest.raises(RingError, match=r"bad indices \(2, 2\)"):
+        lin(2, 2, R.one())
+
+
 def test_relative_generator_tag():
     R = Zmod(9)
     I = Ideal.principal(R, 3)
