@@ -19,7 +19,7 @@ from functools import cache
 
 from .identities import splice_telescoping
 from .matrices import matrix_from_json
-from .normalforms import random_form, reduce_alternating_semilocal
+from .normalforms import form_blocks, matrix_block, reduce_blocks
 from .orbits import (GroupSpec, check_dim0_transitivity, check_orbit_equality,
                      enumerate_unimodular, generators_for,
                      kernel_membership_test, orbit_partition,
@@ -150,21 +150,18 @@ def _read_form(path, ring):
 
 def _cmd_reduce_form(args, report, ring, ideal):
     if args.input:
-        forms = [_read_form(args.input, ring)]
+        blocks = [matrix_block(_read_form(args.input, ring))]
     else:
-        rng = random.Random(args.seed)
-        forms = [random_form(ring, args.n, rng, ideal)
-                 for _ in range(args.samples)]
-    passed = 0
+        blocks = form_blocks(ring, args.n, random.Random(args.seed), ideal,
+                             args.samples)
+    passed, total, last = reduce_blocks(ring, blocks, ideal)
     witness = None
-    for phi in forms:
-        table = reduce_alternating_semilocal(phi, ideal)
-        passed += all(rec["verified"] for rec in table.values())
-        words = [word_to_json(rec["epsilon"]) for rec in table.values()]
+    if last is not None:
+        words = [word_to_json(eps) for eps in last.values()]
         # a prime-power ring is the table's one prime: its word, unkeyed
-        witness = words[0] if len(words) == 1 else dict(zip(table, words))
-    report.add("reduce-form", passed == len(forms) > 0,
-               passed=passed, total=len(forms), witness=witness)
+        witness = words[0] if len(words) == 1 else dict(zip(last, words))
+    report.add("reduce-form", passed == total > 0,
+               passed=passed, total=total, witness=witness)
 
 
 _GROUPS = {"e": "linear-E", "esp": "symplectic-ESp",

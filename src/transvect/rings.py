@@ -18,6 +18,7 @@ int.  All arithmetic is exact.
 from __future__ import annotations
 
 import struct
+from itertools import count
 from math import gcd
 
 
@@ -30,8 +31,38 @@ class DescriptorError(RingError):
     size or ideal that does not fit it."""
 
 
+# Miller-Rabin on the first 13 prime bases decides primality exactly
+# below psi_13 (Sorenson and Webster, "Strong pseudoprimes to twelve
+# prime bases", Math. Comp. 86, 2017); no answer here is probable.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981  # psi_13
+
+
 def _is_prime(n):
-    return n >= 2 and prime_factors(n) == [n]
+    """Whether n is prime, exactly.  An n with no prime factor below 43
+    at or above psi_13 raises RingError, since the bases do not decide it."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= _MR_LIMIT:
+        raise RingError("%d is too large to certify as prime or composite"
+                        % n)
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False  # a witnesses that n is composite
+    return True
 
 
 _RINGS = {}
@@ -613,17 +644,56 @@ def localize_at_prime(ring, p):
 
 
 def prime_factors(m):
-    out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.append(m)
-    return out
+    """The distinct primes dividing m, ascending ([] for m < 2): those
+    below 43 by trial division, the rest split by ``_rho_factor`` and
+    certified by ``_is_prime``."""
+    out = set()
+    rest = [m] if m > 1 else []
+    for p in _MR_BASES:
+        while rest and rest[0] % p == 0:
+            out.add(p)
+            rest[0] //= p
+    while rest:
+        n = rest.pop()
+        if n == 1:
+            continue
+        if _is_prime(n):
+            out.add(n)
+        else:
+            d = _rho_factor(n)
+            rest += [d, n // d]
+    return sorted(out)
+
+
+def _rho_factor(n):
+    """A proper factor of a composite n with no prime factor below 43,
+    by Pollard's rho with Brent's cycle search (Brent, "An improved Monte
+    Carlo factorization algorithm", BIT 20, 1980): the differences
+    |x - y| of x -> x^2 + c are multiplied in batches of up to 128
+    between gcds, and a batch whose gcd is n is stepped again one gcd at
+    a time; a c whose cycle closes mod n itself gives way to c + 1."""
+    for c in count(1):
+        y, r, prod, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    prod = prod * abs(x - y) % n
+                g = gcd(prod, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 # The conjugation calculus's two fixed indeterminates: a family's

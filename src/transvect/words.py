@@ -362,8 +362,9 @@ def decomposition_counts(ring, n, samples):
     decompose_rho / decompose_mu words evaluate to rho_matrix(q, alpha,
     psi_n) / mu_matrix(q, beta, psi_n).  Over a Z/m that ``fits_table``,
     per block of ``CHUNK_ROWS`` samples each family's atom rows are one
-    int64 table, evaluated by ``eval_table`` and compared row by row with
-    ``_rho_mu_table``; other rings evaluate each sample's two words."""
+    int64 table written by ``_rho_mu_rows``, evaluated by ``eval_table``
+    and compared row by row with ``_rho_mu_table``; other rings evaluate
+    each sample's two words."""
     psi = standard_form(ring, n)
     ok = [0, 0]
     if not fits_table(ring):
@@ -380,13 +381,31 @@ def decomposition_counts(ring, n, samples):
     while block := list(islice(samples, CHUNK_ROWS)):
         vals = np.array([[x.value for x in _as_row(ring, (*q, al, be))]
                          for q, al, be in block], dtype=np.int64)
-        for f, (atoms, r) in enumerate(((_rho_atoms, 1), (_mu_atoms, 0))):
-            words = eval_table(word_table(
-                [atom_rows(atoms(ring, s[0], s[2 - r])) for s in block]),
-                size, m, SYMPLECTIC)
+        for f, (table, r) in enumerate(zip(_rho_mu_rows(vals, m), (1, 0))):
+            words = eval_table(table, size, m, SYMPLECTIC)
             closed = _rho_mu_table(vals[:, :-2], vals[:, -1 - r], psi, m, r)
             ok[f] += int((words == closed).all(axis=(1, 2)).sum())
     return tuple(ok)
+
+
+def _rho_mu_rows(vals, m):
+    """The atom tables of ``_rho_atoms`` and ``_mu_atoms`` over Z/m, one
+    word per row (q, alpha, beta) of the int64 array ``vals``, written
+    from the values with one h(q) per sample: rho is se_21(alpha + h(q))
+    then se_i1(q_(i-2)), mu is se_12(h(q) - beta) then se_1i(+-q_k), k
+    the partner sigma(i - 2) of i - 2 and the sign - for odd i."""
+    q, count, k = vals[:, :-2], len(vals), vals.shape[1] - 2
+    h = (q[:, 0::2] * q[:, 1::2] % m).sum(axis=1) % m
+    rho = np.empty((count, k + 1, 3), dtype=np.int64)
+    mu = np.empty((count, k + 1, 3), dtype=np.int64)
+    rho[:, 0, :2], rho[:, 0, 2] = (2, 1), (vals[:, -2] + h) % m
+    mu[:, 0, :2], mu[:, 0, 2] = (1, 2), (h - vals[:, -1]) % m
+    rho[:, 1:, 0] = mu[:, 1:, 1] = np.arange(3, k + 3)
+    rho[:, 1:, 1] = mu[:, 1:, 0] = 1
+    rho[:, 1:, 2] = q
+    partner = np.arange(k) ^ 1  # sigma on 0-based indices
+    mu[:, 1:, 2] = q[:, partner] * np.where(np.arange(k) % 2, 1, -1) % m
+    return rho, mu
 
 
 # -- Bass symplectic transvections -----------------------------------

@@ -270,23 +270,98 @@ def test_reduce_form_runs_the_semilocal_table_only(argv, tmp_path,
     assert isinstance(json.loads(res["witness"]), list)
 
 
-@pytest.mark.parametrize("ring", ["zmod:27", "zmod:45"])
+@pytest.mark.parametrize("ring,largest", [("zmod:27", 27), ("zmod:45", 5)])
 def test_reduce_form_passes_a_form_only_if_every_prime_verified(
-        ring, tmp_path, monkeypatch):
+        ring, largest, tmp_path, monkeypatch):
     """A form counts as passed only when each prime's ``verified`` flag
-    is True: one False prime fails it, with one prime or with two."""
-    from transvect import cli
-    semilocal = cli.reduce_alternating_semilocal
+    is True: one False prime fails it, with one prime or with two.  Over
+    these rings the flags come from the block certificate, one call per
+    prime; ``largest`` is the local modulus of the largest prime."""
+    from transvect import normalforms
+    certify = normalforms._certify_block
+
+    def one_unverified(phi, eps, q):
+        return certify(phi, eps, q) & (q != largest)
+    monkeypatch.setattr(normalforms, "_certify_block", one_unverified)
+    code, rep = _run(["reduce-form", "--ring", ring, "--samples", "2"],
+                     tmp_path)
+    res = rep["results"][0]
+    assert code == 1 and (res["passed"], res["total"]) == (0, 2)
+
+
+def test_reduce_form_past_int64_passes_a_form_only_if_every_prime_verified(
+        tmp_path, monkeypatch):
+    """Over Z/(2**33 + 1), past ``fits_table``, each form runs the
+    semilocal table: one prime's False flag fails the form."""
+    from transvect import normalforms
+    semilocal = normalforms.reduce_alternating_semilocal
 
     def one_unverified(phi, ideal):
         table = semilocal(phi, ideal)
         table[max(table)]["verified"] = False
         return table
-    monkeypatch.setattr(cli, "reduce_alternating_semilocal", one_unverified)
-    code, rep = _run(["reduce-form", "--ring", ring, "--samples", "2"],
-                     tmp_path)
+    monkeypatch.setattr(normalforms, "reduce_alternating_semilocal",
+                        one_unverified)
+    code, rep = _run(["reduce-form", "--ring", "zmod:8589934593",
+                      "--samples", "2"], tmp_path)
     res = rep["results"][0]
     assert code == 1 and (res["passed"], res["total"]) == (0, 2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--ring", "zmod:27", "--n", "3", "--samples", "300"],
+    ["--ring", "zmod:45", "--ideal", "3", "--samples", "20", "--seed", "4"],
+    ["--ring", "gf:7", "--ideal", "0", "--n", "1", "--samples", "9"],
+])
+def test_reduce_form_reports_do_not_depend_on_the_block_size(
+        argv, tmp_path, monkeypatch):
+    """Forms drawn and reduced one block at a time, in blocks of 1, 7
+    or the default (300 samples span three default blocks): the report
+    is the same."""
+    from transvect import normalforms
+    _, want = _run(["reduce-form"] + argv, tmp_path, "default.json")
+    assert want["ok"]
+    for rows in (1, 7):
+        monkeypatch.setattr(normalforms, "_FORM_ROWS", rows)
+        _, rep = _run(["reduce-form"] + argv, tmp_path, "%d.json" % rows)
+        assert _strip_timing(rep) == _strip_timing(want)
+
+
+def test_reduce_form_memory_does_not_grow_with_samples(tmp_path):
+    """Forms are drawn as they are reduced, so the traced peak at 2,000
+    samples stays under twice the peak at 200."""
+    import tracemalloc
+    argv = ["reduce-form", "--ring", "zmod:27", "--out",
+            str(tmp_path / "r.json")]
+    assert run(argv + ["--samples", "2"]) == 0  # parser and imports built
+    peaks = []
+    for samples in (200, 2000):
+        tracemalloc.start()
+        try:
+            assert run(argv + ["--samples", str(samples)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0], peaks
+
+
+def test_reduce_form_over_a_prime_near_two_to_the_63_ends(tmp_path):
+    """Z/(2**63 - 25) is past the int64 tables, and its factoring is
+    Miller-Rabin, not trial division: the run reports within 5 s."""
+    import signal
+
+    def expire(*_):
+        raise TimeoutError("reduce-form still running after 5 s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(5)
+    try:
+        code, rep = _run(["reduce-form", "--ring", "zmod:9223372036854775783",
+                          "--samples", "1"], tmp_path)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    res = rep["results"][0]
+    assert code == 0 and (res["passed"], res["total"]) == (1, 1)
 
 
 @pytest.mark.parametrize("ring", ["zmod:27", "zmod:45"])

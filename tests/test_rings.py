@@ -1,13 +1,17 @@
 import random
+import signal
+import time
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from transvect.rings import (GF, Dyadic, Ideal, PolyRing, RingElement,
-                             RingError, Zmod, divide_by_unit, divide_by_var,
-                             localize_at_prime, parse_ideal, parse_ring,
-                             prime_factors, substitute, var_multiplicity)
+                             RingError, Zmod, _is_prime, divide_by_unit,
+                             divide_by_var, localize_at_prime, parse_ideal,
+                             parse_ring, prime_factors, substitute,
+                             var_multiplicity)
 
 
 @given(st.integers(0, 80), st.integers(0, 80), st.integers(0, 80))
@@ -123,6 +127,87 @@ def test_localize_at_prime():
 def test_prime_factors():
     assert prime_factors(45) == [3, 5]
     assert prime_factors(7) == [7]
+
+
+@contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the block once ``seconds`` have passed."""
+    def expire(*_):
+        raise TimeoutError("still running after %d s" % seconds)
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _trial_division(m):
+    out, d = [], 2
+    while d * d <= m:
+        if m % d == 0:
+            out.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1 if d == 2 else 2
+    return out + [m] if m > 1 else out
+
+
+def test_prime_factors_equal_trial_division_below_10_5():
+    """Every m < 10**5, including the composites of two or more primes
+    above 41 that only Pollard-Brent rho splits."""
+    with _deadline(60):
+        for m in range(10 ** 5):
+            assert prime_factors(m) == _trial_division(m), m
+
+
+@pytest.mark.parametrize("factors", [
+    [43, 47], [43, 43, 47], [1000003, 1000033], [1000003, 1000003],
+    [65537, 2147483647, 1000003], [2305843009213693951, 1000033],
+    [3, 399165290221, 798330580441],
+])
+def test_prime_factors_split_large_factors(factors):
+    m = 1
+    for p in factors:
+        m *= p
+    with _deadline(20):
+        assert prime_factors(m) == sorted(set(factors))
+
+
+PSI_12 = 318665857834031151167461  # strong pseudoprime to bases 2..37
+PSI_13 = 3317044064679887385961981  # strong pseudoprime to bases 2..41
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    """3,215,031,751 = 151 * 751 * 28,351 passes bases 2, 3, 5 and 7,
+    and psi_12 passes every base below 41; neither is prime."""
+    assert not _is_prime(3215031751)
+    assert not _is_prime(PSI_12)
+    assert _is_prime(2 ** 61 - 1) and _is_prime(9223372036854775783)
+
+
+def test_primality_past_psi_13_is_refused_not_guessed():
+    """At or above psi_13 the 13 bases no longer decide primality: a
+    number with no factor below 43 raises, a prime or not, so rho never
+    runs on one; a number with a small factor is still answered
+    exactly."""
+    for n in (PSI_13, 2 ** 89 - 1, (2 ** 61 - 1) * (2 ** 31 - 1)):
+        with pytest.raises(RingError, match="too large to certify"):
+            _is_prime(n)
+        with pytest.raises(RingError, match="too large to certify"):
+            prime_factors(n)
+    assert not _is_prime(3 * PSI_13)
+    assert prime_factors(3 ** 60) == [3]
+    assert prime_factors(2 ** 100 * 41) == [2, 41]
+
+
+def test_gf_of_a_prime_near_two_to_the_63_builds_within_a_second():
+    start = time.perf_counter()
+    with _deadline(5):
+        ring = GF(9223372036854775783)
+    assert time.perf_counter() - start < 1
+    assert ring.m == 2 ** 63 - 25
 
 
 @settings(max_examples=30)

@@ -20,7 +20,7 @@ from transvect.words import (LINEAR, SYMPLECTIC, GeneratorAtom,
                              lin, mu_matrix,
                              relative_generator, rho_matrix, se,
                              transvection_action_mu, transvection_action_rho,
-                             word_from_json, word_to_json)
+                             word_from_json, word_table, word_to_json)
 
 
 def test_short_atom_mirror_entry():
@@ -139,12 +139,36 @@ def _evaluated_counts(ring, n, samples):
 
 def _plant_plain_rho_factor(monkeypatch):
     """Make every rho word start with the source display's se_21(alpha),
-    without the hyperbolic defect h(q)."""
-    rho_atoms = words._rho_atoms
+    without the hyperbolic defect h(q): in the atoms of the per-sample
+    path and in the rows of the table path."""
+    rho_atoms, rho_mu_rows = words._rho_atoms, words._rho_mu_rows
 
     def plain(ring, q, alpha):
         return [se(2, 1, ring.element(alpha)), *rho_atoms(ring, q, alpha)[1:]]
+
+    def plain_rows(vals, m):
+        rho, mu = rho_mu_rows(vals, m)
+        rho[:, 0, 2] = vals[:, -2]
+        return rho, mu
     monkeypatch.setattr(words, "_rho_atoms", plain)
+    monkeypatch.setattr(words, "_rho_mu_rows", plain_rows)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize("ring", [Zmod(9), Zmod(27)], ids=str)
+def test_direct_rows_equal_the_atom_rows(ring, n):
+    """_rho_mu_rows writes the rows that atom_rows reads off the atoms
+    of _rho_atoms and _mu_atoms, sample for sample."""
+    samples = _draw(ring, n, 40, 7 * n)
+    vals = np.array([[x.value for x in (*q, al, be)] for q, al, be in samples],
+                    dtype=np.int64).reshape(40, 2 * n + 2)
+    rho, mu = words._rho_mu_rows(vals, ring.m)
+    assert rho.tolist() == word_table(
+        [atom_rows(words._rho_atoms(ring, q, al)) for q, al, _ in samples]
+    ).tolist()
+    assert mu.tolist() == word_table(
+        [atom_rows(words._mu_atoms(ring, q, be)) for q, _, be in samples]
+    ).tolist()
 
 
 @pytest.mark.parametrize("plant", [False, True], ids=["library", "plain"])
