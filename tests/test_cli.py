@@ -270,7 +270,8 @@ def test_reduce_form_runs_the_semilocal_table_only(argv, tmp_path,
     assert isinstance(json.loads(res["witness"]), list)
 
 
-@pytest.mark.parametrize("ring,largest", [("zmod:27", 27), ("zmod:45", 5)])
+@pytest.mark.parametrize("ring,largest", [("zmod:27", 27), ("zmod:45", 5)],
+                         ids=["zmod:27", "zmod:45"])
 def test_reduce_form_passes_a_form_only_if_every_prime_verified(
         ring, largest, tmp_path, monkeypatch):
     """A form counts as passed only when each prime's ``verified`` flag
