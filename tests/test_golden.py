@@ -94,6 +94,22 @@ GOLDEN = [
     (["kernel-test", "--ring", "zmod:25", "--size", "4", "--ideal", "5",
       "--samples", "50", "--cap", "10000000"],
      "4f306b83ba4b70da4c46ed39d06c0593f362eb5e0e945c66cd62757016c65bb4"),
+    # kernel-test chains that stop at the closed-form order of
+    # Sp_2n(R, I): Z/27 with (3) at 3**20, GF(5) with I = R at |Sp_4(F_5)|
+    # and Z/15 with (5) at |Sp_4(F_3)|; over Z/9 the ideal 4 generates R,
+    # so the bound 3**10 * |Sp_4(F_3)| passes the default cap and the
+    # full build stops at its cap message
+    (["kernel-test", "--ring", "zmod:27", "--size", "4", "--ideal", "3",
+      "--samples", "200", "--cap", "3486784401"],
+     "d2ced26d2dfde01e288474ed9db43572ce060c7f3f440274bb2b16f94be5f129"),
+    (["kernel-test", "--ring", "gf:5", "--size", "4", "--ideal", "1",
+      "--samples", "50", "--cap", "10000000"],
+     "0629bab41562441806089807877fe4b37d60e7cdbedba10a6789d27b18dd2a7f"),
+    (["kernel-test", "--ring", "zmod:15", "--size", "4", "--ideal", "5",
+      "--samples", "200"],
+     "a36f7895c7c61397620ad1a7371c1e98628ac0630d95bfdfefbfc4a13840fb95"),
+    (["kernel-test", "--ring", "zmod:9", "--size", "4", "--ideal", "4"],
+     "50e0527482c6e2fc7e731b4eb191612317bfbcfd25af957d411c9f25d7a6e4e5"),
     # square-ideal-test where the conjugates are not the identity (Z/15,
     # Z/27), the cap and error exits, size 2, the zero ideal and no
     # samples; the kernel-test cap exit, whose partial size depends on
