@@ -107,34 +107,31 @@ def determinant(mat):
     """Division-free determinant by memoized Laplace expansion."""
     if mat.n > 8:
         raise RingError("determinant restricted to sizes <= 8")
-    ring = mat.ring
-    n = mat.n
-    if n == 0:
-        return ring.one()
-    cache = {}
+    return _minor(mat, (1 << mat.n) - 1, 0, {})
 
-    def minor(rows_mask, depth):
-        # determinant of submatrix of rows [depth:] and columns in mask
-        if rows_mask == 0:
-            return ring.one()
-        got = cache.get((rows_mask, depth))
-        if got is not None:
-            return got
-        acc = ring.zero()
-        sign = 1
-        for j in range(n):
-            if not rows_mask & (1 << j):
-                continue
-            entry = mat[depth, j]
-            if not entry.is_zero():
-                sub = minor(rows_mask & ~(1 << j), depth + 1)
-                term = entry * sub
-                acc = acc + (term if sign > 0 else -term)
-            sign = -sign
-        cache[(rows_mask, depth)] = acc
-        return acc
 
-    return minor((1 << n) - 1, 0)
+def _minor(mat, cols_mask, depth, memo):
+    """The determinant of rows depth.. of ``mat`` on the columns of
+    ``cols_mask``, memoised in ``memo`` by (mask, depth).  A module
+    function, not a closure that names itself, so a call leaves no
+    reference cycle holding the memo."""
+    if cols_mask == 0:
+        return mat.ring.one()
+    got = memo.get((cols_mask, depth))
+    if got is not None:
+        return got
+    acc = mat.ring.zero()
+    sign = 1
+    for j in range(mat.n):
+        if not cols_mask & (1 << j):
+            continue
+        entry = mat[depth, j]
+        if not entry.is_zero():
+            term = entry * _minor(mat, cols_mask & ~(1 << j), depth + 1, memo)
+            acc = acc + (term if sign > 0 else -term)
+        sign = -sign
+    memo[(cols_mask, depth)] = acc
+    return acc
 
 
 def is_alternating(mat):
@@ -156,32 +153,30 @@ def pfaffian(mat):
         raise RingError("pfaffian requires an alternating matrix")
     if mat.n % 2 == 1:
         return mat.ring.zero()
-    ring = mat.ring
-    cache = {}
+    return _pfaffian_of_mask(mat, (1 << mat.n) - 1, {0: mat.ring.one()})
 
-    def rec(mask):
-        if mask == 0:
-            return ring.one()
-        got = cache.get(mask)
-        if got is not None:
-            return got
-        i = (mask & -mask).bit_length() - 1
-        rest = mask & ~(1 << i)
-        acc = ring.zero()
-        sign = 1
-        j = rest
-        while j:
-            k = (j & -j).bit_length() - 1
-            entry = mat[i, k]
-            if not entry.is_zero():
-                term = entry * rec(rest & ~(1 << k))
-                acc = acc + (term if sign > 0 else -term)
-            sign = -sign
-            j &= j - 1
-        cache[mask] = acc
-        return acc
 
-    return rec((1 << mat.n) - 1)
+def _pfaffian_of_mask(mat, mask, memo):
+    """The Pfaffian of ``mat`` on the indices of ``mask``, memoised in
+    ``memo``; a module function for the same reason as ``_minor``."""
+    got = memo.get(mask)
+    if got is not None:
+        return got
+    i = (mask & -mask).bit_length() - 1
+    rest = mask & ~(1 << i)
+    acc = mat.ring.zero()
+    sign = 1
+    j = rest
+    while j:
+        k = (j & -j).bit_length() - 1
+        entry = mat[i, k]
+        if not entry.is_zero():
+            term = entry * _pfaffian_of_mask(mat, rest & ~(1 << k), memo)
+            acc = acc + (term if sign > 0 else -term)
+        sign = -sign
+        j &= j - 1
+    memo[mask] = acc
+    return acc
 
 
 def sigma(i):

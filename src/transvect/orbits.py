@@ -28,13 +28,13 @@ number of classes mod I, after an exact check that every generator is
 import random
 from functools import cache, cached_property, lru_cache, partial, reduce
 from itertools import compress, cycle
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
 from .matrices import sigma
 from .rewrite import square_ideal_atoms
-from .rings import DescriptorError, Ideal, RingError, Zmod
+from .rings import DescriptorError, Ideal, RingError, Zmod, prime_factors
 from .words import (CHUNK_ROWS, LINEAR, SYMPLECTIC, atom_rows, eval_table,
                     word_table)
 
@@ -530,6 +530,55 @@ def _matrix_size(generators, conjugators):
     return 1
 
 
+def _psi(size):
+    """psi_(size/2) as an int64 array: 1 at (2k, 2k+1), -1 at (2k+1, 2k)."""
+    psi = np.zeros((size, size), dtype=np.int64)
+    k = np.arange(0, size, 2)
+    psi[k, k + 1], psi[k + 1, k] = 1, -1
+    return psi
+
+
+def symplectic_kernel_order(size, ring, ideal):
+    """|Sp_size(Z/m, I)|, the kernel of Sp_size(Z/m) -> Sp_size(Z/m / I),
+    for even size = 2n and I = gZ/m (``ideal.modulus()``).
+
+    By the Chinese remainder theorem it is a product over the primes p
+    of m, p^k exactly dividing m.  Let j = min(v_p(g), k), j = k for g
+    = 0.  For j >= 1 the factor is p^((k-j) n(2n+1)), the order of the
+    level-j congruence kernel of Sp_2n(Z/p^k), each level adding one
+    copy of sp_2n(F_p).  For j = 0 the ideal is the whole local ring
+    and the factor is p^((k-1) n(2n+1)) |Sp_2n(F_p)|, with |Sp_2n(F_p)|
+    = p^(n^2) prod_(i<=n) (p^(2i) - 1).
+    """
+    n, m, g = size // 2, ring.m, ideal.modulus()
+    dim = n * (2 * n + 1)
+    order = 1
+    for p in prime_factors(m):
+        k = j = 0
+        while m % p ** (k + 1) == 0:
+            k += 1
+        while j < k and (g == 0 or g % p ** (j + 1) == 0):
+            j += 1
+        if j:
+            order *= p ** ((k - j) * dim)
+        else:
+            order *= p ** ((k - 1) * dim + n * n) * prod(
+                p ** (2 * i) - 1 for i in range(1, n + 1))
+    return order
+
+
+def _in_symplectic_kernel(gens, conj, m, g):
+    """Whether every generator x is in Sp(Z/m, gZ/m), x^t psi x = psi
+    and x = 1 mod g (mod m for g = 0), and every conjugator c is
+    symplectic: exact on the two (k, n, n) int64 stacks, whose products
+    fit under ``_check_products``."""
+    psi = _psi(gens.shape[1])
+    mats = np.concatenate([gens, conj])
+    return bool((mats.transpose(0, 2, 1) @ psi @ mats % m == psi % m).all()
+                and not ((gens - np.eye(len(psi), dtype=np.int64))
+                         % (g or m)).any())
+
+
 class StabilizerChain:
     """A base and strong generating set of a matrix group over Z/m
     (deterministic Schreier-Sims: Sims 1970; Seress, *Permutation Group
@@ -551,19 +600,34 @@ class StabilizerChain:
     than ``cap`` elements.  The inverses of the generators and
     conjugators are computed once each, by powers; every other inverse
     is a product of inverses already known.
+
+    With ``ideal`` I the group is expected to be Sp_n(R, I).  When every
+    generator is exactly symplectic and = 1 mod I, every conjugator is
+    symplectic and |Sp_n(R, I)| (``symplectic_kernel_order``) is at most
+    ``cap``, the chain is first built from the level orbits of the
+    generators alone (``_close_levels``), with no inverse by powers and
+    no conjugator; it is kept if the product of the orbit lengths
+    reaches that order.  Otherwise the build above runs from scratch,
+    so a cap message and its partial size come only from it.
     """
 
-    def __init__(self, generators, ring, conjugators=None, cap=10 ** 6):
+    def __init__(self, generators, ring, conjugators=None, cap=10 ** 6,
+                 ideal=None):
         m, n = ring.m, _matrix_size(generators, conjugators)
         _check_products(n, m)
         gens = [np.asarray(g, dtype=np.int64) % m for g in generators]
         conj = [np.asarray(c, dtype=np.int64) % m for c in (conjugators or [])]
         self.m, self.n, self.cap = m, n, cap
-        eye = np.eye(n, dtype=np.int64)
-        self._strong = [[] for _ in range(n)]
-        self._trans = [{eye[i].tobytes(): (eye, eye)} for i in range(n)]
-        self._orbit = [[eye[i].tobytes()] for i in range(n)]
-        self._done = [[0] for _ in range(n)]  # strong generators applied
+        if ideal is None or not self._close_levels(gens, conj, ring, ideal):
+            self._build(gens, conj)
+
+    def _build(self, gens, conj):
+        """The interleaved Schreier-Sims build, from an empty chain."""
+        m, eye = self.m, np.eye(self.n, dtype=np.int64)
+        self._strong = [[] for _ in range(self.n)]
+        self._trans = [{eye[i].tobytes(): (eye, eye)} for i in range(self.n)]
+        self._orbit = [[eye[i].tobytes()] for i in range(self.n)]
+        self._done = [[0] for _ in range(self.n)]  # strong generators applied
         self._order = 1
         for g in gens:
             self._extend(g, _inverse_mod(g, m))
@@ -572,6 +636,76 @@ class StabilizerChain:
         for s, s_inv in top:
             for c, c_inv in conj:
                 self._extend(c @ s % m @ c_inv % m, c @ s_inv % m @ c_inv % m)
+
+    def _close_levels(self, gens, conj, ring, ideal):
+        """The chain from the level orbits of the generators alone, when
+        their product reaches |Sp_n(R, I)|; False, with nothing kept,
+        when it does not apply or falls short.
+
+        It applies for even n when ``symplectic_kernel_order`` is at
+        most ``cap`` and ``_in_symplectic_kernel`` holds.  The group G
+        (with conjugators, the normal closure) then lies in Sp_n(R, I),
+        which is normal in Sp_n(R), and every inverse is s^-1 = psi^t
+        s^t psi.  Level i's orbit of e_(i+1) under the generators that
+        fix e_1..e_i is part of its orbit under G's stabilizer of
+        e_1..e_i, so the product P of the level orbits is at most |G| <=
+        the bound.  P = bound makes each inequality tight: every level
+        orbit is G's, so the levels are a complete chain (Seress, ch. 4).
+        P > bound disproves the formula: RingError."""
+        n, m = self.n, self.m
+        if n % 2:
+            return False
+        bound = symplectic_kernel_order(n, ring, ideal)
+        gens, conj = (np.array(x, dtype=np.int64).reshape(-1, n, n)
+                      for x in (gens, conj))
+        if bound > self.cap or not _in_symplectic_kernel(
+                gens, conj, m, ideal.modulus()):
+            return False
+        eye, psi = np.eye(n, dtype=np.int64), _psi(n)
+        invs = psi.T @ gens.transpose(0, 2, 1) @ psi % m
+        trans, fixed = [], np.ones(len(gens), dtype=bool)
+        for i in range(n):
+            trans.append(self._level_orbit(i, gens[fixed], invs[fixed]))
+            fixed &= (gens[:, i] == eye[i]).all(axis=1)
+        order = prod(map(len, trans))
+        if order > bound:
+            raise RingError("chain order %d exceeds |Sp_%d(Z/%d, %s)| = %d"
+                            % (order, n, m, ideal, bound))
+        if order < bound:
+            return False
+        self._trans, self._order = trans, order
+        return True
+
+    def _level_orbit(self, i, gens, invs):
+        """The transversal of the orbit of e_(i+1) under the group of
+        ``gens`` (inverses ``invs``), by breadth-first search: row i of
+        each frontier u times every s, in blocks of at most CHUNK_ROWS
+        products, each image keyed by its bytes and looked up among the
+        sorted keys seen so far.  The new rows, in first-seen order, get
+        u s and s^-1 u^-1 and form the next frontier; the transversal
+        stores copies of them."""
+        m, n = self.m, self.n
+        us = u_invs = np.eye(n, dtype=np.int64)[None]
+        seen = _row_keys(us[:, i])
+        orbit = [(us, u_invs)]
+        step = max(1, CHUNK_ROWS // max(len(gens), 1))
+        while len(us) and len(gens):
+            grown = []
+            for lo in range(0, len(us), step):
+                u, u_inv = us[lo:lo + step], u_invs[lo:lo + step]
+                img = np.einsum("aj,bjl->abl", u[:, i], gens) % m
+                keys = _row_keys(img.reshape(-1, n))
+                fresh = np.flatnonzero(_search(seen, keys) < 0)
+                _, first = np.unique(keys[fresh], return_index=True)
+                fresh = fresh[np.sort(first)]
+                added = np.sort(keys[fresh])
+                seen = np.insert(seen, np.searchsorted(seen, added), added)
+                a, b = np.divmod(fresh, len(gens))
+                grown.append((u[a] @ gens[b] % m, invs[b] @ u_inv[a] % m))
+            us, u_invs = (np.concatenate(z) for z in zip(*grown))
+            orbit.append((us, u_invs))
+        return {u[i].tobytes(): (u.copy(), u_inv.copy())
+                for block in orbit for u, u_inv in zip(*block)}
 
     def order(self):
         return self._order
@@ -766,11 +900,16 @@ def kernel_membership_test(ring, size, ideal, samples=1000, seed=0,
     is evaluated by batched column operations, and the block is sifted
     through the chain at once by ``StabilizerChain.members``.  The
     chain's int64 overflow guard runs before any sample is drawn.
-    ``closure_size`` is the order of ESp(R, I).
+    ``closure_size`` is the order of ESp(R, I).  The chain is given I,
+    so when |Sp(R, I)| is at most ``cap`` it stops as soon as the level
+    orbits of the relative triples reach that closed-form order, and
+    no conjugate is sifted; otherwise, or when they fall short, the
+    full Schreier-Sims build runs.
     """
     rel = generators_for(GroupSpec("symplectic-ESp-relative", size, ring, ideal))
     conj = generators_for(GroupSpec("symplectic-ESp", size, ring))
-    chain = StabilizerChain(rel, ring, conjugators=conj, cap=cap)
+    chain = StabilizerChain(rel, ring, conjugators=conj, cap=cap,
+                            ideal=ideal)
     rng = random.Random(seed)
     blocks = _first_rowcol_samples(size, ring.m, ideal.modulus(), rng, samples)
     hits = sum(int(chain.members(block).sum()) for block in blocks)

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -37,6 +38,20 @@ def test_pfaffian_squares_to_determinant():
                 entries[j][i] = -v
         mat = SquareMatrix(R, entries)
         assert pfaffian(mat) * pfaffian(mat) == determinant(mat)
+
+
+@pytest.mark.parametrize("expand", [pfaffian, determinant])
+def test_expansion_leaves_no_reference_cycle(expand):
+    """A Pfaffian or determinant leaves nothing for the cyclic collector:
+    its memo is freed when the call returns, not at the next collection."""
+    mat = standard_form(Zmod(9), 3)
+    gc.collect()
+    gc.disable()
+    try:
+        assert expand(mat) == Zmod(9).one()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_symplectic_atoms_preserve_form():

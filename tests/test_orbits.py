@@ -17,7 +17,8 @@ from transvect.orbits import (GroupSpec, check_dim0_transitivity,
 from transvect.matrices import sigma
 from transvect import rewrite
 from transvect.rewrite import conjugate_square_ideal, square_ideal_atoms
-from transvect.rings import DescriptorError, Ideal, RingError, Zmod
+from transvect.rings import (GF, DescriptorError, Ideal, RingError, Zmod,
+                             parse_ring)
 from transvect.words import (LINEAR, SYMPLECTIC, GeneratorAtom, GeneratorWord,
                              conjugate, conjugation_triple, eval_table, lin,
                              se, word_table)
@@ -888,6 +889,9 @@ def test_chain_order_is_the_congruence_kernel_order(p, k, size):
     chain = orbits.StabilizerChain(rel, Zmod(p ** k), conjugators=conj,
                                    cap=10 ** 12)
     assert chain.order() == p ** ((k - 1) * r * (2 * r + 1))
+    R = Zmod(p ** k)
+    assert chain.order() == orbits.symplectic_kernel_order(
+        size, R, Ideal.principal(R, p))
 
 
 def test_chain_cap_is_a_bound_on_the_group_order():
@@ -1007,6 +1011,222 @@ def test_chain_rejects_a_long_root_outside_the_kernel():
         _word_array(GeneratorWord(R, 4, [se(1, 2, R.element(1))]), 25))
     assert chain.contains(
         _word_array(GeneratorWord(R, 4, [se(1, 2, R.element(5))]), 25))
+
+
+# -- the kernel chain's stop at the closed-form order of Sp(R, I) -------
+
+
+def _kernel_chain_inputs(desc, gen, size):
+    """The ring, the ideal (gen), the relative triples and the ESp
+    conjugators of a kernel-test chain."""
+    R = parse_ring(desc)
+    I = Ideal.principal(R, gen)
+    return (R, I,
+            generators_for(GroupSpec("symplectic-ESp-relative", size, R, I)),
+            generators_for(GroupSpec("symplectic-ESp", size, R)))
+
+
+def _no_full_build(monkeypatch):
+    """Make the Schreier-Sims build raise: a chain built afterwards must
+    have stopped at its closed-form order."""
+    def full_build(*args):
+        raise AssertionError("the chain fell back to the full build")
+    monkeypatch.setattr(orbits.StabilizerChain, "_build", full_build)
+
+
+_BOUND_CASES = [(desc, gen, size)
+                for desc, gens in [("zmod:9", (1, 0, 3, 4)),
+                                   ("zmod:15", (1, 0, 3, 5)),
+                                   ("zmod:25", (1, 0, 5)),
+                                   ("zmod:27", (1, 0, 3, 9, 6)),
+                                   ("zmod:45", (1, 0, 3, 5, 9, 15)),
+                                   ("gf:5", (1, 0))]
+                for gen in gens for size in (2, 4, 6)]
+
+
+@pytest.mark.parametrize("desc,gen,size", _BOUND_CASES)
+def test_symplectic_kernel_order_is_the_full_chain_order(desc, gen, size):
+    """The closed-form |Sp(R, I)| equals the order of the full
+    Schreier-Sims chain of ESp(R, I), built without the ideal, in every
+    case of order at most 10**7, and the chain given I has that order
+    too.  The ideals 4 over Z/9 and 6 over Z/27 are R and (3) written
+    with another generator.  Past the cap both chains run the full build
+    and stop with one cap message."""
+    R, I, rel, conj = _kernel_chain_inputs(desc, gen, size)
+    bound = orbits.symplectic_kernel_order(size, R, I)
+    if bound <= 10 ** 7:
+        full = orbits.StabilizerChain(rel, R, conjugators=conj, cap=10 ** 7)
+        assert full.order() == bound
+        chain = orbits.StabilizerChain(rel, R, conjugators=conj,
+                                       cap=10 ** 7, ideal=I)
+        assert chain.order() == bound
+        return
+    messages = set()
+    for ideal in (None, I):
+        with pytest.raises(RingError, match="closure cap 1000 exceeded") \
+                as err:
+            orbits.StabilizerChain(rel, R, conjugators=conj, cap=10 ** 3,
+                                   ideal=ideal)
+        messages.add(str(err.value))
+    assert len(messages) == 1
+
+
+def test_symplectic_kernel_order_independent_constants():
+    """|Sp_4(F_3)| = 51,840 (Z/15 with (5)), |Sp_4(F_5)| = 9,360,000,
+    |SL_2(Z/9)| = 648, the trivial group for the zero ideal, and the
+    level-j congruence kernels p^((k-j) n(2n+1)) of Sp_2n(Z/p^k)."""
+    order = orbits.symplectic_kernel_order
+    R = Zmod(15)
+    assert order(4, R, Ideal.principal(R, 5)) == 51840
+    assert order(4, GF(5), Ideal.full(GF(5))) == 9360000
+    assert order(2, Zmod(9), Ideal.full(Zmod(9))) == 648
+    assert order(6, Zmod(45), Ideal.zero(Zmod(45))) == 1
+    R = Zmod(3 ** 5)
+    for j in range(1, 6):
+        assert order(6, R, Ideal.principal(R, 3 ** j)) == 3 ** ((5 - j) * 21)
+
+
+_STOP_CASES = [("zmod:9", 1, 2), ("zmod:9", 3, 2), ("zmod:5", 1, 2),
+               ("zmod:15", 1, 2), ("zmod:45", 3, 2), ("zmod:9", 1, 4),
+               ("zmod:9", 3, 4), ("zmod:5", 1, 4), ("zmod:7", 1, 4),
+               ("zmod:15", 5, 4), ("zmod:25", 5, 4), ("zmod:27", 3, 4),
+               ("zmod:27", 9, 4), ("zmod:9", 3, 6), ("zmod:15", 5, 6),
+               ("zmod:27", 9, 6), ("zmod:9", 0, 6)]
+
+
+@pytest.mark.parametrize("desc,gen,size", _STOP_CASES)
+def test_kernel_chain_stops_at_the_bound(desc, gen, size, monkeypatch):
+    """The level orbits of the relative triples alone reach |Sp(R, I)|,
+    with the cap at that order: no Schreier generator and no conjugate
+    is sifted."""
+    R, I, rel, conj = _kernel_chain_inputs(desc, gen, size)
+    bound = orbits.symplectic_kernel_order(size, R, I)
+    _no_full_build(monkeypatch)
+    chain = orbits.StabilizerChain(rel, R, conjugators=conj, cap=bound,
+                                   ideal=I)
+    assert chain.order() == bound
+
+
+def _random_products(gens, conj, m, rng, count):
+    """Products of 1..6 random conjugates c s c^-1, s a generator and c
+    a conjugator or the identity: members of the normal closure."""
+    n = len(gens[0])
+    conj = [(np.eye(n, dtype=np.int64),) * 2] + [
+        (c, _inverse_by_powers(c, m)) for c in conj]
+    out = []
+    for _ in range(count):
+        x = np.eye(n, dtype=np.int64)
+        for _ in range(rng.randrange(1, 7)):
+            c, c_inv = rng.choice(conj)
+            x = x @ c % m @ gens[rng.randrange(len(gens))] % m @ c_inv % m
+        out.append(x)
+    return np.array(out)
+
+
+def _shifted(block, shift, m, rng):
+    """Each matrix with one random entry raised by ``shift``: still = 1
+    mod I for shift in I, but as a rule no longer symplectic."""
+    out = block.copy()
+    for x in out:
+        x[rng.randrange(len(x)), rng.randrange(len(x))] += shift
+    return out % m
+
+
+_MEMBER_CASES = [("zmod:9", 3, 4, 10 ** 6), ("zmod:25", 5, 4, 10 ** 7),
+                 ("zmod:15", 5, 4, 10 ** 6), ("zmod:27", 9, 4, 10 ** 6),
+                 ("zmod:45", 15, 4, 10 ** 6), ("gf:5", 1, 4, 10 ** 7),
+                 ("zmod:15", 3, 4, 10 ** 7), ("zmod:45", 3, 2, 10 ** 6),
+                 ("zmod:9", 3, 6, 10 ** 11)]
+
+
+@pytest.mark.parametrize("desc,gen,size,cap", _MEMBER_CASES)
+def test_stopped_chain_members_match_the_full_chain(desc, gen, size, cap,
+                                                    monkeypatch):
+    """The chain that stops at |Sp(R, I)| against the full Schreier-Sims
+    chain, never against itself: the same orbit at every level, and the
+    same verdicts on kernel-test sample blocks, random products of
+    conjugated generators, uniform matrices and samples with one entry
+    shifted by the ideal's generator."""
+    R, I, rel, conj = _kernel_chain_inputs(desc, gen, size)
+    m = R.m
+    full = orbits.StabilizerChain(rel, R, conjugators=conj, cap=cap)
+    _no_full_build(monkeypatch)
+    chain = orbits.StabilizerChain(rel, R, conjugators=conj, cap=cap,
+                                   ideal=I)
+    assert chain.order() == full.order()
+    assert [set(t) for t in chain._trans] == [set(t) for t in full._trans]
+    rng, nprng = random.Random(m * size + gen), np.random.default_rng(gen)
+    drawn = np.concatenate(list(orbits._first_rowcol_samples(
+        size, m, I.modulus(), rng, 300)))
+    block = np.concatenate([
+        drawn, _random_products(rel, conj, m, rng, 200),
+        nprng.integers(0, m, (300, size, size)),
+        _shifted(drawn, I.modulus(), m, rng)])
+    want = full.members(block)
+    assert want[:500].all() and not want[500:800].any()
+    assert not want[800:].all()
+    assert chain.members(block).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+def test_level_orbits_do_not_depend_on_the_block_size(chunk, monkeypatch):
+    """The breadth-first search finds the same rows in the same order,
+    with the same u, whatever its block of products (one frontier row
+    per block at 1), so no block is skipped; and its level orbits are
+    the full chain's."""
+    R, I, rel, conj = _kernel_chain_inputs("zmod:25", 5, 4)
+
+    def levels(chain):
+        return [[(key, u.tobytes()) for key, (u, _) in trans.items()]
+                for trans in chain._trans]
+    full = orbits.StabilizerChain(rel, R, conjugators=conj, cap=10 ** 7)
+    default = orbits.StabilizerChain(rel, R, conjugators=conj,
+                                     cap=10 ** 7, ideal=I)
+    monkeypatch.setattr(orbits, "CHUNK_ROWS", chunk)
+    _no_full_build(monkeypatch)
+    chain = orbits.StabilizerChain(rel, R, conjugators=conj, cap=10 ** 7,
+                                   ideal=I)
+    assert levels(chain) == levels(default)
+    assert [set(t) for t in chain._trans] == [set(t) for t in full._trans]
+
+
+def test_chain_off_the_symplectic_kernel_runs_the_full_build():
+    """Given I, a chain whose group may leave Sp(R, I) is the full
+    build's: a generator = 1 mod I that is not symplectic (E_13(3)) and
+    a symplectic generator not = 1 mod I (se_12(1)) each give a group of
+    order 3**11 over Z/9 with (3), and a conjugator that is not
+    symplectic gives a normal closure past the cap, with the full
+    build's message."""
+    R, I, rel, conj = _kernel_chain_inputs("zmod:9", 3, 4)
+
+    def word(atom):
+        return _word_array(GeneratorWord(R, 4, [atom]), 9)
+    for extra in (word(lin(1, 3, 3)), word(se(1, 2, 1))):
+        gens = rel + [extra]
+        full = orbits.StabilizerChain(gens, R)
+        chain = orbits.StabilizerChain(gens, R, ideal=I)
+        assert chain.order() == full.order() == 3 ** 11
+        block = np.concatenate([[extra], _random_products(
+            gens, [], 9, random.Random(1), 100)])
+        assert chain.members(block).all()
+    messages = set()
+    for ideal in (None, I):
+        with pytest.raises(RingError, match="closure cap 100000 exceeded") \
+                as err:
+            orbits.StabilizerChain(rel, R, cap=10 ** 5, ideal=ideal,
+                                   conjugators=conj + [word(lin(1, 3, 1))])
+        messages.add(str(err.value))
+    assert len(messages) == 1
+
+
+def test_chain_order_past_the_bound_raises(monkeypatch):
+    """A bound below the product of the level orbits disproves the
+    formula: RingError, not a chain."""
+    monkeypatch.setattr(orbits, "symplectic_kernel_order",
+                        lambda size, ring, ideal: 3 ** 9)
+    R, I, rel, conj = _kernel_chain_inputs("zmod:9", 3, 4)
+    with pytest.raises(RingError, match="chain order 59049 exceeds"):
+        orbits.StabilizerChain(rel, R, conjugators=conj, ideal=I)
 
 
 # -- the fast paths of the orbit engine against the slow oracles -------
