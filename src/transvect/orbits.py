@@ -27,7 +27,7 @@ number of classes mod I, after an exact check that every generator is
 
 import random
 from functools import cache, cached_property, lru_cache, partial, reduce
-from itertools import compress, cycle
+from itertools import compress, count, cycle
 from math import gcd, prod
 
 import numpy as np
@@ -532,10 +532,7 @@ def _matrix_size(generators, conjugators):
 
 def _psi(size):
     """psi_(size/2) as an int64 array: 1 at (2k, 2k+1), -1 at (2k+1, 2k)."""
-    psi = np.zeros((size, size), dtype=np.int64)
-    k = np.arange(0, size, 2)
-    psi[k, k + 1], psi[k + 1, k] = 1, -1
-    return psi
+    return np.kron(np.eye(size // 2, dtype=np.int64), [[0, 1], [-1, 0]])
 
 
 def symplectic_kernel_order(size, ring, ideal):
@@ -551,32 +548,15 @@ def symplectic_kernel_order(size, ring, ideal):
     = p^(n^2) prod_(i<=n) (p^(2i) - 1).
     """
     n, m, g = size // 2, ring.m, ideal.modulus()
-    dim = n * (2 * n + 1)
     order = 1
     for p in prime_factors(m):
-        k = j = 0
-        while m % p ** (k + 1) == 0:
-            k += 1
-        while j < k and (g == 0 or g % p ** (j + 1) == 0):
-            j += 1
-        if j:
-            order *= p ** ((k - j) * dim)
-        else:
-            order *= p ** ((k - 1) * dim + n * n) * prod(
-                p ** (2 * i) - 1 for i in range(1, n + 1))
+        k = next(e for e in count(1) if m % p ** e) - 1
+        j = next(e for e in count(1) if g % p ** e) - 1 if g else k
+        order *= p ** ((k - max(j, 1)) * n * (2 * n + 1))
+        if not j:
+            order *= p ** (n * n) * prod(p ** (2 * i) - 1
+                                         for i in range(1, n + 1))
     return order
-
-
-def _in_symplectic_kernel(gens, conj, m, g):
-    """Whether every generator x is in Sp(Z/m, gZ/m), x^t psi x = psi
-    and x = 1 mod g (mod m for g = 0), and every conjugator c is
-    symplectic: exact on the two (k, n, n) int64 stacks, whose products
-    fit under ``_check_products``."""
-    psi = _psi(gens.shape[1])
-    mats = np.concatenate([gens, conj])
-    return bool((mats.transpose(0, 2, 1) @ psi @ mats % m == psi % m).all()
-                and not ((gens - np.eye(len(psi), dtype=np.int64))
-                         % (g or m)).any())
 
 
 class StabilizerChain:
@@ -623,11 +603,12 @@ class StabilizerChain:
 
     def _build(self, gens, conj):
         """The interleaved Schreier-Sims build, from an empty chain."""
-        m, eye = self.m, np.eye(self.n, dtype=np.int64)
-        self._strong = [[] for _ in range(self.n)]
-        self._trans = [{eye[i].tobytes(): (eye, eye)} for i in range(self.n)]
-        self._orbit = [[eye[i].tobytes()] for i in range(self.n)]
-        self._done = [[0] for _ in range(self.n)]  # strong generators applied
+        m, n = self.m, self.n
+        eye = np.eye(n, dtype=np.int64)
+        self._strong = [[] for _ in range(n)]
+        self._trans = [{eye[i].tobytes(): (eye, eye)} for i in range(n)]
+        self._orbit = [[eye[i].tobytes()] for i in range(n)]
+        self._done = [[0] for _ in range(n)]  # strong generators applied
         self._order = 1
         for g in gens:
             self._extend(g, _inverse_mod(g, m))
@@ -643,25 +624,30 @@ class StabilizerChain:
         when it does not apply or falls short.
 
         It applies for even n when ``symplectic_kernel_order`` is at
-        most ``cap`` and ``_in_symplectic_kernel`` holds.  The group G
-        (with conjugators, the normal closure) then lies in Sp_n(R, I),
-        which is normal in Sp_n(R), and every inverse is s^-1 = psi^t
-        s^t psi.  Level i's orbit of e_(i+1) under the generators that
-        fix e_1..e_i is part of its orbit under G's stabilizer of
-        e_1..e_i, so the product P of the level orbits is at most |G| <=
-        the bound.  P = bound makes each inequality tight: every level
-        orbit is G's, so the levels are a complete chain (Seress, ch. 4).
-        P > bound disproves the formula: RingError."""
+        most ``cap``, every generator is exactly symplectic and = 1 mod
+        I, and every conjugator is symplectic.  The group G (with
+        conjugators, the normal closure) then lies in Sp_n(R, I), which
+        is normal in Sp_n(R), and every inverse is s^-1 = psi^t s^t psi.
+        Level i's orbit of e_(i+1) under the generators that fix
+        e_1..e_i is part of its orbit under G's stabilizer of e_1..e_i,
+        so the product P of the level orbits is at most |G| <= the
+        bound.  P = bound makes each inequality tight: every level orbit
+        is G's, so the levels are a complete chain (Seress, ch. 4).  P >
+        bound disproves the formula: RingError."""
         n, m = self.n, self.m
         if n % 2:
             return False
         bound = symplectic_kernel_order(n, ring, ideal)
         gens, conj = (np.array(x, dtype=np.int64).reshape(-1, n, n)
                       for x in (gens, conj))
-        if bound > self.cap or not _in_symplectic_kernel(
-                gens, conj, m, ideal.modulus()):
+        eye, psi, g = np.eye(n, dtype=np.int64), _psi(n), ideal.modulus()
+        # the generators in Sp_n(R, I) and the conjugators in Sp_n(R),
+        # exact: the products fit under _check_products
+        mats = np.concatenate([gens, conj])
+        if (bound > self.cap
+                or (mats.transpose(0, 2, 1) @ psi @ mats % m != psi % m).any()
+                or ((gens - eye) % (g or m)).any()):
             return False
-        eye, psi = np.eye(n, dtype=np.int64), _psi(n)
         invs = psi.T @ gens.transpose(0, 2, 1) @ psi % m
         trans, fixed = [], np.ones(len(gens), dtype=bool)
         for i in range(n):
