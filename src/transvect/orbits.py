@@ -27,7 +27,7 @@ number of classes mod I, after an exact check that every generator is
 
 import random
 from functools import cache, cached_property, lru_cache, partial, reduce
-from itertools import compress, count, cycle
+from itertools import compress, count
 from math import gcd, prod
 
 import numpy as np
@@ -36,7 +36,7 @@ from .matrices import sigma
 from .rewrite import square_ideal_atoms
 from .rings import DescriptorError, Ideal, RingError, Zmod, prime_factors
 from .words import (CHUNK_ROWS, LINEAR, SYMPLECTIC, atom_rows, eval_table,
-                    word_table)
+                    randbelow_block, word_table)
 
 # family -> (group it generates, kind), read only by GroupSpec
 FAMILIES = {
@@ -223,15 +223,15 @@ class OrbitPartition:
     def spot_check_closed(self, generators, m, trials=1000, seed=0):
         """Random (row, generator) pairs never escape their orbit; an
         image outside the universe is an escape.  The pairs are drawn
-        first, row then generator, and their images are one batched
+        first, row then generator, as one ``randbelow_block``, draw for
+        draw the ``randrange`` calls, and their images are one batched
         product."""
         rng = random.Random(seed)
         rows = self.universe
         if not len(rows) or not generators:
             return True
-        bounds = (len(rows), len(generators)) * trials
-        at, gi = np.fromiter(map(rng.randrange, bounds), np.int64,
-                             len(bounds)).reshape(-1, 2).T
+        at, gi = randbelow_block(rng, (len(rows), len(generators)),
+                                 2 * trials).reshape(-1, 2).T
         gens = np.asarray(generators, dtype=np.int64) % m
         img = np.einsum("ti,tij->tj", rows[at], gens[gi]) % m
         pos = _search(self.keys, img @ _key_powers(rows.shape[1], m))
@@ -842,18 +842,20 @@ def _first_rowcol_atoms(size, m, g, rng, count):
     """``count`` random first-row/column words over Z/m with I = gZ/m,
     as a (count, L, 3) int64 array of atoms (i, j, arg mod m), 1-based
     as for ``se``.  Each of the first six atoms draws j in 2..size, a
-    coin and r in 0..m-1 from ``rng``, in that order: a first-column
-    atom se_j1(g*r) on heads when g != 0, else a first-row atom
-    se_1j(r).  The word is then composed with its mod-I mirror, the six
-    atoms in reverse with arguments -(arg mod (g or m)), so that it is
-    = identity mod I by construction (L = 12); for I = R the mirror
+    coin and r in 0..m-1 from ``rng``, in that order, all of them one
+    ``randbelow_block``, draw for draw the ``randrange`` calls: a
+    first-column atom se_j1(g*r) on heads when g != 0, else a first-row
+    atom se_1j(r).  The word is then composed with its mod-I mirror, the
+    six atoms in reverse with arguments -(arg mod (g or m)), so that it
+    is = identity mod I by construction (L = 12); for I = R the mirror
     would cancel the atoms exactly, so the six stand alone (L = 6)."""
     out = np.empty((count, 6 if g == 1 else 12, 3), dtype=np.int64)
-    draws = map(rng.randrange, cycle((2, 0, 0)), cycle((size + 1, 2, m)))
-    out[:, :6] = np.fromiter(draws, np.int64, 18 * count).reshape(count, 6, 3)
-    # views of the first six atoms, which hold the draws (j, coin, r)
+    out[:, :6] = randbelow_block(rng, (size - 1, 2, m),
+                                 18 * count).reshape(count, 6, 3)
+    # views of the first six atoms, which hold the draws (j - 2, coin, r)
     # until they are rewritten in place
     i, j, arg = out[:, :6].transpose(2, 0, 1)
+    i += 2
     col = (j == 1) & (g != 0)  # heads: a first-column atom
     arg[col] = arg[col] * g % m
     j[:] = np.where(col, 1, i)
@@ -912,19 +914,21 @@ def kernel_membership_test(ring, size, ideal, samples=1000, seed=0,
 
 def _square_ideal_samples(ring, size, ideal, rng, samples):
     """Per block of at most CHUNK_ROWS samples, drawn in order from
-    ``rng``: the conjugates se_kl(z) se_ij(ab) se_kl(-z), a, b in I, and
-    the right sides of their certified factorizations, each evaluated
-    once as one atom table, and how many were factored: all but a long
-    target opposite its conjugator (no split of that shape).  As in a
-    RewriteResult, a factorization is certified if its table equals its
-    conjugate's (exact: entries mod m fit in int64) and every argument
-    passes ``Ideal.contains``."""
+    ``rng`` as one ``randbelow_block``, draw for draw the ``choice`` and
+    ``randrange`` calls: the conjugates se_kl(z) se_ij(ab) se_kl(-z), a,
+    b in I, and the right sides of their certified factorizations, each
+    evaluated once as one atom table, and how many were factored: all
+    but a long target opposite its conjugator (no split of that shape).
+    As in a RewriteResult, a factorization is certified if its table
+    equals its conjugate's (exact: entries mod m fit in int64) and every
+    argument passes ``Ideal.contains``."""
     m, g = ring.m, ideal.modulus()
     pairs = _index_pairs(size)
     for lo in range(0, samples, CHUNK_ROWS):
-        draws = [(*rng.choice(pairs), *rng.choice(pairs), rng.randrange(m),
-                  g * rng.randrange(m) % m, g * rng.randrange(m) % m)
-                 for _ in range(min(CHUNK_ROWS, samples - lo))]
+        vals = randbelow_block(rng, (len(pairs),) * 2 + (m,) * 3,
+                               5 * min(CHUNK_ROWS, samples - lo))
+        draws = [(*pairs[x], *pairs[y], z, g * a % m, g * b % m)
+                 for x, y, z, a, b in vals.reshape(-1, 5).tolist()]
         conj = [[(k, l, z), (i, j, a * b % m), (k, l, -z % m)]
                 for i, j, k, l, z, a, b in draws]
         split = np.array([not (i == sigma(j) and (k, l) == (j, i))

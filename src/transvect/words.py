@@ -155,6 +155,59 @@ def eval_table(atoms, size, m, family):
     return out
 
 
+def randbelow_block(rng, bounds, count):
+    """``[rng._randbelow(n) for n in cycle(bounds)][:count]``, the values
+    of the ``randrange`` and ``choice`` calls it replaces, as an int64
+    array, leaving ``rng`` as those calls would: each keeps the top
+    n.bit_length() bits of successive 32-bit Mersenne Twister words until
+    they are below n.  Pieces of whole cycles, at most CHUNK_ROWS values,
+    are decoded from ``rng.randbytes`` (twice the words if they run out);
+    a bound outside 1 .. 2**32 - 1 raises ValueError before any draw."""
+    bounds = list(bounds)
+    if not bounds or not all(0 < n < 2 ** 32 for n in bounds):
+        raise ValueError("bounds must be in 1 .. 2**32 - 1, got %r" % (bounds,))
+    c = len(bounds)
+    shifts = np.array([32 - n.bit_length() for n in bounds], dtype=np.uint32)
+    limits = [n << int(s) for n, s in zip(bounds, shifts)]  # accept w < limit
+    mean = sum(2 ** n.bit_length() / n for n in bounds) / c  # words a value
+    out, step = np.empty(count, dtype=np.int64), max(1, CHUNK_ROWS // c) * c
+    for lo in range(0, count, step):
+        k, state = min(step, count - lo), rng.getstate()
+        words = int(mean * 1.1 * k) + 64
+        while True:
+            w = np.frombuffer(rng.randbytes(4 * words), dtype="<u4")
+            rng.setstate(state)
+            pos = _draw_positions(w, limits, k)
+            if pos.flat[k - 1] <= words:
+                break
+            words *= 2
+        rng.getrandbits(32 * int(pos.flat[k - 1]))
+        out[lo:lo + k] = (w.take(pos - 1, mode="clip") >> shifts).ravel()[:k]
+    return out
+
+
+def _draw_positions(w, limits, k):
+    """One past the word of each of the first k draws (len(w) + 1 past
+    the end) as a (cycles, slots) array, slot i taking the first word
+    below limits[i].  A cycle maps its first word to the one after its
+    last draw; the cycle starts are that map's powers of 0, by doubling."""
+    end = len(w)
+    rows, whole = [], np.arange(end + 2)
+    for limit in limits:
+        hits = np.append(np.flatnonzero(w < limit), end)
+        rows.append(np.append(np.repeat(hits + 1, np.diff(hits, prepend=-1)),
+                              end + 1))
+        whole = rows[-1][whole]
+    starts = np.zeros(1, dtype=np.int64)
+    while len(starts) * len(limits) < k:
+        starts, whole = np.append(starts, whole[starts]), whole[whole]
+    pos = np.empty((-(-k // len(limits)), len(limits)), dtype=np.int64)
+    starts = starts[:len(pos)]
+    for i, nxt in enumerate(rows):
+        pos[:, i] = starts = nxt[starts]
+    return pos
+
+
 class GeneratorWord:
     """Ordered list of atoms over a fixed ring and matrix size.
 

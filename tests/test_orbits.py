@@ -3,7 +3,7 @@ import random
 import re
 import tracemalloc
 from functools import partial
-from itertools import permutations, product
+from itertools import compress, cycle, permutations, product
 
 import numpy as np
 import pytest
@@ -20,8 +20,8 @@ from transvect.rewrite import conjugate_square_ideal, square_ideal_atoms
 from transvect.rings import (GF, DescriptorError, Ideal, RingError, Zmod,
                              parse_ring)
 from transvect.words import (LINEAR, SYMPLECTIC, GeneratorAtom, GeneratorWord,
-                             conjugate, conjugation_triple, eval_table, lin,
-                             se, word_table)
+                             atom_rows, conjugate, conjugation_triple,
+                             eval_table, lin, se, word_table)
 
 
 def test_unimodular_counts():
@@ -1680,3 +1680,91 @@ def test_chain_overflow_guard_runs_before_conversion(m):
     with pytest.raises(RingError, match="overflow int64"):
         orbit_partition(np.array([[1, 0]]), [np.eye(2, dtype=np.int64)],
                         Zmod(m))
+
+
+# -- the block-drawn samplers against their per-draw code -------------
+
+
+def _first_rowcol_atoms_by_randrange(size, m, g, rng, count):
+    """``orbits._first_rowcol_atoms`` as it drew before
+    ``randbelow_block``, one ``randrange`` call per value, kept as the
+    oracle."""
+    out = np.empty((count, 6 if g == 1 else 12, 3), dtype=np.int64)
+    draws = map(rng.randrange, cycle((2, 0, 0)), cycle((size + 1, 2, m)))
+    out[:, :6] = np.fromiter(draws, np.int64, 18 * count).reshape(count, 6, 3)
+    i, j, arg = out[:, :6].transpose(2, 0, 1)
+    col = (j == 1) & (g != 0)
+    arg[col] = arg[col] * g % m
+    j[:] = np.where(col, 1, i)
+    i[~col] = 1
+    if g != 1:
+        out[:, 6:] = out[:, 5::-1]
+        out[:, 6:, 2] = -(out[:, 6:, 2] % (g or m)) % m
+    return out
+
+
+def _square_ideal_samples_by_choice(ring, size, ideal, rng, samples):
+    """``orbits._square_ideal_samples`` as it drew before
+    ``randbelow_block``, one ``choice`` or ``randrange`` call per value,
+    kept as the oracle."""
+    m, g = ring.m, ideal.modulus()
+    pairs = orbits._index_pairs(size)
+    for lo in range(0, samples, orbits.CHUNK_ROWS):
+        draws = [(*rng.choice(pairs), *rng.choice(pairs), rng.randrange(m),
+                  g * rng.randrange(m) % m, g * rng.randrange(m) % m)
+                 for _ in range(min(orbits.CHUNK_ROWS, samples - lo))]
+        conj = [[(k, l, z), (i, j, a * b % m), (k, l, -z % m)]
+                for i, j, k, l, z, a, b in draws]
+        split = np.array([not (i == sigma(j) and (k, l) == (j, i))
+                          for i, j, k, l, *_ in draws], dtype=bool)
+        words = [square_ideal_atoms(ring, size, i, j, *map(ring.element, zab),
+                                    (k, l))
+                 for i, j, k, l, *zab in compress(draws, split)]
+        conj = eval_table(word_table(conj), size, m, SYMPLECTIC)
+        rhs = eval_table(word_table(list(map(atom_rows, words))), size, m,
+                         SYMPLECTIC)
+        member = [all(ideal.contains(x.arg) for x in w) for w in words]
+        equal = (rhs == conj[split]).all(axis=(1, 2))
+        yield conj, rhs[equal & np.array(member, dtype=bool)], len(words)
+
+
+# Z/9 with (3), Z/15 with (5), Z/27 with (3) and GF(5) with I = R
+_DRAW_RINGS = [(Zmod(9), 3), (Zmod(15), 5), (Zmod(27), 3), (GF(5), 1)]
+
+
+@pytest.mark.parametrize("size", [2, 4, 6])
+@pytest.mark.parametrize("ring,g", _DRAW_RINGS)
+def test_first_rowcol_atoms_match_the_randrange_draw(ring, g, size):
+    """Equal atom tables and Random states; 300 words are 5,400 values,
+    past one piece of the block draw."""
+    for seed in range(4):
+        for count in (0, 1, 37, 300):
+            block, calls = random.Random(seed), random.Random(seed)
+            got = orbits._first_rowcol_atoms(size, ring.m, g, block, count)
+            want = _first_rowcol_atoms_by_randrange(size, ring.m, g, calls,
+                                                    count)
+            assert np.array_equal(got, want)
+            assert block.getstate() == calls.getstate()
+
+
+@pytest.mark.parametrize("chunk", [7, 4096])
+@pytest.mark.parametrize("size", [2, 4, 6])
+@pytest.mark.parametrize("ring,g", _DRAW_RINGS)
+def test_square_ideal_samples_match_the_choice_draw(ring, g, size, chunk,
+                                                    monkeypatch):
+    """Equal conjugate and certified right-side blocks, factored counts
+    and Random states, with blocks and draw pieces of 7 values and of
+    4,096."""
+    monkeypatch.setattr(orbits, "CHUNK_ROWS", chunk)
+    monkeypatch.setattr("transvect.words.CHUNK_ROWS", chunk)
+    ideal = Ideal.principal(ring, g)
+    for seed in range(2):
+        block, calls = random.Random(seed), random.Random(seed)
+        got = list(orbits._square_ideal_samples(ring, size, ideal, block, 30))
+        want = list(_square_ideal_samples_by_choice(ring, size, ideal, calls,
+                                                    30))
+        assert len(got) == len(want) == -(-30 // chunk)
+        for (conj, rhs, count), (conj_w, rhs_w, count_w) in zip(got, want):
+            assert np.array_equal(conj, conj_w)
+            assert np.array_equal(rhs, rhs_w) and count == count_w
+        assert block.getstate() == calls.getstate()

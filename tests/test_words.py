@@ -1,4 +1,5 @@
 import random
+from itertools import cycle, islice
 
 import numpy as np
 import pytest
@@ -391,3 +392,130 @@ def test_atom_list_algebra_matches_matrix_products():
     assert ev(conjugate(x, y)) == ev(x) * ev(y) * ev(inverse_atoms(x))
     assert atom_rows(conjugate(x, y)) == [
         (1, 2, 2), (3, 1, 4), (2, 4, 5), (1, 3, 7), (3, 1, 5), (1, 2, 7)]
+
+
+# -- randbelow_block against the per-call draws -----------------------
+
+# a cycle of every length 1..7, with the edge bounds 1, 2, 3, 2**31 and
+# 2**32 - 1 alone and mixed
+_BOUND_CYCLES = [(1,), (2,), (3,), (2 ** 31,), (2 ** 32 - 1,), (5, 3),
+                 (3, 2, 9), (7, 1, 2 ** 32 - 1, 2), (12, 12, 9, 9, 9),
+                 (6, 6, 5, 5, 1, 2 ** 32 - 1), (1, 2, 3, 4, 5, 6, 7)]
+
+
+def _randbelow_loop(rng, bounds, count):
+    """The oracle: one ``rng._randbelow`` call per value."""
+    return [rng._randbelow(n) for n in islice(cycle(bounds), count)]
+
+
+def _check_block(seed, bounds, count):
+    """randbelow_block's values equal the per-call loop's and the
+    ``randrange`` calls', and all three Randoms end in one state."""
+    block, loop, calls = (random.Random(seed) for _ in range(3))
+    got = words.randbelow_block(block, bounds, count)
+    assert got.dtype == np.int64 and got.shape == (count,)
+    assert got.tolist() == _randbelow_loop(loop, bounds, count) == \
+        [calls.randrange(n) for n in islice(cycle(bounds), count)]
+    assert block.getstate() == loop.getstate() == calls.getstate()
+
+
+@pytest.mark.parametrize("bounds", _BOUND_CYCLES)
+def test_randbelow_block_matches_the_per_call_draws(bounds):
+    """Seeds 0-59; no value, one, counts that end inside a cycle, and a
+    longer run."""
+    c = len(bounds)
+    for seed in range(60):
+        for count in sorted({0, 1, c + 1, 3 * c - 1, 50}):
+            _check_block(seed, bounds, count)
+
+
+@pytest.mark.parametrize("chunk,counts", [
+    (1, (2, 3, 4, 20)), (7, (5, 6, 7, 12, 13, 40)),
+    (4096, (4095, 4096, 4097, 8191))])
+@pytest.mark.parametrize("bounds", [(3,), (3, 2, 9), (12, 12, 9, 9, 9),
+                                    (1, 2, 3, 4, 5, 6, 7)])
+def test_randbelow_block_crosses_pieces_exactly(bounds, chunk, counts,
+                                                 monkeypatch):
+    """Counts around the pieces of whole cycles, at most CHUNK_ROWS
+    values each (one cycle when the cycle is longer)."""
+    monkeypatch.setattr(words, "CHUNK_ROWS", chunk)
+    for seed in range(60 if chunk < 4096 else 3):
+        for count in counts:
+            _check_block(seed, bounds, count)
+
+
+def _untemper(y):
+    """The Mersenne Twister state word that tempers to the output y."""
+    y ^= y >> 18
+    x = y
+    for _ in range(3):
+        x = y ^ ((x << 15) & 0xEFC60000)
+    y = x
+    for _ in range(5):
+        x = y ^ ((x << 7) & 0x9D2C5680)
+    y = x
+    for _ in range(3):
+        x = y ^ (x >> 11)
+    return x & 0xFFFFFFFF
+
+
+class _CountingRandom(random.Random):
+    """A Random that records the byte count of each ``randbytes`` call."""
+
+    def randbytes(self, n):
+        self.requests.append(n)
+        return super().randbytes(n)
+
+
+def _randoms_with_outputs(outputs):
+    """Two Randoms, the first a _CountingRandom, whose next 32-bit words
+    are ``outputs`` (at most 624): the tempered state words before the
+    next twist."""
+    tail = tuple(_untemper(w) for w in outputs)
+    state = (3, (0,) * (624 - len(tail)) + tail + (624 - len(tail),), None)
+    block, loop = _CountingRandom(), random.Random()
+    block.requests = []
+    block.setstate(state)
+    loop.setstate(state)
+    return block, loop
+
+
+def test_randbelow_block_rejects_a_word_at_the_limit():
+    """A Random set to output, per draw, the word n << (32 - bits) (top
+    bits equal to n: rejected) and then the one below it (top bits n - 1:
+    accepted) draws n - 1 in both ways, from two words each."""
+    bounds = (1, 3, 9, 12, 2 ** 31, 2 ** 32 - 1)
+    limits = [n << 32 - n.bit_length() for n in bounds]
+    block, loop = _randoms_with_outputs(
+        [w for limit in limits * 3 for w in (limit, limit - 1)])
+    got = words.randbelow_block(block, bounds, 3 * len(bounds))
+    assert got.tolist() == _randbelow_loop(loop, bounds, 3 * len(bounds)) \
+        == [n - 1 for n in bounds] * 3
+    assert block.getstate() == loop.getstate()
+    assert block.getrandbits(32) == loop.getrandbits(32)
+
+
+@pytest.mark.parametrize("bounds,count", [((1,), 1), ((3, 2, 9), 5),
+                                          ((12, 12, 9, 9, 9), 7)])
+def test_randbelow_block_retries_when_the_words_run_out(bounds, count):
+    """After 600 words that every bound rejects, the first pieces of
+    words run out; each retry asks for twice the words, and the draws
+    and the state still equal the per-call loop's."""
+    block, loop = _randoms_with_outputs([2 ** 32 - 1] * 600)
+    got = words.randbelow_block(block, bounds, count)
+    assert got.tolist() == _randbelow_loop(loop, bounds, count)
+    assert block.getstate() == loop.getstate()
+    first, *more = block.requests
+    assert len(more) >= 3 and more == [first * 2 ** i
+                                       for i in range(1, len(more) + 1)]
+
+
+@pytest.mark.parametrize("bounds", [(0,), (-1,), (2 ** 32,), (3, 2 ** 32),
+                                    (2, 0, 5), ()])
+@pytest.mark.parametrize("count", [0, 5])
+def test_randbelow_block_refuses_a_bound_before_any_draw(bounds, count):
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(ValueError):
+        words.randbelow_block(rng, bounds, count)
+    assert rng.getstate() == state
