@@ -34,7 +34,8 @@ def _ints(low, high):
 
 
 def _sizes(*good):
-    """The sizes ``good`` as texts, or sizes no command takes."""
+    """The sizes ``good`` as texts, or a size text that is malformed or
+    that most commands refuse."""
     return _mostly(st.sampled_from([str(n) for n in good]),
                    ["0", "3", "x", "-2"])
 
